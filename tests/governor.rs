@@ -383,3 +383,40 @@ fn pinned_stream_saves_ten_percent_energy_at_no_worse_miss_rate() {
     // The memo cache earns its keep on the repetitive pinned stream.
     assert!(governed.cache.hits > 0);
 }
+
+// ---------------------------------------------------------------------
+// Launch failures: one execution attempt per job, recorded as failed
+// ---------------------------------------------------------------------
+
+#[test]
+fn launch_failures_fail_their_jobs_without_retry_on_the_pinned_stream() {
+    let (registry, _) = shared_registry();
+    let mut cfg = pinned(Policy::MinEnergyUnderDeadline);
+    cfg.device_faults = FaultPlan::seeded(7).fail_launches(Schedule::Prob(0.6));
+    let report = run_governor(&cfg, registry);
+
+    // Every job is recorded once; a failed launch fails its job (one
+    // attempt, no retry) and the device keeps serving the rest.
+    assert_eq!(report.decisions.len(), cfg.n_jobs);
+    let failed: Vec<u64> = report
+        .decisions
+        .iter()
+        .filter(|d| !d.completed)
+        .map(|d| d.job_id)
+        .collect();
+    assert_eq!(
+        failed,
+        [1, 5, 7, 8, 9, 11, 13, 23, 25, 26, 27, 28, 30, 31, 35, 36, 37]
+    );
+    for d in report.decisions.iter().filter(|d| !d.completed) {
+        assert_eq!(d.fallback, Some(FallbackReason::LaunchFailed));
+        assert_eq!(d.measured_energy_j, 0.0);
+        assert!(!d.met_deadline);
+    }
+    assert_eq!(report.deadline_misses, failed.len());
+    assert_eq!(
+        report.total_energy_j.to_bits(),
+        30.520160599377405f64.to_bits()
+    );
+    assert_eq!(report, run_governor(&cfg, registry));
+}

@@ -24,6 +24,7 @@ use governor::{
     DriftScenario, EngineConfig, ForcedTrip, GovernorConfig, LifecycleConfig, LifecycleEvent,
     ModelRegistry, Policy, PredictionEngine, PredictionRequest, RegistryEvent, ServedChannel,
 };
+use gpu_sim::{FaultPlan, Schedule};
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lifecycle-e2e-{name}-{}", std::process::id()));
@@ -327,10 +328,23 @@ fn worse_canary_rolls_back_automatically_with_zero_dropped_requests() {
 #[test]
 fn inert_lifecycle_is_bit_identical_to_the_governor() {
     let registry = ModelRegistry::open(template_registry());
-    for policy in Policy::all() {
+    // Clean devices, and devices failing most launches: a failed job is
+    // recorded once, in both loops alike.
+    let fault_plans = [
+        ("clean", FaultPlan::none()),
+        (
+            "launch-failures",
+            FaultPlan::seeded(7).fail_launches(Schedule::Prob(0.6)),
+        ),
+    ];
+    for ((faults_name, faults), policy) in fault_plans
+        .iter()
+        .flat_map(|f| Policy::all().map(move |p| (f, p)))
+    {
         let mut cfg = LifecycleConfig::pinned(policy);
         cfg.drift = DriftConfig::disabled();
-        let dir = test_dir(&format!("inert-{}", policy.name()));
+        cfg.governor.device_faults = faults.clone();
+        let dir = test_dir(&format!("inert-{faults_name}-{}", policy.name()));
         let life = run_lifecycle(&cfg, &registry, &dir, false).expect("inert lifecycle");
         let gov = run_governor(&cfg.governor, &registry);
 
