@@ -1,13 +1,31 @@
-//! Fleet-scale scheduling: many heterogeneous devices, one deadline-
-//! carrying job stream.
+//! Fleet-scale scheduling, and the crate's one job loop.
 //!
-//! The closed loop in [`crate::sim`] picks an energy-optimal clock for
-//! *one* GPU. This module scales that decision to a fleet of simulated
-//! V100s and MI100s: per-device FIFO queues with work stealing, a
-//! placement policy that picks *(device, clock)* per job from
-//! per-device-class model artifacts, and the campaign circuit breakers
-//! (Closed → Open → HalfOpen → Evicted) so a dying device drains its
-//! queue onto the survivors instead of wedging the run.
+//! The paper's online phase makes one decision per job: the
+//! energy-optimal clock under a deadline, from the trained models. This
+//! module makes that decision for a fleet of simulated V100s and MI100s:
+//! per-device FIFO queues with work stealing, a placement policy that
+//! picks *(device, clock)* per job from per-device-class model
+//! artifacts, and the campaign circuit breakers (Closed → Open →
+//! HalfOpen → Evicted) so a dying device drains its queue onto the
+//! survivors instead of wedging the run.
+//!
+//! ## One job loop
+//!
+//! The burst loop here — admission, serving, placement, dispatch,
+//! accounting — is the only job loop in the crate. It runs a private
+//! run plan: a [`FleetConfig`], how the plan names its registry
+//! artifacts, and an optional drift twin of device 0. [`run_fleet`] runs
+//! a fleet as configured. [`crate::sim::run_governor`] runs a one-device
+//! plan: the plain `cronos`/`ligen` artifacts, one execution attempt per
+//! job, and a breaker that never trips. [`crate::lifecycle::run_lifecycle`]
+//! runs that same plan (plus a twin when it injects drift) and layers its
+//! state onto the loop through a private hook called at four points:
+//!
+//! 1. at admission, to pick each job's serve key (the stable app, or
+//!    `"<app>#canary"`);
+//! 2. after each model load, with the registry events the load surfaced;
+//! 3. after each execution that decides a job, to record its residual;
+//! 4. at each burst end, to run drift trips and canary verdicts.
 //!
 //! ## Device affinity
 //!
@@ -16,56 +34,50 @@
 //! [`train_and_publish_fleet`] therefore publishes one artifact per
 //! *device class* under `"<app>--<class-slug>"`, each fingerprinted with
 //! its own class's sweep, and every class runs its own admission-
-//! controlled [`PredictionEngine`]. A job that lands — by placement,
-//! stealing, or eviction drain — on a class with no matching artifact
-//! degrades to the default clock; the degradation is counted in
-//! [`DegradationMetrics::affinity_fallbacks`] and journaled. A job that
-//! lands on a *different* class that does have an artifact is re-priced
-//! through that class's engine before it runs, so the clock it executes
-//! at always comes from the model of the device that executes it.
-//!
-//! ## Differential contract
-//!
-//! A fleet of exactly one V100 with stealing disabled walks the same
-//! code path as [`crate::sim::run_governor`] — same arrival stream, same
-//! admission order, same drain batches, same per-job clock decisions,
-//! same device state sequence — so its [`DecisionRecord`]s are
-//! bit-identical to the single-device run on the same seed. The
-//! differential golden test in `tests/fleet.rs` pins this.
+//! controlled [`PredictionEngine`]. A job carrying a model-chosen clock
+//! that lands — by placement, stealing, or eviction drain — on a class
+//! with no matching artifact degrades to the default clock; the
+//! degradation is counted in [`DegradationMetrics::affinity_fallbacks`]
+//! and journaled.
+//! A job that already fell back keeps its reason. A job that lands on a
+//! *different* class that does have an artifact is re-priced through
+//! that class's engine before it runs, so the clock it executes at
+//! always comes from the model of the device that executes it.
 //!
 //! ## Determinism
 //!
 //! Every decision is a pure function of `(seed, policies, fault plans)`.
 //! Per-device fault streams are split from the shared plan with
 //! [`gpu_sim::substream_seed`] — hashed, not offset, so adjacent devices
-//! draw statistically independent faults. Ticks are dispatch rounds, not
-//! wall clock; stealing and eviction drains visit devices in index
-//! order; all float comparisons go through `total_cmp`.
+//! draw statistically independent faults, while device 0 keeps the
+//! parent plan. Ticks are dispatch rounds, not wall clock; stealing and
+//! eviction drains visit devices in index order; all float comparisons
+//! go through `total_cmp`.
 
 // The fleet must degrade, not die: no unwraps on the runtime path.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use energy_model::campaign::{BreakerState, SlotState};
 use energy_model::telemetry::Telemetry;
-use energy_model::workflow::{
-    characterize_cronos, characterize_ligen, experiment_frequencies, training_set,
-};
-use energy_model::{training_fingerprint, BreakerConfig, DomainSpecificModel};
+use energy_model::workflow::experiment_frequencies;
+use energy_model::{training_fingerprint, ArtifactError, BreakerConfig};
 use gpu_sim::{Device, DeviceSpec, FaultPlan};
 use serde::Serialize;
-use synergy::{DegradationMetrics, SynergyQueue};
+use synergy::{DegradationMetrics, FrequencyPolicy, SynergyQueue};
 
+use crate::lifecycle::DriftScenario;
 use crate::policy::{choose_frequency, Policy};
-use crate::registry::{ModelRegistry, RegistryError};
+use crate::registry::{ModelRegistry, RegistryError, RegistryEvent};
 use crate::serving::{
     CacheStats, EngineConfig, PredictedProfile, PredictionEngine, PredictionRequest, ServeError,
 };
 use crate::sim::{
-    build_templates, cronos_job_set, execute_job, generate_stream, ligen_job_set, DecisionRecord,
-    FallbackReason, GovernorConfig, Job, JobTemplate, ModelFaults, ModelLoader, GOVERNOR_SEED,
+    build_templates, generate_stream, publish_models, DecisionRecord, FallbackReason,
+    GovernorConfig, Job, JobTemplate, ModelFaults, GOVERNOR_SEED, STREAM_LOAD_FAIL, STREAM_STALE,
 };
 
 /// The pinned fleet seed — shared with the single-device experiments so
@@ -231,7 +243,9 @@ impl FleetConfig {
 
     /// A fleet of exactly one device with stealing disabled — the
     /// configuration the differential golden test compares bit-for-bit
-    /// against [`crate::sim::run_governor`].
+    /// against [`crate::sim::run_governor`] (which runs one attempt per
+    /// job under a breaker that never trips, so the two part ways only
+    /// once launches fail).
     pub fn single(spec: DeviceSpec, policy: Policy) -> Self {
         let mut cfg = FleetConfig::pinned();
         cfg.devices = vec![FleetDevice::new("solo-0", spec)];
@@ -280,9 +294,11 @@ pub fn fleet_model_name(app: &str, class: &str) -> String {
     format!("{app}--{}", class_slug(class))
 }
 
-fn class_fingerprint(cfg: &FleetConfig, spec: &DeviceSpec) -> u64 {
-    let train_freqs = experiment_frequencies(spec, cfg.train_stride);
-    training_fingerprint(&spec.name, spec.default_core_mhz, &train_freqs, cfg.seed)
+/// The training fingerprint of `spec`'s models, trained on the sweep
+/// thinned by `train_stride` under `seed`.
+pub(crate) fn class_fingerprint(spec: &DeviceSpec, train_stride: usize, seed: u64) -> u64 {
+    let train_freqs = experiment_frequencies(spec, train_stride);
+    training_fingerprint(&spec.name, spec.default_core_mhz, &train_freqs, seed)
 }
 
 /// The distinct device classes of a fleet, in first-appearance order.
@@ -307,33 +323,9 @@ pub fn train_and_publish_fleet(
 ) -> Result<BTreeMap<String, u64>, RegistryError> {
     let mut fingerprints = BTreeMap::new();
     for spec in distinct_classes(&cfg.devices) {
-        let freqs = experiment_frequencies(&spec, cfg.train_stride);
-        let fingerprint = class_fingerprint(cfg, &spec);
-
-        let cronos_chars = characterize_cronos(&spec, &cronos_job_set(), &freqs, 1, None);
-        let cronos_model = DomainSpecificModel::train(
-            &training_set(&cronos_chars),
-            spec.default_core_mhz,
-            cfg.seed,
-        );
-        registry.publish(
-            &fleet_model_name("cronos", &spec.name),
-            &cronos_model,
-            fingerprint,
-        )?;
-
-        let ligen_chars = characterize_ligen(&spec, &ligen_job_set(), &freqs, 1, None);
-        let ligen_model = DomainSpecificModel::train(
-            &training_set(&ligen_chars),
-            spec.default_core_mhz,
-            cfg.seed,
-        );
-        registry.publish(
-            &fleet_model_name("ligen", &spec.name),
-            &ligen_model,
-            fingerprint,
-        )?;
-
+        let fingerprint = publish_models(&spec, cfg.train_stride, cfg.seed, registry, |app| {
+            fleet_model_name(app, &spec.name)
+        })?;
         fingerprints.insert(spec.name.clone(), fingerprint);
     }
     Ok(fingerprints)
@@ -476,6 +468,169 @@ pub struct FleetReport {
     pub journal: Vec<FleetEvent>,
 }
 
+/// A private run plan for the job loop: the fleet it schedules, how it
+/// names its registry artifacts, and an optional drift twin of device 0.
+pub(crate) struct RunPlan {
+    /// The devices, policies, stream and fault plans.
+    pub(crate) fleet: FleetConfig,
+    /// Whether each class loads its own `"<app>--<class-slug>"` artifact
+    /// (a fleet) or the plain `"<app>"` one (a one-device governor run).
+    pub(crate) per_class_artifacts: bool,
+    /// From `at_job` on, device 0 runs every job on a twin: its own queue
+    /// on the drifted spec, with templates recorded there, under device
+    /// 0's fault plan (not split from it).
+    pub(crate) twin: Option<DriftScenario>,
+}
+
+/// What a run layers onto the job loop at its four hook points. `()` is
+/// the plain governor or fleet run; the lifecycle is the other hook.
+pub(crate) trait LoopHook {
+    /// What a hook point can fail with; a failure aborts the run.
+    type Error;
+
+    /// At admission: the serve key `job`'s prediction request goes under.
+    fn serve_key(&mut self, app: &'static str, _job: &Job) -> String {
+        app.to_string()
+    }
+
+    /// After each model load, with the registry events it surfaced.
+    fn loaded(&mut self, _events: Vec<RegistryEvent>) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// After each execution that decides a job, with the model's
+    /// predicted energy at the clock the job was decided at.
+    fn executed(&mut self, _record: &DecisionRecord, _predicted_energy_j: Option<f64>) {}
+
+    /// At each burst end: `at_job` is the burst's highest job id, and
+    /// `engine` the reference class's serving engine.
+    fn burst_end(
+        &mut self,
+        _at_job: u64,
+        _engine: &mut PredictionEngine,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+impl LoopHook for () {
+    type Error = Infallible;
+}
+
+/// Lazy per-application model loading through the registry's hardened
+/// walk ([`ModelRegistry::load_latest_healthy`]: the newest healthy
+/// version of the current training generation), under the run's
+/// model-path fault schedules.
+struct ModelLoader {
+    /// `Some(class)` loads `"<app>--<class-slug>"`, `None` plain `"<app>"`.
+    class: Option<String>,
+    expected_fingerprint: u64,
+    attempts: u64,
+    /// Last failure per app, reported when serving finds no model.
+    last_failure: BTreeMap<&'static str, FallbackReason>,
+}
+
+impl ModelLoader {
+    /// Loads `app`'s model into `engine` unless it already serves one.
+    /// Returns the registry events a successful load surfaced.
+    fn ensure(
+        &mut self,
+        app: &'static str,
+        faults: &ModelFaults,
+        registry: &ModelRegistry,
+        engine: &mut PredictionEngine,
+    ) -> Vec<RegistryEvent> {
+        if engine.has_model(app) {
+            return Vec::new();
+        }
+        let index = self.attempts;
+        self.attempts += 1;
+        if faults
+            .load_failures
+            .fires(faults.seed, STREAM_LOAD_FAIL, index)
+        {
+            self.last_failure.insert(app, FallbackReason::LoadFailed);
+            return Vec::new();
+        }
+        // A stale-fingerprint fault models an artifact trained under
+        // different conditions: demand a fingerprint the artifact cannot
+        // have, and let the registry's typed rejection drive the fallback.
+        let expected = if faults
+            .stale_fingerprints
+            .fires(faults.seed, STREAM_STALE, index)
+        {
+            self.expected_fingerprint ^ 0x5DEE_CE66_ADD1_C7ED
+        } else {
+            self.expected_fingerprint
+        };
+        let name = match &self.class {
+            Some(class) => fleet_model_name(app, class),
+            None => app.to_string(),
+        };
+        let failure = match registry.load_latest_healthy(&name, Some(expected)) {
+            Ok((model, _, _, events)) => {
+                engine.install_model(app, model);
+                self.last_failure.remove(app);
+                return events;
+            }
+            Err(RegistryError::NotFound { .. }) => FallbackReason::ModelMissing,
+            Err(RegistryError::Artifact {
+                source: ArtifactError::Fingerprint { .. },
+                ..
+            }) => FallbackReason::StaleArtifact,
+            Err(_) => FallbackReason::LoadFailed,
+        };
+        self.last_failure.insert(app, failure);
+        Vec::new()
+    }
+
+    fn failure_for(&self, app: &str) -> FallbackReason {
+        // A lifecycle canary key maps back to its app.
+        let base = app.split('#').next().unwrap_or(app);
+        *self
+            .last_failure
+            .get(base)
+            .unwrap_or(&FallbackReason::ModelMissing)
+    }
+}
+
+/// A clock decision on one served profile: the clock requested (`None` =
+/// the default clock) and the model's predicted time and energy there.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClockChoice {
+    requested_mhz: Option<f64>,
+    predicted_time_s: Option<f64>,
+    predicted_energy_j: Option<f64>,
+}
+
+/// Picks the clock `policy` requests from `profile` against the
+/// `planned` deadline.
+fn resolve_clock(
+    policy: Policy,
+    profile: &PredictedProfile,
+    planned_deadline_s: f64,
+) -> ClockChoice {
+    match choose_frequency(policy, profile, planned_deadline_s) {
+        Some(freq) => {
+            let point = profile.pareto.iter().find(|p| p.freq_mhz == freq);
+            ClockChoice {
+                requested_mhz: Some(freq),
+                predicted_time_s: point.map(|p| profile.default_time_s / p.speedup),
+                predicted_energy_j: point.map(|p| p.norm_energy * profile.default_energy_j),
+            }
+        }
+        None => ClockChoice {
+            requested_mhz: None,
+            predicted_time_s: Some(profile.default_time_s),
+            predicted_energy_j: Some(profile.default_energy_j),
+        },
+    }
+}
+
+/// One class's view of a job at placement: its clock decision and the
+/// predicted energy it ranks by, or why it served nothing.
+type Candidate = Result<(ClockChoice, f64), FallbackReason>;
+
 /// One per-class serving stack: templates recorded on that class's
 /// hardware, its admission-controlled engine, and its lazy model loader.
 struct ClassRuntime {
@@ -489,19 +644,40 @@ struct ClassRuntime {
 /// decision of the class it was priced for.
 struct ReadyJob {
     job: Job,
-    /// Class whose model produced `requested_mhz`.
+    /// Class whose model produced `clock`.
     decided_class: usize,
-    requested_mhz: Option<f64>,
-    predicted_time_s: Option<f64>,
+    clock: ClockChoice,
     fallback: Option<FallbackReason>,
     attempts: u32,
     stolen: bool,
+}
+
+impl ReadyJob {
+    /// A fresh job at the default clock.
+    fn new(job: Job, decided_class: usize, fallback: Option<FallbackReason>) -> Self {
+        ReadyJob {
+            job,
+            decided_class,
+            clock: ClockChoice::default(),
+            fallback,
+            attempts: 0,
+            stolen: false,
+        }
+    }
+}
+
+/// Device 0's drift twin (see [`RunPlan::twin`]).
+struct Twin {
+    at_job: u64,
+    queue: SynergyQueue,
+    templates: Vec<JobTemplate>,
 }
 
 struct DeviceRuntime {
     name: String,
     class: usize,
     queue: SynergyQueue,
+    twin: Option<Twin>,
     ready: VecDeque<ReadyJob>,
     slot: SlotState,
     jobs_run: usize,
@@ -516,9 +692,17 @@ impl DeviceRuntime {
     }
 }
 
-/// The in-flight state of one fleet run.
-struct FleetRun<'a> {
+/// A device's SYnergy queue under `faults`, with trace recording off.
+fn device_queue(spec: &DeviceSpec, faults: FaultPlan) -> SynergyQueue {
+    let mut device = Device::with_faults(spec.clone(), faults);
+    device.set_trace_capacity(Some(0));
+    SynergyQueue::for_device(device)
+}
+
+/// The in-flight state of one run of the job loop.
+struct FleetRun<'a, H: LoopHook> {
     cfg: &'a FleetConfig,
+    hook: &'a mut H,
     classes: Vec<ClassRuntime>,
     devices: Vec<DeviceRuntime>,
     tick: u64,
@@ -532,7 +716,7 @@ struct FleetRun<'a> {
     affinity_fallbacks: u64,
 }
 
-impl FleetRun<'_> {
+impl<H: LoopHook> FleetRun<'_, H> {
     /// Whether device `i` may execute a job this round. An open breaker
     /// becomes eligible once its cooldown has elapsed (the next job it
     /// runs is the half-open probe).
@@ -613,7 +797,7 @@ impl FleetRun<'_> {
                 requested_mhz: None,
                 fallback: Some(FallbackReason::LaunchFailed),
                 deadline_s: rj.job.deadline_s,
-                predicted_time_s: rj.predicted_time_s,
+                predicted_time_s: rj.clock.predicted_time_s,
                 measured_time_s: 0.0,
                 measured_energy_j: 0.0,
                 completed: false,
@@ -663,21 +847,24 @@ impl FleetRun<'_> {
         }
     }
 
+    /// Moves a job to device `to`'s queue after a failure or an eviction.
+    fn reschedule(&mut self, rj: ReadyJob, from: usize, to: usize) {
+        self.items_rescheduled += 1;
+        self.journal.push(FleetEvent::Rescheduled {
+            tick: self.tick,
+            job_id: rj.job.id,
+            from,
+            to,
+        });
+        self.devices[to].ready.push_back(rj);
+    }
+
     /// Moves an evicted device's queued jobs onto the survivors (or
     /// records them as failed when no survivor remains).
     fn drain_evicted(&mut self, i: usize) {
         while let Some(rj) = self.devices[i].ready.pop_front() {
             match self.least_loaded(None, Some(i)) {
-                Some(target) => {
-                    self.items_rescheduled += 1;
-                    self.journal.push(FleetEvent::Rescheduled {
-                        tick: self.tick,
-                        job_id: rj.job.id,
-                        from: i,
-                        to: target,
-                    });
-                    self.devices[target].ready.push_back(rj);
-                }
+                Some(target) => self.reschedule(rj, i, target),
                 None => self.record_unrunnable(rj, i),
             }
         }
@@ -707,7 +894,7 @@ impl FleetRun<'_> {
                         // An available victim runs its head this round;
                         // only a surplus is worth stealing. A cooling
                         // victim's whole queue is stalled — steal from 1.
-                        && d.ready.len() >= if self.available_flag(*j) { 2 } else { 1 }
+                        && d.ready.len() >= if self.available(*j) { 2 } else { 1 }
                 })
                 .max_by_key(|(j, d)| (d.ready.len(), usize::MAX - *j))
                 .map(|(j, _)| j);
@@ -728,9 +915,17 @@ impl FleetRun<'_> {
         }
     }
 
-    // `available` borrowed immutably inside iterator chains above.
-    fn available_flag(&self, i: usize) -> bool {
-        self.available(i)
+    /// Counts and journals an affinity degradation of `rj` on device
+    /// `i`: it runs at the default clock.
+    fn degrade_affinity(&mut self, i: usize, rj: &mut ReadyJob) {
+        self.affinity_fallbacks += 1;
+        self.journal.push(FleetEvent::AffinityDegraded {
+            tick: self.tick,
+            job_id: rj.job.id,
+            device: i,
+        });
+        rj.clock = ClockChoice::default();
+        rj.fallback = Some(FallbackReason::AffinityDegraded);
     }
 
     /// Executes one ready job on device `i`, enforcing device affinity,
@@ -746,22 +941,16 @@ impl FleetRun<'_> {
         if self.cfg.placement != Placement::RoundRobin {
             let app = self.classes[0].templates[rj.job.template].app;
             if !self.classes[class_i].engine.has_model(app) {
-                // Device affinity: no artifact for this class — default
-                // clock, with the placement-time failure reason kept
-                // when one exists (a stolen/rescheduled clock decision
-                // becomes an explicit affinity degradation).
-                self.affinity_fallbacks += 1;
-                self.journal.push(FleetEvent::AffinityDegraded {
-                    tick: self.tick,
-                    job_id: rj.job.id,
-                    device: i,
-                });
-                rj.requested_mhz = None;
-                rj.predicted_time_s = None;
-                rj.fallback = Some(rj.fallback.unwrap_or(FallbackReason::AffinityDegraded));
+                // Device affinity: no artifact for this class, so the job
+                // runs at the default clock. Only a model-chosen clock is
+                // degraded; a job that already fell back keeps its reason.
+                if rj.fallback.is_none() {
+                    self.degrade_affinity(i, &mut rj);
+                }
+                rj.clock = ClockChoice::default();
                 rj.decided_class = class_i;
             } else if (rj.fallback.is_none()
-                && rj.requested_mhz.is_some()
+                && rj.clock.requested_mhz.is_some()
                 && rj.decided_class != class_i)
                 || rj.fallback == Some(FallbackReason::AffinityDegraded)
             {
@@ -778,54 +967,31 @@ impl FleetRun<'_> {
                 match self.classes[class_i].engine.serve_one(&request) {
                     Ok(profile) => {
                         let planned = rj.job.deadline_s * self.cfg.deadline_safety;
-                        let (requested, predicted) =
-                            resolve_clock(self.cfg.policy, &profile, planned);
-                        rj.requested_mhz = requested;
-                        rj.predicted_time_s = predicted;
+                        rj.clock = resolve_clock(self.cfg.policy, &profile, planned);
                         rj.fallback = None;
-                        rj.decided_class = class_i;
                     }
-                    Err(_) => {
-                        self.affinity_fallbacks += 1;
-                        self.journal.push(FleetEvent::AffinityDegraded {
-                            tick: self.tick,
-                            job_id: rj.job.id,
-                            device: i,
-                        });
-                        rj.requested_mhz = None;
-                        rj.predicted_time_s = None;
-                        rj.fallback = Some(FallbackReason::AffinityDegraded);
-                        rj.decided_class = class_i;
-                    }
+                    Err(_) => self.degrade_affinity(i, &mut rj),
                 }
+                rj.decided_class = class_i;
             }
         }
 
-        let record = execute_job(
-            &self.classes[class_i].templates[rj.job.template],
-            &rj.job,
-            rj.requested_mhz,
-            rj.predicted_time_s,
-            rj.fallback,
-            &mut self.devices[i].queue,
-        );
+        let device = &mut self.devices[i];
+        let (templates, queue) = match &mut device.twin {
+            Some(twin) if rj.job.id >= twin.at_job => (&twin.templates, &mut twin.queue),
+            _ => (&self.classes[class_i].templates, &mut device.queue),
+        };
+        let record = execute_job(&templates[rj.job.template], &rj, queue);
 
         if record.completed {
-            self.devices[i].slot.breaker = BreakerState::Closed {
+            let d = &mut self.devices[i];
+            d.slot.breaker = BreakerState::Closed {
                 consecutive_failures: 0,
             };
-            let d = &mut self.devices[i];
             d.jobs_run += 1;
             d.busy_time_s += record.measured_time_s;
             d.energy_j += record.measured_energy_j;
-            self.decisions.push(FleetDecision {
-                device_index: i,
-                device: self.devices[i].name.clone(),
-                class: self.classes[class_i].spec.name.clone(),
-                stolen: rj.stolen,
-                attempts: rj.attempts + 1,
-                record,
-            });
+            self.decide(i, class_i, &rj, rj.attempts + 1, record);
             return;
         }
 
@@ -835,24 +1001,31 @@ impl FleetRun<'_> {
         rj.attempts += 1;
         if rj.attempts < self.cfg.max_attempts {
             if let Some(target) = self.least_loaded(None, Some(i)) {
-                self.items_rescheduled += 1;
-                self.journal.push(FleetEvent::Rescheduled {
-                    tick: self.tick,
-                    job_id: rj.job.id,
-                    from: i,
-                    to: target,
-                });
-                self.devices[target].ready.push_back(rj);
+                self.reschedule(rj, i, target);
                 return;
             }
         }
         self.devices[i].jobs_run += 1;
+        self.decide(i, class_i, &rj, rj.attempts, record);
+    }
+
+    /// Records `rj`'s final decision on device `i` and passes it to the
+    /// hook.
+    fn decide(
+        &mut self,
+        i: usize,
+        class: usize,
+        rj: &ReadyJob,
+        attempts: u32,
+        record: DecisionRecord,
+    ) {
+        self.hook.executed(&record, rj.clock.predicted_energy_j);
         self.decisions.push(FleetDecision {
             device_index: i,
             device: self.devices[i].name.clone(),
-            class: self.classes[class_i].spec.name.clone(),
+            class: self.classes[class].spec.name.clone(),
             stolen: rj.stolen,
-            attempts: rj.attempts,
+            attempts,
             record,
         });
     }
@@ -896,50 +1069,279 @@ impl FleetRun<'_> {
             // advance at the top of the loop runs the cooldown forward.
         }
     }
-}
 
-/// Picks the clock `policy` requests from `profile` against `planned`
-/// deadline, mirroring the single-device decision float-for-float.
-fn resolve_clock(
-    policy: Policy,
-    profile: &PredictedProfile,
-    planned_deadline_s: f64,
-) -> (Option<f64>, Option<f64>) {
-    match choose_frequency(policy, profile, planned_deadline_s) {
-        Some(freq) => {
-            let predicted = profile
-                .pareto
-                .iter()
-                .find(|p| p.freq_mhz == freq)
-                .map(|p| profile.default_time_s / p.speedup);
-            (Some(freq), predicted)
+    /// Round-robin placement: no prediction, default clock everywhere.
+    fn place_round_robin(&mut self, burst: &[Job]) {
+        for job in burst {
+            match self.next_rr_device() {
+                Some(i) => {
+                    let rj = ReadyJob::new(*job, self.devices[i].class, None);
+                    self.devices[i].ready.push_back(rj);
+                }
+                None => self.record_unrunnable(ReadyJob::new(*job, 0, None), 0),
+            }
         }
-        None => (None, Some(profile.default_time_s)),
+    }
+
+    /// Min-predicted-energy placement: every admitted job is predicted on
+    /// every class; the cheapest feasible class wins (fastest class when
+    /// nothing is feasible), least-loaded device within it.
+    fn place_min_energy(
+        &mut self,
+        registry: &ModelRegistry,
+        burst: &[Job],
+    ) -> Result<(), H::Error> {
+        let cfg = self.cfg;
+        // Admission: the whole burst hits every class queue before any
+        // draining, so a burst larger than the queue sheds load visibly.
+        let mut admitted: Vec<Vec<usize>> = vec![Vec::new(); burst.len()];
+        for (b, job) in burst.iter().enumerate() {
+            let template = &self.classes[0].templates[job.template];
+            let (app, features) = (template.app, template.features.clone());
+            let key = self.hook.serve_key(app, job);
+            for (c, class) in self.classes.iter_mut().enumerate() {
+                let events =
+                    class
+                        .loader
+                        .ensure(app, &cfg.model_faults, registry, &mut class.engine);
+                self.hook.loaded(events)?;
+                let request = PredictionRequest {
+                    job_id: job.id,
+                    app: key.clone(),
+                    features: features.clone(),
+                };
+                if class.engine.try_enqueue(request).is_ok() {
+                    admitted[b].push(c);
+                }
+            }
+        }
+
+        // Jobs every class rejected still run — at the default clock on
+        // the next round-robin device, recorded as admission fallbacks.
+        for (b, job) in burst.iter().enumerate() {
+            if !admitted[b].is_empty() {
+                continue;
+            }
+            self.admission_rejected += 1;
+            let rejected = Some(FallbackReason::AdmissionRejected);
+            match self.next_rr_device() {
+                Some(i) => self.execute_on(i, ReadyJob::new(*job, self.devices[i].class, rejected)),
+                None => self.record_unrunnable(ReadyJob::new(*job, 0, rejected), 0),
+            }
+        }
+
+        // Serve every class queue to empty, batch by batch, and collect
+        // the per-(job, class) profiles.
+        let mut served: BTreeMap<(u64, usize), Result<Arc<PredictedProfile>, ServeError>> =
+            BTreeMap::new();
+        for (c, class) in self.classes.iter_mut().enumerate() {
+            while class.engine.queue_len() > 0 {
+                for (request, result) in class.engine.drain_batch() {
+                    served.insert((request.job_id, c), result);
+                }
+            }
+        }
+
+        // Decide (class, clock) per job in arrival order and park it on
+        // the least-loaded device of the winning class.
+        for (b, job) in burst.iter().enumerate() {
+            if admitted[b].is_empty() {
+                continue;
+            }
+            let planned = job.deadline_s * cfg.deadline_safety;
+            let candidates: Vec<(usize, Candidate)> = admitted[b]
+                .iter()
+                .map(|&c| {
+                    let candidate = match served.get(&(job.id, c)) {
+                        Some(Ok(profile)) => {
+                            let clock = resolve_clock(cfg.policy, profile, planned);
+                            Ok((
+                                clock,
+                                clock.predicted_energy_j.unwrap_or(profile.default_energy_j),
+                            ))
+                        }
+                        Some(Err(ServeError::ModelUnavailable { app })) => {
+                            Err(self.classes[c].loader.failure_for(app))
+                        }
+                        Some(Err(
+                            ServeError::FeatureWidth { .. } | ServeError::ConfigWidth { .. },
+                        )) => Err(FallbackReason::StaleArtifact),
+                        None => Err(FallbackReason::ModelMissing),
+                    };
+                    (c, candidate)
+                })
+                .collect();
+
+            // Cheapest feasible predicted class; fastest predicted class
+            // when nothing is feasible; placement fallback when no class
+            // served at all. Ties break on the lower class index.
+            let feasible =
+                |clock: &ClockChoice| clock.predicted_time_s.is_some_and(|t| t <= planned);
+            let predicted: Vec<(usize, ClockChoice, f64)> = candidates
+                .iter()
+                .filter_map(|(c, r)| r.ok().map(|(clock, energy)| (*c, clock, energy)))
+                .collect();
+            let choice = if predicted.iter().any(|(_, clock, _)| feasible(clock)) {
+                predicted
+                    .iter()
+                    .filter(|(_, clock, _)| feasible(clock))
+                    .min_by(|(_, _, a), (_, _, b)| a.total_cmp(b))
+            } else {
+                let time = |clock: &ClockChoice| clock.predicted_time_s.unwrap_or(f64::INFINITY);
+                predicted
+                    .iter()
+                    .min_by(|(_, a, _), (_, b, _)| time(a).total_cmp(&time(b)))
+            };
+
+            let rj = match choice {
+                Some(&(class, clock, _)) => ReadyJob {
+                    clock,
+                    ..ReadyJob::new(*job, class, None)
+                },
+                // No class served: default clock with the first class's
+                // recorded failure reason.
+                None => {
+                    let reason = candidates
+                        .first()
+                        .and_then(|(_, r)| r.err())
+                        .unwrap_or(FallbackReason::ModelMissing);
+                    ReadyJob::new(*job, 0, Some(reason))
+                }
+            };
+            match self.least_loaded(Some(rj.decided_class), None) {
+                Some(i) => self.devices[i].ready.push_back(rj),
+                None => self.record_unrunnable(rj, 0),
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(mut self) -> FleetReport {
+        let cfg = self.cfg;
+        self.decisions.sort_by_key(|d| d.record.job_id);
+        let decisions = self.decisions;
+        let deadline_misses = decisions.iter().filter(|d| !d.record.met_deadline).count();
+        let fallbacks = decisions
+            .iter()
+            .filter(|d| d.record.fallback.is_some())
+            .count();
+
+        let mut cache = CacheStats::default();
+        for class in &self.classes {
+            cache.accumulate(class.engine.cache_stats());
+        }
+        let mut degradation = DegradationMetrics::default();
+        for d in &self.devices {
+            degradation.merge(&d.queue.degradation());
+            if let Some(twin) = &d.twin {
+                degradation.merge(&twin.queue.degradation());
+            }
+        }
+        degradation.items_rescheduled += self.items_rescheduled;
+        degradation.devices_evicted += self.devices_evicted;
+        degradation.affinity_fallbacks += self.affinity_fallbacks;
+
+        let device_reports: Vec<DeviceReport> = self
+            .devices
+            .iter()
+            .map(|d| DeviceReport {
+                name: d.name.clone(),
+                class: self.classes[d.class].spec.name.clone(),
+                jobs_run: d.jobs_run,
+                busy_time_s: d.busy_time_s,
+                energy_j: d.energy_j,
+                stolen_in: d.stolen_in,
+                trips: d.slot.trips,
+                evicted: d.evicted(),
+            })
+            .collect();
+
+        FleetReport {
+            policy: cfg.policy,
+            placement: cfg.placement,
+            steal: cfg.steal,
+            seed: cfg.seed,
+            n_jobs: decisions.len(),
+            total_time_s: decisions.iter().map(|d| d.record.measured_time_s).sum(),
+            total_energy_j: decisions.iter().map(|d| d.record.measured_energy_j).sum(),
+            makespan_s: device_reports
+                .iter()
+                .map(|d| d.busy_time_s)
+                .fold(0.0, f64::max),
+            deadline_misses,
+            miss_rate: if decisions.is_empty() {
+                0.0
+            } else {
+                deadline_misses as f64 / decisions.len() as f64
+            },
+            fallbacks,
+            admission_rejected: self.admission_rejected,
+            jobs_stolen: self.jobs_stolen,
+            items_rescheduled: self.items_rescheduled,
+            devices_evicted: self.devices_evicted,
+            affinity_fallbacks: self.affinity_fallbacks,
+            cache,
+            degradation,
+            devices: device_reports,
+            decisions,
+            journal: self.journal,
+        }
     }
 }
 
-/// One class's view of a job at placement time.
-enum ClassCandidate {
-    /// The class served a prediction.
-    Predicted {
-        requested_mhz: Option<f64>,
-        predicted_time_s: Option<f64>,
-        predicted_energy_j: f64,
-        feasible: bool,
-    },
-    /// The class could not serve (no artifact, load fault, …).
-    Unserved { reason: FallbackReason },
+/// Replays one job under its clock decision and records the outcome,
+/// folding device-side degradation (clock rejections riding the retry
+/// path back to the default clock) into the fallback field.
+fn execute_job(template: &JobTemplate, rj: &ReadyJob, queue: &mut SynergyQueue) -> DecisionRecord {
+    let before = queue.degradation();
+    match rj.clock.requested_mhz {
+        Some(freq) if rj.fallback.is_none() => queue.set_policy(FrequencyPolicy::Fixed(freq)),
+        _ => queue.set_policy(FrequencyPolicy::DeviceDefault),
+    }
+    let outcome = template.trace.try_replay_on(queue);
+    let after = queue.degradation();
+
+    let mut fallback = rj.fallback;
+    let (measured_time_s, measured_energy_j, completed) = match outcome {
+        Ok(m) => {
+            if fallback.is_none() && after.default_clock_fallbacks > before.default_clock_fallbacks
+            {
+                fallback = Some(FallbackReason::FrequencyRejected);
+            }
+            (m.time_s, m.energy_j, true)
+        }
+        Err(_) => {
+            fallback = Some(FallbackReason::LaunchFailed);
+            (0.0, 0.0, false)
+        }
+    };
+
+    DecisionRecord {
+        job_id: rj.job.id,
+        app: template.app.to_string(),
+        label: template.label.clone(),
+        requested_mhz: rj.clock.requested_mhz,
+        fallback,
+        deadline_s: rj.job.deadline_s,
+        predicted_time_s: rj.clock.predicted_time_s,
+        measured_time_s,
+        measured_energy_j,
+        completed,
+        met_deadline: completed && measured_time_s <= rj.job.deadline_s,
+    }
 }
 
-/// Runs the fleet closed loop against a registry populated by
-/// [`train_and_publish_fleet`] (or deliberately under-populated, to
-/// exercise affinity fallbacks). Infallible by design: every failure
-/// mode becomes a recorded fallback or a failed decision, never an
-/// error or a wedge.
-pub fn run_fleet(cfg: &FleetConfig, registry: &ModelRegistry) -> FleetReport {
+/// Runs the job loop on `plan`, calling `hook` at its four points.
+/// Fails only when the hook does.
+pub(crate) fn run_plan<H: LoopHook>(
+    plan: &RunPlan,
+    registry: &ModelRegistry,
+    hook: &mut H,
+) -> Result<FleetReport, H::Error> {
+    let cfg = &plan.fleet;
     let class_specs = distinct_classes(&cfg.devices);
-    if cfg.devices.is_empty() || class_specs.is_empty() {
-        return empty_report(cfg);
+    if class_specs.is_empty() {
+        return Ok(empty_report(cfg));
     }
 
     let classes: Vec<ClassRuntime> = class_specs
@@ -952,7 +1354,12 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &ModelRegistry) -> FleetReport {
                 queue_capacity: cfg.queue_capacity,
                 max_batch: cfg.max_batch,
             }),
-            loader: ModelLoader::new(class_fingerprint(cfg, spec)),
+            loader: ModelLoader {
+                class: plan.per_class_artifacts.then(|| spec.name.clone()),
+                expected_fingerprint: class_fingerprint(spec, cfg.train_stride, cfg.seed),
+                attempts: 0,
+                last_failure: BTreeMap::new(),
+            },
         })
         .collect();
     let class_index: BTreeMap<String, usize> = class_specs
@@ -970,12 +1377,16 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &ModelRegistry) -> FleetReport {
                 cfg.device_faults
                     .split_for_device(i as u64, PURPOSE_DEVICE_FAULTS)
             });
-            let mut device = Device::with_faults(fd.spec.clone(), faults);
-            device.set_trace_capacity(Some(0));
+            let twin = plan.twin.as_ref().filter(|_| i == 0).map(|sc| Twin {
+                at_job: sc.at_job,
+                queue: device_queue(&sc.spec, faults.clone()),
+                templates: build_templates(&sc.spec),
+            });
             DeviceRuntime {
                 name: fd.name.clone(),
                 class: *class_index.get(&fd.spec.name).unwrap_or(&0),
-                queue: SynergyQueue::for_device(device),
+                queue: device_queue(&fd.spec, faults),
+                twin,
                 ready: VecDeque::new(),
                 slot: SlotState {
                     breaker: BreakerState::Closed {
@@ -997,6 +1408,7 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &ModelRegistry) -> FleetReport {
 
     let mut run = FleetRun {
         cfg,
+        hook,
         classes,
         devices,
         tick: 0,
@@ -1011,385 +1423,37 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &ModelRegistry) -> FleetReport {
     };
 
     for burst in &bursts {
-        if !run.any_survivor() {
-            for job in burst {
-                run.record_unrunnable(
-                    ReadyJob {
-                        job: *job,
-                        decided_class: 0,
-                        requested_mhz: None,
-                        predicted_time_s: None,
-                        fallback: Some(FallbackReason::LaunchFailed),
-                        attempts: 0,
-                        stolen: false,
-                    },
-                    0,
-                );
+        if run.any_survivor() {
+            match cfg.placement {
+                Placement::RoundRobin => run.place_round_robin(burst),
+                Placement::MinPredictedEnergy => run.place_min_energy(registry, burst)?,
             }
-            continue;
-        }
-        match cfg.placement {
-            Placement::RoundRobin => place_round_robin(&mut run, burst),
-            Placement::MinPredictedEnergy => place_min_energy(&mut run, registry, burst),
-        }
-        run.dispatch_until_drained();
-    }
-
-    run.decisions.sort_by_key(|d| d.record.job_id);
-    finish_report(cfg, run)
-}
-
-/// Round-robin placement: no prediction, default clock everywhere.
-fn place_round_robin(run: &mut FleetRun<'_>, burst: &[Job]) {
-    for job in burst {
-        let rj = ReadyJob {
-            job: *job,
-            decided_class: 0,
-            requested_mhz: None,
-            predicted_time_s: None,
-            fallback: None,
-            attempts: 0,
-            stolen: false,
-        };
-        match run.next_rr_device() {
-            Some(i) => {
-                let rj = ReadyJob {
-                    decided_class: run.devices[i].class,
-                    ..rj
-                };
-                run.devices[i].ready.push_back(rj);
-            }
-            None => run.record_unrunnable(rj, 0),
-        }
-    }
-}
-
-/// Min-predicted-energy placement: every admitted job is predicted on
-/// every class; the cheapest feasible class wins (fastest class when
-/// nothing is feasible), least-loaded device within it.
-fn place_min_energy(run: &mut FleetRun<'_>, registry: &ModelRegistry, burst: &[Job]) {
-    let cfg = run.cfg;
-    // Admission: the whole burst hits every class queue before any
-    // draining — exactly the single-device shape, per class.
-    let mut admitted: Vec<Vec<usize>> = vec![Vec::new(); burst.len()];
-    for (b, job) in burst.iter().enumerate() {
-        let app = run.classes[0].templates[job.template].app;
-        let features = run.classes[0].templates[job.template].features.clone();
-        for c in 0..run.classes.len() {
-            let class = &mut run.classes[c];
-            let registry_name = fleet_model_name(app, &class.spec.name);
-            class.loader.ensure_named(
-                app,
-                &registry_name,
-                &cfg.model_faults,
-                registry,
-                &mut class.engine,
-            );
-            let request = PredictionRequest {
-                job_id: job.id,
-                app: app.to_string(),
-                features: features.clone(),
-            };
-            if class.engine.try_enqueue(request).is_ok() {
-                admitted[b].push(c);
-            }
-        }
-    }
-
-    // Jobs every class rejected still run — at the default clock on the
-    // next round-robin device, recorded as admission fallbacks.
-    for (b, job) in burst.iter().enumerate() {
-        if !admitted[b].is_empty() {
-            continue;
-        }
-        run.admission_rejected += 1;
-        let rj = ReadyJob {
-            job: *job,
-            decided_class: 0,
-            requested_mhz: None,
-            predicted_time_s: None,
-            fallback: Some(FallbackReason::AdmissionRejected),
-            attempts: 0,
-            stolen: false,
-        };
-        match run.next_rr_device() {
-            Some(i) => {
-                let rj = ReadyJob {
-                    decided_class: run.devices[i].class,
-                    ..rj
-                };
-                run.execute_on(i, rj);
-            }
-            None => run.record_unrunnable(rj, 0),
-        }
-    }
-
-    // Serve every class queue to empty, batch by batch, and collect the
-    // per-(job, class) profiles.
-    let mut served: BTreeMap<(u64, usize), Result<Arc<PredictedProfile>, ServeError>> =
-        BTreeMap::new();
-    for c in 0..run.classes.len() {
-        while run.classes[c].engine.queue_len() > 0 {
-            for (request, result) in run.classes[c].engine.drain_batch() {
-                served.insert((request.job_id, c), result);
-            }
-        }
-    }
-
-    // Decide (class, clock) per job in arrival order and park it on the
-    // least-loaded device of the winning class.
-    for (b, job) in burst.iter().enumerate() {
-        if admitted[b].is_empty() {
-            continue;
-        }
-        let planned = job.deadline_s * cfg.deadline_safety;
-        let candidates: Vec<(usize, ClassCandidate)> = admitted[b]
-            .iter()
-            .map(|&c| {
-                let candidate = match served.get(&(job.id, c)) {
-                    Some(Ok(profile)) => {
-                        let (requested, predicted) = resolve_clock(cfg.policy, profile, planned);
-                        let predicted_energy_j = match requested {
-                            Some(freq) => profile
-                                .pareto
-                                .iter()
-                                .find(|p| p.freq_mhz == freq)
-                                .map(|p| profile.default_energy_j * p.norm_energy)
-                                .unwrap_or(profile.default_energy_j),
-                            None => profile.default_energy_j,
-                        };
-                        let feasible = predicted.map(|t| t <= planned).unwrap_or(false);
-                        ClassCandidate::Predicted {
-                            requested_mhz: requested,
-                            predicted_time_s: predicted,
-                            predicted_energy_j,
-                            feasible,
-                        }
-                    }
-                    Some(Err(ServeError::ModelUnavailable { app })) => ClassCandidate::Unserved {
-                        reason: run.classes[c].loader.failure_for(app),
-                    },
-                    Some(Err(ServeError::FeatureWidth { .. } | ServeError::ConfigWidth { .. })) => {
-                        ClassCandidate::Unserved {
-                            reason: FallbackReason::StaleArtifact,
-                        }
-                    }
-                    None => ClassCandidate::Unserved {
-                        reason: FallbackReason::ModelMissing,
-                    },
-                };
-                (c, candidate)
-            })
-            .collect();
-
-        // Cheapest feasible predicted class; fastest predicted class
-        // when nothing is feasible; placement fallback when no class
-        // served at all. Ties break on the lower class index.
-        let predicted: Vec<(usize, &ClassCandidate)> = candidates
-            .iter()
-            .filter(|(_, c)| matches!(c, ClassCandidate::Predicted { .. }))
-            .map(|(i, c)| (*i, c))
-            .collect();
-        let choice = {
-            let feasible: Vec<&(usize, &ClassCandidate)> = predicted
-                .iter()
-                .filter(|(_, c)| matches!(c, ClassCandidate::Predicted { feasible: true, .. }))
-                .collect();
-            let pool: Vec<&(usize, &ClassCandidate)> = if feasible.is_empty() {
-                predicted.iter().collect()
-            } else {
-                feasible
-            };
-            if feasible_pool_is_energy_ranked(&pool) {
-                pool.into_iter()
-                    .min_by(|(_, a), (_, b)| {
-                        candidate_energy(a)
-                            .total_cmp(&candidate_energy(b))
-                            .then(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(c, cand)| (*c, *cand))
-            } else {
-                pool.into_iter()
-                    .min_by(|(_, a), (_, b)| candidate_time(a).total_cmp(&candidate_time(b)))
-                    .map(|(c, cand)| (*c, *cand))
-            }
-        };
-
-        let rj = match choice {
-            Some((
-                class,
-                ClassCandidate::Predicted {
-                    requested_mhz,
-                    predicted_time_s,
-                    ..
-                },
-            )) => ReadyJob {
-                job: *job,
-                decided_class: class,
-                requested_mhz: *requested_mhz,
-                predicted_time_s: *predicted_time_s,
-                fallback: None,
-                attempts: 0,
-                stolen: false,
-            },
-            // No class served: default clock with the first class's
-            // recorded failure reason.
-            _ => {
-                let reason = candidates
-                    .first()
-                    .map(|(_, c)| match c {
-                        ClassCandidate::Unserved { reason } => *reason,
-                        ClassCandidate::Predicted { .. } => FallbackReason::ModelMissing,
-                    })
-                    .unwrap_or(FallbackReason::ModelMissing);
-                ReadyJob {
-                    job: *job,
-                    decided_class: 0,
-                    requested_mhz: None,
-                    predicted_time_s: None,
-                    fallback: Some(reason),
-                    attempts: 0,
-                    stolen: false,
-                }
-            }
-        };
-        let target = run
-            .least_loaded(Some(rj.decided_class), None)
-            .or_else(|| run.least_loaded(None, None));
-        match target {
-            Some(i) => run.devices[i].ready.push_back(rj),
-            None => run.record_unrunnable(rj, 0),
-        }
-    }
-}
-
-fn candidate_energy(c: &ClassCandidate) -> f64 {
-    match c {
-        ClassCandidate::Predicted {
-            predicted_energy_j, ..
-        } => *predicted_energy_j,
-        ClassCandidate::Unserved { .. } => f64::INFINITY,
-    }
-}
-
-fn candidate_time(c: &ClassCandidate) -> f64 {
-    match c {
-        ClassCandidate::Predicted {
-            predicted_time_s, ..
-        } => predicted_time_s.unwrap_or(f64::INFINITY),
-        ClassCandidate::Unserved { .. } => f64::INFINITY,
-    }
-}
-
-/// Whether the selection pool should rank by energy (any feasible
-/// candidate exists) or by speed (deadline already lost everywhere).
-fn feasible_pool_is_energy_ranked(pool: &[&(usize, &ClassCandidate)]) -> bool {
-    pool.iter()
-        .any(|(_, c)| matches!(c, ClassCandidate::Predicted { feasible: true, .. }))
-}
-
-fn empty_report(cfg: &FleetConfig) -> FleetReport {
-    FleetReport {
-        policy: cfg.policy,
-        placement: cfg.placement,
-        steal: cfg.steal,
-        seed: cfg.seed,
-        n_jobs: 0,
-        devices: Vec::new(),
-        total_time_s: 0.0,
-        total_energy_j: 0.0,
-        makespan_s: 0.0,
-        deadline_misses: 0,
-        miss_rate: 0.0,
-        fallbacks: 0,
-        admission_rejected: 0,
-        jobs_stolen: 0,
-        items_rescheduled: 0,
-        devices_evicted: 0,
-        affinity_fallbacks: 0,
-        cache: CacheStats::default(),
-        degradation: DegradationMetrics::default(),
-        decisions: Vec::new(),
-        journal: Vec::new(),
-    }
-}
-
-fn finish_report(cfg: &FleetConfig, run: FleetRun<'_>) -> FleetReport {
-    let FleetRun {
-        classes,
-        devices,
-        decisions,
-        journal,
-        admission_rejected,
-        jobs_stolen,
-        items_rescheduled,
-        devices_evicted,
-        affinity_fallbacks,
-        ..
-    } = run;
-
-    let deadline_misses = decisions.iter().filter(|d| !d.record.met_deadline).count();
-    let fallbacks = decisions
-        .iter()
-        .filter(|d| d.record.fallback.is_some())
-        .count();
-
-    let mut cache = CacheStats::default();
-    for class in &classes {
-        cache.accumulate(class.engine.cache_stats());
-    }
-    let mut degradation = DegradationMetrics::default();
-    for d in &devices {
-        degradation.merge(&d.queue.degradation());
-    }
-    degradation.items_rescheduled += items_rescheduled;
-    degradation.devices_evicted += devices_evicted;
-    degradation.affinity_fallbacks += affinity_fallbacks;
-
-    let device_reports: Vec<DeviceReport> = devices
-        .iter()
-        .map(|d| DeviceReport {
-            name: d.name.clone(),
-            class: classes[d.class].spec.name.clone(),
-            jobs_run: d.jobs_run,
-            busy_time_s: d.busy_time_s,
-            energy_j: d.energy_j,
-            stolen_in: d.stolen_in,
-            trips: d.slot.trips,
-            evicted: d.evicted(),
-        })
-        .collect();
-
-    let report = FleetReport {
-        policy: cfg.policy,
-        placement: cfg.placement,
-        steal: cfg.steal,
-        seed: cfg.seed,
-        n_jobs: decisions.len(),
-        total_time_s: decisions.iter().map(|d| d.record.measured_time_s).sum(),
-        total_energy_j: decisions.iter().map(|d| d.record.measured_energy_j).sum(),
-        makespan_s: device_reports
-            .iter()
-            .map(|d| d.busy_time_s)
-            .fold(0.0, f64::max),
-        deadline_misses,
-        miss_rate: if decisions.is_empty() {
-            0.0
+            run.dispatch_until_drained();
         } else {
-            deadline_misses as f64 / decisions.len() as f64
-        },
-        fallbacks,
-        admission_rejected,
-        jobs_stolen,
-        items_rescheduled,
-        devices_evicted,
-        affinity_fallbacks,
-        cache,
-        degradation,
-        devices: device_reports,
-        decisions,
-        journal,
+            let failed = Some(FallbackReason::LaunchFailed);
+            for job in burst {
+                run.record_unrunnable(ReadyJob::new(*job, 0, failed), 0);
+            }
+        }
+        let at_job = burst.iter().map(|j| j.id).max().unwrap_or(0);
+        run.hook.burst_end(at_job, &mut run.classes[0].engine)?;
+    }
+
+    Ok(run.finish())
+}
+
+/// Runs the fleet closed loop against a registry populated by
+/// [`train_and_publish_fleet`] (or deliberately under-populated, to
+/// exercise affinity fallbacks). Infallible by design: every failure
+/// mode becomes a recorded fallback or a failed decision, never an
+/// error or a wedge.
+pub fn run_fleet(cfg: &FleetConfig, registry: &ModelRegistry) -> FleetReport {
+    let plan = RunPlan {
+        fleet: cfg.clone(),
+        per_class_artifacts: true,
+        twin: None,
     };
+    let Ok(report) = run_plan(&plan, registry, &mut ());
 
     // Telemetry is observation-only: armed or not, the report above is
     // already complete and bit-identical.
@@ -1424,4 +1488,30 @@ fn finish_report(cfg: &FleetConfig, run: FleetRun<'_>) -> FleetReport {
     }
 
     report
+}
+
+fn empty_report(cfg: &FleetConfig) -> FleetReport {
+    FleetReport {
+        policy: cfg.policy,
+        placement: cfg.placement,
+        steal: cfg.steal,
+        seed: cfg.seed,
+        n_jobs: 0,
+        devices: Vec::new(),
+        total_time_s: 0.0,
+        total_energy_j: 0.0,
+        makespan_s: 0.0,
+        deadline_misses: 0,
+        miss_rate: 0.0,
+        fallbacks: 0,
+        admission_rejected: 0,
+        jobs_stolen: 0,
+        items_rescheduled: 0,
+        devices_evicted: 0,
+        affinity_fallbacks: 0,
+        cache: CacheStats::default(),
+        degradation: DegradationMetrics::default(),
+        decisions: Vec::new(),
+        journal: Vec::new(),
+    }
 }

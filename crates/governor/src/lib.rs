@@ -19,23 +19,30 @@
 //!   under a per-job deadline, minimize energy-delay product, or hold the
 //!   vendor default clock (the baseline every other policy is judged
 //!   against);
-//! * [`sim`] — the closed-loop online simulation: a seeded, deterministic
+//! * [`fleet`] — the crate's one job loop: a seeded, deterministic
 //!   arrival stream of LiGen ligand-batch and Cronos grid jobs with
-//!   per-job deadlines, scheduled onto a `gpu-sim` device through the
-//!   fallible SYnergy backend path. Every decision is recorded; every
-//!   failure mode (model missing, stale artifact, rejected clock request,
-//!   admission overflow) degrades to the default clock instead of
-//!   stopping the fleet;
+//!   per-job deadlines, admitted and served in bursts, placed on
+//!   heterogeneous devices (V100s + MI100s) with per-class model
+//!   artifacts, per-device FIFO queues with work stealing, and the
+//!   campaign circuit breakers so evicted devices drain onto survivors.
+//!   Jobs replay on `gpu-sim` devices through the fallible SYnergy
+//!   backend path; every decision is recorded, and every failure mode
+//!   (model missing, stale artifact, rejected clock request, admission
+//!   overflow) degrades to the default clock instead of stopping the run;
+//! * [`sim`] — the job stream, the offline training phase, and
+//!   [`run_governor`]: the job loop on a one-device plan (the plain
+//!   `cronos`/`ligen` artifacts, one execution attempt per job, a
+//!   breaker that never trips);
+//! * [`lifecycle`] — drift detection, online retraining and canary
+//!   publishing, riding on the governor's one-device plan as a hook the
+//!   loop calls at admission (canary routing), after each model load
+//!   (journaling registry events), after each execution (residuals) and
+//!   at each burst end (trips and verdicts);
 //! * [`gang`] — gang placement for domain-decomposed jobs: pick the
 //!   energy-optimal `(device count, core clock)` point from a
 //!   strong-scaling profile under a deadline, then reserve that many
 //!   devices for a lockstep window — one decomposed Cronos run holds a
-//!   device *set*, not a slot;
-//! * [`fleet`] — the multi-device scale-out of [`sim`]: heterogeneous
-//!   device classes (V100s + MI100s) with per-class model artifacts,
-//!   per-device FIFO queues with work stealing, energy-aware placement,
-//!   and the campaign circuit breakers so evicted devices drain onto
-//!   survivors. A single-device fleet is bit-identical to [`sim`].
+//!   device *set*, not a slot.
 //!
 //! Everything is deterministic given `(seed, fault plan, policy)`, and
 //! armed `governor.*` telemetry leaves measured results bit-identical —

@@ -6,11 +6,11 @@
 //! forever. This module closes the learning loop around it:
 //!
 //! 1. **Residual tracking** — every served prediction is compared against
-//!    the measured outcome the sim already produces. Per-model absolute
-//!    percentage errors feed a Page–Hinkley [`DriftDetector`] (exported
-//!    as `governor.drift.*` telemetry), which trips deterministically
-//!    under a seeded stream when the hardware the model was trained on no
-//!    longer matches the hardware serving it.
+//!    the measured outcome the job loop already produces. Per-model
+//!    absolute percentage errors feed a Page–Hinkley [`DriftDetector`]
+//!    (exported as `governor.drift.*` telemetry), which trips
+//!    deterministically under a seeded stream when the hardware the model
+//!    was trained on no longer matches the hardware serving it.
 //! 2. **Online retraining** — a trip launches a crash-resumable
 //!    characterization campaign ([`energy_model::campaign`]) on the
 //!    *current* device, quarantines degraded points
@@ -23,6 +23,21 @@
 //!    canary slice against the incumbent slice drives an automatic
 //!    *promote* (atomic registry advance + serving-cache invalidation)
 //!    or *rollback* (version retired, incumbent untouched).
+//!
+//! ## On the job loop
+//!
+//! [`run_lifecycle`] has no job loop of its own. It runs the governor's
+//! one-device plan on the fleet's job loop (see `crate::fleet`), and an
+//! injected [`DriftScenario`] becomes a twin of device 0: from `at_job`
+//! on, every job runs on the twin's queue with templates recorded on the
+//! drifted spec, under device 0's fault plan. The lifecycle's state rides
+//! on the loop as a private hook, called at four points:
+//!
+//! * at admission, to route each job's serve key — the stable app, or
+//!   `"<app>#canary"` for the canary's traffic slice;
+//! * after each model load, to journal the registry events it surfaced;
+//! * after each execution, to record the job's residual;
+//! * at each burst end, to handle drift trips, then canary verdicts.
 //!
 //! ## State machine (per application)
 //!
@@ -75,18 +90,17 @@ use energy_model::quarantine::{quarantine_results, QuarantinePolicy};
 use energy_model::telemetry::Telemetry;
 use energy_model::workflow::{experiment_frequencies, CharacterizedInput, CRONOS_STEPS};
 use energy_model::{training_fingerprint, DomainSpecificModel};
-use gpu_sim::{Device, DeviceSpec};
+use gpu_sim::{DeviceSpec, Schedule};
 use ml::dataset::{Dataset, Matrix};
 use serde::{Deserialize, Serialize};
-use synergy::{DegradationMetrics, SynergyQueue};
+use synergy::DegradationMetrics;
 
-use crate::policy::{choose_frequency, Policy};
+use crate::fleet::{run_plan, LoopHook};
+use crate::policy::Policy;
 use crate::registry::{ModelRegistry, RegistryError, RegistryEvent};
-use crate::serving::{CacheStats, EngineConfig, PredictionEngine, PredictionRequest, ServeError};
+use crate::serving::{CacheStats, PredictionEngine};
 use crate::sim::{
-    build_templates, cronos_job_set, execute_job, generate_stream, ligen_job_set, schedule_fires,
-    unit_draw, DecisionRecord, FallbackReason, GovernorConfig, Job, JobTemplate, ModelFaults,
-    STREAM_LOAD_FAIL, STREAM_STALE,
+    cronos_job_set, ligen_job_set, DecisionRecord, FallbackReason, GovernorConfig, Job,
 };
 
 /// Stream id of the canary traffic draw (sibling of the model-fault
@@ -639,7 +653,9 @@ fn heal_torn_tail(jpath: &Path) -> Result<(), LifecycleError> {
 // ---- Configuration ----
 
 /// A hardware shift injected mid-stream: from `at_job` onward, jobs
-/// execute on a device with `spec` instead of the run's original spec.
+/// execute on a device with `spec` instead of the run's original spec —
+/// on the job loop, a twin of device 0 with its own queue and templates
+/// under device 0's fault plan.
 #[derive(Debug, Clone)]
 pub struct DriftScenario {
     /// First job id executed on the drifted device.
@@ -1046,91 +1062,301 @@ fn retrain_app(
     Ok(RetrainOutcome { model, fingerprint })
 }
 
-// ---- Model loading (hardened) ----
+// ---- The run ----
 
-/// The lifecycle's lazy model loader: same fault semantics as the
-/// governor's ([`ModelFaults`] schedules over a load-attempt counter) but
-/// loading through the hardened corrupt-skipping walk, journaling every
-/// [`RegistryEvent`] it surfaces.
-struct HealthyLoader {
-    expected_fingerprint: u64,
-    attempts: u64,
-    last_failure: BTreeMap<String, FallbackReason>,
+/// One job's lifecycle annotations, filled in at admission and after
+/// execution.
+#[derive(Debug, Clone, Copy)]
+struct JobNote {
+    channel: ServedChannel,
+    predicted_energy_j: Option<f64>,
+    ape: Option<f64>,
 }
 
-impl HealthyLoader {
-    fn new(expected_fingerprint: u64) -> Self {
-        HealthyLoader {
-            expected_fingerprint,
-            attempts: 0,
-            last_failure: BTreeMap::new(),
+impl JobNote {
+    /// A job no channel served a prediction for.
+    const UNSERVED: JobNote = JobNote {
+        channel: ServedChannel::Stable,
+        predicted_energy_j: None,
+        ape: None,
+    };
+}
+
+/// The lifecycle's state, riding on the job loop as its hook (see the
+/// module docs for the four hook points).
+struct LifecycleHook<'a> {
+    cfg: &'a LifecycleConfig,
+    registry: &'a ModelRegistry,
+    dir: &'a Path,
+    jr: LifecycleJournal,
+    tracker: ResidualTracker,
+    states: BTreeMap<String, AppState>,
+    notes: BTreeMap<u64, JobNote>,
+    lifecycle_fallbacks: u64,
+    retrains: u32,
+    promotes: u32,
+    rollbacks: u32,
+}
+
+impl LoopHook for LifecycleHook<'_> {
+    type Error = LifecycleError;
+
+    /// Jobs of an app with an open canary are routed to the canary
+    /// channel by a deterministic hash draw on their id.
+    fn serve_key(&mut self, app: &'static str, job: &Job) -> String {
+        let channel = match self.states.get(app).map(|s| &s.phase) {
+            Some(Phase::Canary { version, .. })
+                if Schedule::Prob(self.cfg.canary_fraction).fires(
+                    self.cfg.governor.seed,
+                    STREAM_CANARY ^ u64::from(*version),
+                    job.id,
+                ) =>
+            {
+                ServedChannel::Canary
+            }
+            _ => ServedChannel::Stable,
+        };
+        self.notes.insert(
+            job.id,
+            JobNote {
+                channel,
+                ..JobNote::UNSERVED
+            },
+        );
+        match channel {
+            ServedChannel::Canary => canary_key(app),
+            ServedChannel::Stable => app.to_string(),
         }
     }
 
-    fn ensure(
-        &mut self,
-        app: &'static str,
-        faults: &ModelFaults,
-        registry: &ModelRegistry,
-        engine: &mut PredictionEngine,
-        jr: &mut LifecycleJournal,
-    ) -> Result<(), LifecycleError> {
-        if engine.has_model(app) {
-            return Ok(());
+    fn loaded(&mut self, events: Vec<RegistryEvent>) -> Result<(), LifecycleError> {
+        for event in events {
+            self.jr.commit(LifecycleEvent::Registry { event })?;
         }
-        let index = self.attempts;
-        self.attempts += 1;
-        if schedule_fires(&faults.load_failures, faults.seed, STREAM_LOAD_FAIL, index) {
-            self.last_failure
-                .insert(app.to_string(), FallbackReason::LoadFailed);
-            return Ok(());
+        Ok(())
+    }
+
+    fn executed(&mut self, record: &DecisionRecord, predicted_energy_j: Option<f64>) {
+        let note = self.notes.entry(record.job_id).or_insert(JobNote::UNSERVED);
+        if record.fallback == Some(FallbackReason::AdmissionRejected) {
+            // A shed job skipped prediction: no channel served it.
+            *note = JobNote::UNSERVED;
+            return;
         }
-        let expected =
-            if schedule_fires(&faults.stale_fingerprints, faults.seed, STREAM_STALE, index) {
-                self.expected_fingerprint ^ 0x5DEE_CE66_ADD1_C7ED
-            } else {
-                self.expected_fingerprint
-            };
-        match registry.load_latest_healthy(app, Some(expected)) {
-            Ok((model, _, _, events)) => {
-                for event in events {
-                    jr.commit(LifecycleEvent::Registry { event })?;
-                }
-                engine.install_model(app, model);
-                self.last_failure.remove(app);
+        note.predicted_energy_j = predicted_energy_j;
+        // Residual: only a clean, completed, predicted execution is a
+        // model-quality observation.
+        note.ape = match (record.predicted_time_s, predicted_energy_j) {
+            (Some(pt), Some(pe)) if record.completed && record.fallback.is_none() => {
+                residual_ape(pt, pe, record.measured_time_s, record.measured_energy_j)
             }
-            Err(RegistryError::NotFound { .. }) => {
-                self.last_failure
-                    .insert(app.to_string(), FallbackReason::ModelMissing);
+            _ => None,
+        };
+        let Some(ape) = note.ape else {
+            return;
+        };
+        let state = self
+            .states
+            .entry(record.app.clone())
+            .or_insert_with(AppState::new);
+        match state.phase {
+            Phase::Stable => {
+                self.tracker
+                    .observe(&record.app, ape, self.cfg.governor.telemetry.as_deref());
             }
-            Err(RegistryError::Artifact {
-                source: energy_model::ArtifactError::Fingerprint { .. },
+            Phase::Canary {
+                ref mut canary,
+                ref mut incumbent,
                 ..
-            }) => {
-                self.last_failure
-                    .insert(app.to_string(), FallbackReason::StaleArtifact);
+            } => match note.channel {
+                ServedChannel::Canary => canary.add(ape),
+                ServedChannel::Stable => incumbent.add(ape),
+            },
+        }
+    }
+
+    /// Burst boundary: handle trips, then canary verdicts, in
+    /// deterministic app order.
+    fn burst_end(
+        &mut self,
+        at_job: u64,
+        engine: &mut PredictionEngine,
+    ) -> Result<(), LifecycleError> {
+        self.process_trips(at_job, engine)?;
+        self.process_verdicts(at_job, engine)
+    }
+}
+
+impl LifecycleHook<'_> {
+    /// Burst-boundary trip handling: forced trips, detector trips, the
+    /// retrain, and the journaled canary publish.
+    fn process_trips(
+        &mut self,
+        at_job: u64,
+        engine: &mut PredictionEngine,
+    ) -> Result<(), LifecycleError> {
+        let cfg = self.cfg;
+        // Deterministic order: BTreeMap iteration.
+        let apps: Vec<String> = self.states.keys().cloned().collect();
+        for app in &apps {
+            let Some(state) = self.states.get_mut(app) else {
+                continue;
+            };
+            let forced = cfg
+                .force_trip
+                .as_ref()
+                .is_some_and(|ft| ft.app == *app && at_job >= ft.at_job && !state.forced_used);
+            let detector_tripped = self
+                .tracker
+                .detector(app)
+                .is_some_and(DriftDetector::tripped);
+            if !matches!(state.phase, Phase::Stable) || !(forced || detector_tripped) {
+                continue;
             }
-            Err(_) => {
-                self.last_failure
-                    .insert(app.to_string(), FallbackReason::LoadFailed);
+            if forced {
+                state.forced_used = true;
+            }
+            state.retrain_seq += 1;
+            let seq = state.retrain_seq;
+            let (samples, statistic) = self
+                .tracker
+                .detector(app)
+                .map(|d| (d.samples(), d.statistic()))
+                .unwrap_or((0, 0.0));
+            self.jr.commit(LifecycleEvent::DriftTripped {
+                app: app.clone(),
+                seq,
+                at_job,
+                samples,
+                statistic_bits: statistic.to_bits(),
+            })?;
+            self.tracker.reset(app);
+
+            if self.retrains >= cfg.max_retrains {
+                self.jr.commit(LifecycleEvent::RetrainFailed {
+                    app: app.clone(),
+                    seq,
+                    reason: format!("retrain budget exhausted ({} used)", cfg.max_retrains),
+                })?;
+                self.lifecycle_fallbacks += 1;
+                continue;
+            }
+            self.retrains += 1;
+
+            // The retrain characterizes the *current* hardware: the
+            // drifted device once the scenario is active, unless
+            // sabotaged by the retrain_spec override.
+            let effective_spec = match (&cfg.retrain_spec, &cfg.scenario) {
+                (Some(spec), _) => spec.clone(),
+                (None, Some(sc)) if at_job >= sc.at_job => sc.spec.clone(),
+                _ => cfg.governor.spec.clone(),
+            };
+
+            match retrain_app(cfg, app, seq, &effective_spec, self.dir) {
+                Ok(outcome) => {
+                    let version = publish_canary(self.registry, &mut self.jr, app, seq, &outcome)?;
+                    engine.install_model(&canary_key(app), outcome.model.clone());
+                    if let Some(state) = self.states.get_mut(app) {
+                        state.phase = Phase::Canary {
+                            version,
+                            model: Box::new(outcome.model),
+                            canary: ApeAccum::default(),
+                            incumbent: ApeAccum::default(),
+                        };
+                    }
+                }
+                Err(reason) => {
+                    self.jr.commit(LifecycleEvent::RetrainFailed {
+                        app: app.clone(),
+                        seq,
+                        reason,
+                    })?;
+                    self.lifecycle_fallbacks += 1;
+                }
             }
         }
         Ok(())
     }
 
-    fn failure_for(&self, app: &str) -> FallbackReason {
-        // The canary key maps back to its app for failure attribution.
-        let base = app.split('#').next().unwrap_or(app);
-        *self
-            .last_failure
-            .get(base)
-            .unwrap_or(&FallbackReason::ModelMissing)
+    /// Burst-boundary verdicts: once both slices have enough
+    /// observations, promote or roll back, journaled write-ahead and
+    /// cache-invalidated.
+    fn process_verdicts(
+        &mut self,
+        at_job: u64,
+        engine: &mut PredictionEngine,
+    ) -> Result<(), LifecycleError> {
+        let cfg = self.cfg;
+        for (app, state) in self.states.iter_mut() {
+            let Phase::Canary {
+                version,
+                ref model,
+                canary,
+                incumbent,
+            } = state.phase
+            else {
+                continue;
+            };
+            if canary.n < cfg.min_canary_samples || incumbent.n < cfg.min_incumbent_samples {
+                continue;
+            }
+            let canary_mape = canary.mape();
+            let incumbent_mape = incumbent.mape();
+            let promote = canary_mape <= incumbent_mape * cfg.promote_margin;
+            if promote {
+                self.jr.commit(LifecycleEvent::PromoteIntent {
+                    app: app.clone(),
+                    version,
+                    at_job,
+                    canary_mape_bits: canary_mape.to_bits(),
+                    incumbent_mape_bits: incumbent_mape.to_bits(),
+                })?;
+                let done = LifecycleEvent::Promoted {
+                    app: app.clone(),
+                    version,
+                };
+                if self.jr.needs_side_effect(&done) {
+                    self.registry.promote_version(app, version)?;
+                }
+                self.jr.commit(done)?;
+                // Serving advance: the promoted model replaces the
+                // incumbent under the stable key (invalidating its cached
+                // profiles in every shard), and the canary channel closes.
+                engine.install_model(app, model.as_ref().clone());
+                engine.remove_model(&canary_key(app));
+                self.promotes += 1;
+            } else {
+                self.jr.commit(LifecycleEvent::RollbackIntent {
+                    app: app.clone(),
+                    version,
+                    at_job,
+                    canary_mape_bits: canary_mape.to_bits(),
+                    incumbent_mape_bits: incumbent_mape.to_bits(),
+                })?;
+                let done = LifecycleEvent::RolledBack {
+                    app: app.clone(),
+                    version,
+                };
+                if self.jr.needs_side_effect(&done) {
+                    self.registry.rollback_version(app, version)?;
+                }
+                self.jr.commit(done)?;
+                // The incumbent keeps serving untouched; only the canary
+                // channel (and its cached profiles) disappears.
+                engine.remove_model(&canary_key(app));
+                self.rollbacks += 1;
+                self.lifecycle_fallbacks += 1;
+            }
+            state.phase = Phase::Stable;
+            self.tracker.reset(app);
+        }
+        Ok(())
     }
 }
 
-// ---- The run ----
-
-/// Runs the closed loop with the adaptive lifecycle armed. Crash-safe:
+/// Runs the closed loop with the adaptive lifecycle armed: the job loop
+/// on the governor's one-device plan, with the drift scenario as a twin
+/// of device 0 and the lifecycle as the loop's hook. Crash-safe:
 /// rerunning with `resume = true` after any abort (including the
 /// [`LifecycleConfig::crash_after_appends`] injected crash) replays
 /// deterministically, consumes the journal prefix, and converges to the
@@ -1142,7 +1368,7 @@ pub fn run_lifecycle(
     resume: bool,
 ) -> Result<LifecycleReport, LifecycleError> {
     let gov = &cfg.governor;
-    let mut jr = LifecycleJournal::open(dir, cfg.fingerprint(), resume, cfg.crash_after_appends)?;
+    let jr = LifecycleJournal::open(dir, cfg.fingerprint(), resume, cfg.crash_after_appends)?;
 
     // WAL recovery before replay: a crash between the rollback's two
     // registry steps (retire rename, pointer clear) leaves a dangling
@@ -1164,258 +1390,45 @@ pub fn run_lifecycle(
         }
     }
 
-    let templates = build_templates(&gov.spec);
-    let bursts = generate_stream(gov.seed, gov.n_jobs, gov.slack, &templates);
-    // Drifted twins of the templates (same shapes, same labels): traces
-    // recorded against the drifted device so execution prices its power
-    // model. Times are untouched by construction of the drift scenario.
-    let drift_templates: Option<Vec<JobTemplate>> =
-        cfg.scenario.as_ref().map(|sc| build_templates(&sc.spec));
-
-    let serve_freqs = experiment_frequencies(&gov.spec, gov.freq_stride);
-    let mut engine = PredictionEngine::new(EngineConfig {
-        freqs: serve_freqs,
-        queue_capacity: gov.queue_capacity,
-        max_batch: gov.max_batch,
-    });
-    let expected_fp = {
-        let train_freqs = experiment_frequencies(&gov.spec, gov.train_stride);
-        training_fingerprint(
-            &gov.spec.name,
-            gov.spec.default_core_mhz,
-            &train_freqs,
-            gov.seed,
-        )
+    let mut hook = LifecycleHook {
+        cfg,
+        registry,
+        dir,
+        jr,
+        tracker: ResidualTracker::new(cfg.drift),
+        states: BTreeMap::new(),
+        notes: BTreeMap::new(),
+        lifecycle_fallbacks: 0,
+        retrains: 0,
+        promotes: 0,
+        rollbacks: 0,
     };
-    let mut loader = HealthyLoader::new(expected_fp);
+    let mut plan = gov.plan();
+    plan.twin = cfg.scenario.clone();
+    let run = run_plan(&plan, registry, &mut hook)?;
+    hook.jr.finish()?;
 
-    let mut device = Device::with_faults(gov.spec.clone(), gov.device_faults.clone());
-    device.set_trace_capacity(Some(0));
-    let mut queue = SynergyQueue::for_device(device);
-    let mut drift_queue: Option<SynergyQueue> = cfg.scenario.as_ref().map(|sc| {
-        let mut d = Device::with_faults(sc.spec.clone(), gov.device_faults.clone());
-        d.set_trace_capacity(Some(0));
-        SynergyQueue::for_device(d)
-    });
-
-    let mut tracker = ResidualTracker::new(cfg.drift);
-    let mut states: BTreeMap<&'static str, AppState> = BTreeMap::new();
-    let mut decisions: Vec<LifecycleDecision> = Vec::with_capacity(gov.n_jobs);
-    let mut admission_rejected = 0usize;
-    let mut lifecycle_fallbacks = 0u64;
-    let mut retrains = 0u32;
-    let mut promotes = 0u32;
-    let mut rollbacks = 0u32;
-
-    for burst in &bursts {
-        let burst_max_id = burst.iter().map(|j| j.id).max().unwrap_or(0);
-        // Admission: the whole burst hits the queue before any draining.
-        // Jobs of an app with an open canary are routed to the canary
-        // channel by a deterministic hash draw on their id.
-        let mut rejected: Vec<&Job> = Vec::new();
-        let mut routes: BTreeMap<u64, ServedChannel> = BTreeMap::new();
-        for job in burst {
-            let template = &templates[job.template];
-            loader.ensure(
-                template.app,
-                &gov.model_faults,
-                registry,
-                &mut engine,
-                &mut jr,
-            )?;
-            let channel = match states.get(template.app).map(|s| &s.phase) {
-                Some(Phase::Canary { version, .. })
-                    if unit_draw(gov.seed, STREAM_CANARY ^ u64::from(*version), job.id)
-                        < cfg.canary_fraction =>
-                {
-                    ServedChannel::Canary
-                }
-                _ => ServedChannel::Stable,
-            };
-            routes.insert(job.id, channel);
-            let route_app = match channel {
-                ServedChannel::Canary => canary_key(template.app),
-                ServedChannel::Stable => template.app.to_string(),
-            };
-            let request = PredictionRequest {
-                job_id: job.id,
-                app: route_app,
-                features: template.features.clone(),
-            };
-            if engine.try_enqueue(request).is_err() {
-                rejected.push(job);
+    let mut degradation = run.degradation;
+    degradation.lifecycle_fallbacks += hook.lifecycle_fallbacks;
+    let decisions: Vec<LifecycleDecision> = run
+        .decisions
+        .into_iter()
+        .map(|d| {
+            let note = hook
+                .notes
+                .get(&d.record.job_id)
+                .copied()
+                .unwrap_or(JobNote::UNSERVED);
+            LifecycleDecision {
+                record: d.record,
+                channel: note.channel,
+                predicted_energy_j: note.predicted_energy_j,
+                ape: note.ape,
             }
-        }
-
-        // Rejected jobs still run — at the default clock. Never an
-        // unserved request.
-        for job in rejected {
-            admission_rejected += 1;
-            let (exec_template, exec_queue) = execution_target(
-                job,
-                &templates,
-                drift_templates.as_deref(),
-                cfg.scenario.as_ref(),
-                &mut queue,
-                drift_queue.as_mut(),
-            );
-            let record = execute_job(
-                exec_template,
-                job,
-                None,
-                None,
-                Some(FallbackReason::AdmissionRejected),
-                exec_queue,
-            );
-            decisions.push(LifecycleDecision {
-                record,
-                channel: ServedChannel::Stable,
-                predicted_energy_j: None,
-                ape: None,
-            });
-        }
-
-        // Serve and execute in batches until the burst's queue drains.
-        while engine.queue_len() > 0 {
-            let served = engine.drain_batch();
-            for (request, result) in served {
-                let Some(job) = burst.iter().find(|j| j.id == request.job_id) else {
-                    continue;
-                };
-                let template = &templates[job.template];
-                let channel = routes
-                    .get(&job.id)
-                    .copied()
-                    .unwrap_or(ServedChannel::Stable);
-                let (requested, predicted_time, predicted_energy, fallback) = match result {
-                    Ok(profile) => {
-                        let planned_deadline = job.deadline_s * gov.deadline_safety;
-                        match choose_frequency(gov.policy, &profile, planned_deadline) {
-                            Some(freq) => {
-                                let point = profile.pareto.iter().find(|p| p.freq_mhz == freq);
-                                (
-                                    Some(freq),
-                                    point.map(|p| profile.default_time_s / p.speedup),
-                                    point.map(|p| p.norm_energy * profile.default_energy_j),
-                                    None,
-                                )
-                            }
-                            None => (
-                                None,
-                                Some(profile.default_time_s),
-                                Some(profile.default_energy_j),
-                                None,
-                            ),
-                        }
-                    }
-                    Err(ServeError::ModelUnavailable { ref app }) => {
-                        (None, None, None, Some(loader.failure_for(app)))
-                    }
-                    Err(ServeError::FeatureWidth { .. } | ServeError::ConfigWidth { .. }) => {
-                        (None, None, None, Some(FallbackReason::StaleArtifact))
-                    }
-                };
-                let (exec_template, exec_queue) = execution_target(
-                    job,
-                    &templates,
-                    drift_templates.as_deref(),
-                    cfg.scenario.as_ref(),
-                    &mut queue,
-                    drift_queue.as_mut(),
-                );
-                let record = execute_job(
-                    exec_template,
-                    job,
-                    requested,
-                    predicted_time,
-                    fallback,
-                    exec_queue,
-                );
-
-                // Residual: only a clean, completed, predicted execution
-                // is a model-quality observation.
-                let ape = if record.completed && record.fallback.is_none() {
-                    match (predicted_time, predicted_energy) {
-                        (Some(pt), Some(pe)) => {
-                            residual_ape(pt, pe, record.measured_time_s, record.measured_energy_j)
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                if let Some(ape) = ape {
-                    match states
-                        .entry(template.app)
-                        .or_insert_with(AppState::new)
-                        .phase
-                    {
-                        Phase::Stable => {
-                            tracker.observe(template.app, ape, gov.telemetry.as_deref());
-                        }
-                        Phase::Canary {
-                            ref mut canary,
-                            ref mut incumbent,
-                            ..
-                        } => match channel {
-                            ServedChannel::Canary => canary.add(ape),
-                            ServedChannel::Stable => incumbent.add(ape),
-                        },
-                    }
-                }
-
-                decisions.push(LifecycleDecision {
-                    record,
-                    channel,
-                    predicted_energy_j: predicted_energy,
-                    ape,
-                });
-            }
-        }
-
-        // Burst boundary: handle trips, then canary verdicts, in
-        // deterministic app order.
-        process_trips(
-            cfg,
-            registry,
-            dir,
-            &mut jr,
-            &mut engine,
-            &mut tracker,
-            &mut states,
-            burst_max_id,
-            &mut retrains,
-            &mut lifecycle_fallbacks,
-        )?;
-        process_verdicts(
-            cfg,
-            registry,
-            &mut jr,
-            &mut engine,
-            &mut tracker,
-            &mut states,
-            burst_max_id,
-            &mut promotes,
-            &mut rollbacks,
-            &mut lifecycle_fallbacks,
-        )?;
-    }
-
-    jr.finish()?;
-
-    decisions.sort_by_key(|d| d.record.job_id);
-    let deadline_misses = decisions.iter().filter(|d| !d.record.met_deadline).count();
-    let fallbacks = decisions
-        .iter()
-        .filter(|d| d.record.fallback.is_some())
-        .count();
-    let mut degradation = queue.degradation();
-    if let Some(dq) = &drift_queue {
-        degradation.merge(&dq.degradation());
-    }
-    degradation.lifecycle_fallbacks += lifecycle_fallbacks;
-
-    let events: Vec<LifecycleEvent> = jr
+        })
+        .collect();
+    let events: Vec<LifecycleEvent> = hook
+        .jr
         .seen
         .iter()
         .filter(|e| !matches!(e, LifecycleEvent::Header { .. }))
@@ -1426,25 +1439,21 @@ pub fn run_lifecycle(
         policy: gov.policy,
         device: gov.spec.name.clone(),
         seed: gov.seed,
-        n_jobs: decisions.len(),
-        total_time_s: decisions.iter().map(|d| d.record.measured_time_s).sum(),
-        total_energy_j: decisions.iter().map(|d| d.record.measured_energy_j).sum(),
-        deadline_misses,
-        miss_rate: if decisions.is_empty() {
-            0.0
-        } else {
-            deadline_misses as f64 / decisions.len() as f64
-        },
-        fallbacks,
-        admission_rejected,
-        cache: engine.cache_stats(),
+        n_jobs: run.n_jobs,
+        total_time_s: run.total_time_s,
+        total_energy_j: run.total_energy_j,
+        deadline_misses: run.deadline_misses,
+        miss_rate: run.miss_rate,
+        fallbacks: run.fallbacks,
+        admission_rejected: run.admission_rejected,
+        cache: run.cache,
         degradation,
         decisions,
         events,
-        drift: tracker.summary(),
-        retrains,
-        promotes,
-        rollbacks,
+        drift: hook.tracker.summary(),
+        retrains: hook.retrains,
+        promotes: hook.promotes,
+        rollbacks: hook.rollbacks,
     };
 
     // Telemetry is observation-only; the report above is already final.
@@ -1468,117 +1477,6 @@ pub fn run_lifecycle(
     }
 
     Ok(report)
-}
-
-/// Picks the template/queue a job executes on: the drifted pair once the
-/// scenario is active for this job id, the original pair otherwise.
-fn execution_target<'a>(
-    job: &Job,
-    templates: &'a [JobTemplate],
-    drift_templates: Option<&'a [JobTemplate]>,
-    scenario: Option<&DriftScenario>,
-    queue: &'a mut SynergyQueue,
-    drift_queue: Option<&'a mut SynergyQueue>,
-) -> (&'a JobTemplate, &'a mut SynergyQueue) {
-    match (scenario, drift_templates, drift_queue) {
-        (Some(sc), Some(dt), Some(dq)) if job.id >= sc.at_job => (&dt[job.template], dq),
-        _ => (&templates[job.template], queue),
-    }
-}
-
-/// Burst-boundary trip handling: forced trips, detector trips, the
-/// retrain, and the journaled canary publish.
-#[allow(clippy::too_many_arguments)]
-fn process_trips(
-    cfg: &LifecycleConfig,
-    registry: &ModelRegistry,
-    dir: &Path,
-    jr: &mut LifecycleJournal,
-    engine: &mut PredictionEngine,
-    tracker: &mut ResidualTracker,
-    states: &mut BTreeMap<&'static str, AppState>,
-    at_job: u64,
-    retrains: &mut u32,
-    lifecycle_fallbacks: &mut u64,
-) -> Result<(), LifecycleError> {
-    // Deterministic order: BTreeMap iteration.
-    let apps: Vec<&'static str> = states.keys().copied().collect();
-    for app in apps {
-        let forced = cfg.force_trip.as_ref().is_some_and(|ft| {
-            ft.app == app && at_job >= ft.at_job && !states.get(app).is_some_and(|s| s.forced_used)
-        });
-        let detector_tripped = tracker.detector(app).is_some_and(DriftDetector::tripped);
-        let stable = states
-            .get(app)
-            .is_some_and(|s| matches!(s.phase, Phase::Stable));
-        if !stable || !(forced || detector_tripped) {
-            continue;
-        }
-        let Some(state) = states.get_mut(app) else {
-            continue;
-        };
-        if forced {
-            state.forced_used = true;
-        }
-        state.retrain_seq += 1;
-        let seq = state.retrain_seq;
-        let (samples, statistic) = tracker
-            .detector(app)
-            .map(|d| (d.samples(), d.statistic()))
-            .unwrap_or((0, 0.0));
-        jr.commit(LifecycleEvent::DriftTripped {
-            app: app.to_string(),
-            seq,
-            at_job,
-            samples,
-            statistic_bits: statistic.to_bits(),
-        })?;
-        tracker.reset(app);
-
-        if *retrains >= cfg.max_retrains {
-            jr.commit(LifecycleEvent::RetrainFailed {
-                app: app.to_string(),
-                seq,
-                reason: format!("retrain budget exhausted ({} used)", cfg.max_retrains),
-            })?;
-            *lifecycle_fallbacks += 1;
-            continue;
-        }
-        *retrains += 1;
-
-        // The retrain characterizes the *current* hardware: the drifted
-        // device once the scenario is active, unless sabotaged by the
-        // retrain_spec override.
-        let effective_spec = match (&cfg.retrain_spec, &cfg.scenario) {
-            (Some(spec), _) => spec.clone(),
-            (None, Some(sc)) if at_job >= sc.at_job => sc.spec.clone(),
-            _ => cfg.governor.spec.clone(),
-        };
-
-        match retrain_app(cfg, app, seq, &effective_spec, dir) {
-            Ok(outcome) => {
-                let version = publish_canary(registry, jr, app, seq, &outcome)?;
-                engine.install_model(&canary_key(app), outcome.model.clone());
-                if let Some(state) = states.get_mut(app) {
-                    state.phase = Phase::Canary {
-                        version,
-                        model: Box::new(outcome.model),
-                        canary: ApeAccum::default(),
-                        incumbent: ApeAccum::default(),
-                    };
-                }
-            }
-            Err(reason) => {
-                jr.commit(LifecycleEvent::RetrainFailed {
-                    app: app.to_string(),
-                    seq,
-                    reason,
-                })?;
-                *lifecycle_fallbacks += 1;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The journaled write-ahead canary publish: intent → artifact →
@@ -1628,92 +1526,6 @@ fn publish_canary(
     }
     jr.commit(opened)?;
     Ok(version)
-}
-
-/// Burst-boundary verdicts: once both slices have enough observations,
-/// promote or roll back, journaled write-ahead and cache-invalidated.
-#[allow(clippy::too_many_arguments)]
-fn process_verdicts(
-    cfg: &LifecycleConfig,
-    registry: &ModelRegistry,
-    jr: &mut LifecycleJournal,
-    engine: &mut PredictionEngine,
-    tracker: &mut ResidualTracker,
-    states: &mut BTreeMap<&'static str, AppState>,
-    at_job: u64,
-    promotes: &mut u32,
-    rollbacks: &mut u32,
-    lifecycle_fallbacks: &mut u64,
-) -> Result<(), LifecycleError> {
-    let apps: Vec<&'static str> = states.keys().copied().collect();
-    for app in apps {
-        let Some(state) = states.get_mut(app) else {
-            continue;
-        };
-        let Phase::Canary {
-            version,
-            ref model,
-            canary,
-            incumbent,
-        } = state.phase
-        else {
-            continue;
-        };
-        if canary.n < cfg.min_canary_samples || incumbent.n < cfg.min_incumbent_samples {
-            continue;
-        }
-        let canary_mape = canary.mape();
-        let incumbent_mape = incumbent.mape();
-        let promote = canary_mape <= incumbent_mape * cfg.promote_margin;
-        if promote {
-            jr.commit(LifecycleEvent::PromoteIntent {
-                app: app.to_string(),
-                version,
-                at_job,
-                canary_mape_bits: canary_mape.to_bits(),
-                incumbent_mape_bits: incumbent_mape.to_bits(),
-            })?;
-            let done = LifecycleEvent::Promoted {
-                app: app.to_string(),
-                version,
-            };
-            if jr.needs_side_effect(&done) {
-                registry.promote_version(app, version)?;
-            }
-            jr.commit(done)?;
-            // Serving advance: the promoted model replaces the incumbent
-            // under the stable key (invalidating its cached profiles in
-            // every shard), and the canary channel closes.
-            let model = model.as_ref().clone();
-            engine.install_model(app, model);
-            engine.remove_model(&canary_key(app));
-            *promotes += 1;
-        } else {
-            jr.commit(LifecycleEvent::RollbackIntent {
-                app: app.to_string(),
-                version,
-                at_job,
-                canary_mape_bits: canary_mape.to_bits(),
-                incumbent_mape_bits: incumbent_mape.to_bits(),
-            })?;
-            let done = LifecycleEvent::RolledBack {
-                app: app.to_string(),
-                version,
-            };
-            if jr.needs_side_effect(&done) {
-                registry.rollback_version(app, version)?;
-            }
-            jr.commit(done)?;
-            // The incumbent keeps serving untouched; only the canary
-            // channel (and its cached profiles) disappears.
-            engine.remove_model(&canary_key(app));
-            *rollbacks += 1;
-            *lifecycle_fallbacks += 1;
-        }
-        state.phase = Phase::Stable;
-        tracker.reset(app);
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
-//! The closed-loop online simulation: a deterministic arrival stream of
-//! LiGen and Cronos jobs, governed frequency selection, and graceful
-//! degradation to the default clock.
+//! The single-device governor: the job stream, the offline phase, and
+//! the one-device run of the crate's job loop.
 //!
 //! ## Shape of a run
 //!
@@ -9,22 +8,28 @@
 //! per application, and publish both into a [`ModelRegistry`] under a
 //! training fingerprint derived from `(device, default clock, sweep,
 //! seed)`. [`run_governor`] then plays the online phase against that
-//! registry:
+//! registry. It has no loop of its own: it turns its [`GovernorConfig`]
+//! into a private one-device run plan and runs the fleet's job loop
+//! (`crate::fleet`) on it. The plan serves the plain `cronos`/`ligen`
+//! artifacts, allows one execution attempt per job, and holds a breaker
+//! that never trips, so a failed launch fails its job and the device
+//! keeps serving the stream. A run, step by step:
 //!
 //! 1. a seeded stream of jobs arrives in bursts of 1–3, each job drawn
 //!    from the fixed configuration sets with a per-job deadline (default
 //!    clock time × a slack factor drawn from `cfg.slack`);
 //! 2. each job's prediction request passes through the admission-controlled
-//!    [`PredictionEngine`]; models are loaded lazily from the registry
-//!    (envelope- and fingerprint-verified) the first time an application
-//!    needs one;
+//!    [`PredictionEngine`](crate::serving::PredictionEngine); models are
+//!    loaded lazily from the registry (envelope- and fingerprint-verified,
+//!    newest healthy version first) the first time an application needs
+//!    one;
 //! 3. the policy picks a clock from the predicted Pareto set; the job's
-//!    recorded [`KernelTrace`] is replayed on the shared `gpu-sim` device
+//!    recorded [`KernelTrace`] is replayed on the `gpu-sim` device
 //!    through the fallible SYnergy backend path under that clock;
 //! 4. anything that goes wrong — model missing from the registry, load
 //!    fault, stale training fingerprint, admission overflow, rejected
 //!    clock request, failed launch — degrades the job to the default
-//!    clock (or records the failure) and the run continues. The fleet
+//!    clock (or records the failure) and the run continues. The loop
 //!    never deadlocks on a bad model or a flaky device.
 //!
 //! ## Contracts
@@ -40,22 +45,25 @@
 // The governor must degrade, not die: no unwraps on the runtime path.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use energy_model::characterize::Workload;
 use energy_model::telemetry::Telemetry;
 use energy_model::workflow::{
-    characterize_cronos, characterize_ligen, experiment_frequencies, training_set, CRONOS_STEPS,
+    characterize_cronos, characterize_ligen, experiment_frequencies, training_set,
+    CharacterizedInput, CRONOS_STEPS,
 };
-use energy_model::{training_fingerprint, CronosInput, DomainSpecificModel, LigenInput};
+use energy_model::{BreakerConfig, CronosInput, DomainSpecificModel, LigenInput};
 use gpu_sim::{Device, DeviceSpec, FaultPlan, Schedule};
 use serde::Serialize;
 use synergy::{FrequencyPolicy, KernelTrace, SynergyQueue};
 
-use crate::policy::{choose_frequency, Policy};
+use crate::fleet::{
+    class_fingerprint, run_plan, FleetConfig, FleetDevice, Placement, RunPlan, StealPolicy,
+};
+use crate::policy::Policy;
 use crate::registry::{ModelRegistry, RegistryError};
-use crate::serving::{CacheStats, EngineConfig, PredictionEngine, PredictionRequest, ServeError};
+use crate::serving::CacheStats;
 
 /// The pinned experiment seed shared with the offline benchmarks.
 pub const GOVERNOR_SEED: u64 = 20231112;
@@ -103,27 +111,6 @@ impl ModelFaults {
 
 pub(crate) const STREAM_LOAD_FAIL: u64 = 11;
 pub(crate) const STREAM_STALE: u64 = 12;
-
-/// Stateless uniform draw in `[0, 1)` — the same splitmix64-finalizer
-/// construction as the device fault plans, so model faults are pure
-/// functions of the load-attempt index.
-pub(crate) fn unit_draw(seed: u64, stream: u64, index: u64) -> f64 {
-    let mut z = seed
-        ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ index.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-pub(crate) fn schedule_fires(schedule: &Schedule, seed: u64, stream: u64, index: u64) -> bool {
-    match schedule {
-        Schedule::Never => false,
-        Schedule::At(set) => set.contains(&index),
-        Schedule::Prob(p) => unit_draw(seed, stream, index) < *p,
-    }
-}
 
 /// Sequential splitmix64 — drives the arrival stream and slack draws.
 pub(crate) struct SplitMix64(u64);
@@ -206,14 +193,38 @@ impl GovernorConfig {
         }
     }
 
-    fn expected_fingerprint(&self) -> u64 {
-        let train_freqs = experiment_frequencies(&self.spec, self.train_stride);
-        training_fingerprint(
-            &self.spec.name,
-            self.spec.default_core_mhz,
-            &train_freqs,
-            self.seed,
-        )
+    /// The private one-device run plan this configuration executes on
+    /// the fleet's job loop: the plain `cronos`/`ligen` artifacts, one
+    /// execution attempt per job, and a breaker that never trips — a
+    /// failed launch fails its job, and the only device keeps serving.
+    pub(crate) fn plan(&self) -> RunPlan {
+        RunPlan {
+            fleet: FleetConfig {
+                devices: vec![FleetDevice::new(&self.spec.name, self.spec.clone())],
+                policy: self.policy,
+                placement: Placement::MinPredictedEnergy,
+                steal: StealPolicy::Disabled,
+                n_jobs: self.n_jobs,
+                seed: self.seed,
+                slack: self.slack,
+                deadline_safety: self.deadline_safety,
+                queue_capacity: self.queue_capacity,
+                max_batch: self.max_batch,
+                freq_stride: self.freq_stride,
+                train_stride: self.train_stride,
+                breaker: BreakerConfig {
+                    failure_threshold: u32::MAX,
+                    ..BreakerConfig::default()
+                },
+                max_attempts: 1,
+                device_faults: self.device_faults.clone(),
+                model_faults: self.model_faults.clone(),
+                // Each entry point exports its own telemetry names.
+                telemetry: None,
+            },
+            per_class_artifacts: false,
+            twin: None,
+        }
     }
 }
 
@@ -225,20 +236,42 @@ pub fn train_and_publish(
     cfg: &GovernorConfig,
     registry: &ModelRegistry,
 ) -> Result<u64, RegistryError> {
-    let freqs = experiment_frequencies(&cfg.spec, cfg.train_stride);
-    let default_mhz = cfg.spec.default_core_mhz;
-    let fingerprint = cfg.expected_fingerprint();
+    publish_models(
+        &cfg.spec,
+        cfg.train_stride,
+        cfg.seed,
+        registry,
+        str::to_string,
+    )
+}
 
-    let cronos_chars = characterize_cronos(&cfg.spec, &cronos_job_set(), &freqs, 1, None);
-    let cronos_model =
-        DomainSpecificModel::train(&training_set(&cronos_chars), default_mhz, cfg.seed);
-    registry.publish("cronos", &cronos_model, fingerprint)?;
+/// Characterizes the fixed job sets on `spec` noiselessly, trains one
+/// domain-specific model per application, and publishes each into
+/// `registry` as `name(app)` under `spec`'s training fingerprint, which
+/// it returns.
+pub(crate) fn publish_models(
+    spec: &DeviceSpec,
+    train_stride: usize,
+    seed: u64,
+    registry: &ModelRegistry,
+    name: impl Fn(&str) -> String,
+) -> Result<u64, RegistryError> {
+    let freqs = experiment_frequencies(spec, train_stride);
+    let fingerprint = class_fingerprint(spec, train_stride, seed);
+    let train = |chars: &[CharacterizedInput]| {
+        DomainSpecificModel::train(&training_set(chars), spec.default_core_mhz, seed)
+    };
 
-    let ligen_chars = characterize_ligen(&cfg.spec, &ligen_job_set(), &freqs, 1, None);
-    let ligen_model =
-        DomainSpecificModel::train(&training_set(&ligen_chars), default_mhz, cfg.seed);
-    registry.publish("ligen", &ligen_model, fingerprint)?;
-
+    let cronos = train(&characterize_cronos(
+        spec,
+        &cronos_job_set(),
+        &freqs,
+        1,
+        None,
+    ));
+    registry.publish(&name("cronos"), &cronos, fingerprint)?;
+    let ligen = train(&characterize_ligen(spec, &ligen_job_set(), &freqs, 1, None));
+    registry.publish(&name("ligen"), &ligen, fingerprint)?;
     Ok(fingerprint)
 }
 
@@ -340,91 +373,6 @@ pub(crate) struct Job {
     pub(crate) deadline_s: f64,
 }
 
-/// Tracks lazy per-application model loading through the registry.
-pub(crate) struct ModelLoader {
-    expected_fingerprint: u64,
-    attempts: u64,
-    /// Last failure per app, reported when serving finds no model.
-    last_failure: BTreeMap<&'static str, FallbackReason>,
-}
-
-impl ModelLoader {
-    pub(crate) fn new(expected_fingerprint: u64) -> Self {
-        ModelLoader {
-            expected_fingerprint,
-            attempts: 0,
-            last_failure: BTreeMap::new(),
-        }
-    }
-
-    fn ensure(
-        &mut self,
-        app: &'static str,
-        cfg: &GovernorConfig,
-        registry: &ModelRegistry,
-        engine: &mut PredictionEngine,
-    ) {
-        self.ensure_named(app, app, &cfg.model_faults, registry, engine);
-    }
-
-    /// Like `ensure`, but the registry artifact may live under a name
-    /// other than the engine's app key — the fleet publishes per-device-
-    /// class artifacts as `"<app>@<class-slug>"` while every class engine
-    /// serves them under the plain app name.
-    pub(crate) fn ensure_named(
-        &mut self,
-        app: &'static str,
-        registry_name: &str,
-        faults: &ModelFaults,
-        registry: &ModelRegistry,
-        engine: &mut PredictionEngine,
-    ) {
-        if engine.has_model(app) {
-            return;
-        }
-        let index = self.attempts;
-        self.attempts += 1;
-        if schedule_fires(&faults.load_failures, faults.seed, STREAM_LOAD_FAIL, index) {
-            self.last_failure.insert(app, FallbackReason::LoadFailed);
-            return;
-        }
-        // A stale-fingerprint fault models an artifact trained under
-        // different conditions: demand a fingerprint the artifact cannot
-        // have, and let the registry's typed rejection drive the fallback.
-        let expected =
-            if schedule_fires(&faults.stale_fingerprints, faults.seed, STREAM_STALE, index) {
-                self.expected_fingerprint ^ 0x5DEE_CE66_ADD1_C7ED
-            } else {
-                self.expected_fingerprint
-            };
-        match registry.load_expecting(registry_name, None, expected) {
-            Ok((model, _, _)) => {
-                engine.install_model(app, model);
-                self.last_failure.remove(app);
-            }
-            Err(RegistryError::NotFound { .. }) => {
-                self.last_failure.insert(app, FallbackReason::ModelMissing);
-            }
-            Err(RegistryError::Artifact {
-                source: energy_model::ArtifactError::Fingerprint { .. },
-                ..
-            }) => {
-                self.last_failure.insert(app, FallbackReason::StaleArtifact);
-            }
-            Err(_) => {
-                self.last_failure.insert(app, FallbackReason::LoadFailed);
-            }
-        }
-    }
-
-    pub(crate) fn failure_for(&self, app: &str) -> FallbackReason {
-        *self
-            .last_failure
-            .get(app)
-            .unwrap_or(&FallbackReason::ModelMissing)
-    }
-}
-
 pub(crate) fn build_templates(spec: &DeviceSpec) -> Vec<JobTemplate> {
     let mut templates = Vec::new();
     for cfg in cronos_job_set() {
@@ -492,120 +440,27 @@ pub(crate) fn generate_stream(
 }
 
 /// Runs the closed loop against a registry populated by
-/// [`train_and_publish`] (or deliberately empty, to exercise fallback).
+/// [`train_and_publish`] (or deliberately empty, to exercise fallback):
+/// the fleet's job loop on this configuration's one-device plan.
 /// Infallible by design: every failure mode becomes a recorded
 /// [`FallbackReason`], not an error.
 pub fn run_governor(cfg: &GovernorConfig, registry: &ModelRegistry) -> GovernorReport {
-    let templates = build_templates(&cfg.spec);
-    let bursts = generate_stream(cfg.seed, cfg.n_jobs, cfg.slack, &templates);
-
-    let serve_freqs = experiment_frequencies(&cfg.spec, cfg.freq_stride);
-    let mut engine = PredictionEngine::new(EngineConfig {
-        freqs: serve_freqs,
-        queue_capacity: cfg.queue_capacity,
-        max_batch: cfg.max_batch,
-    });
-    let mut loader = ModelLoader::new(cfg.expected_fingerprint());
-
-    let mut device = Device::with_faults(cfg.spec.clone(), cfg.device_faults.clone());
-    device.set_trace_capacity(Some(0));
-    let mut queue = SynergyQueue::for_device(device);
-
-    let mut decisions: Vec<DecisionRecord> = Vec::with_capacity(cfg.n_jobs);
-    let mut admission_rejected = 0usize;
-
-    for burst in &bursts {
-        // Admission: the whole burst hits the queue before any draining,
-        // so a burst larger than the queue sheds load visibly.
-        let mut rejected: Vec<&Job> = Vec::new();
-        for job in burst {
-            let template = &templates[job.template];
-            loader.ensure(template.app, cfg, registry, &mut engine);
-            let request = PredictionRequest {
-                job_id: job.id,
-                app: template.app.to_string(),
-                features: template.features.clone(),
-            };
-            if engine.try_enqueue(request).is_err() {
-                rejected.push(job);
-            }
-        }
-
-        // Rejected jobs still run — at the default clock, recorded as
-        // admission fallbacks.
-        for job in rejected {
-            admission_rejected += 1;
-            let record = execute_job(
-                &templates[job.template],
-                job,
-                None,
-                None,
-                Some(FallbackReason::AdmissionRejected),
-                &mut queue,
-            );
-            decisions.push(record);
-        }
-
-        // Serve and execute in batches until the burst's queue drains.
-        while engine.queue_len() > 0 {
-            let served = engine.drain_batch();
-            for (request, result) in served {
-                let Some(job) = burst.iter().find(|j| j.id == request.job_id) else {
-                    continue;
-                };
-                let template = &templates[job.template];
-                let (requested, predicted, fallback) = match result {
-                    Ok(profile) => {
-                        let planned_deadline = job.deadline_s * cfg.deadline_safety;
-                        match choose_frequency(cfg.policy, &profile, planned_deadline) {
-                            Some(freq) => {
-                                let predicted = profile
-                                    .pareto
-                                    .iter()
-                                    .find(|p| p.freq_mhz == freq)
-                                    .map(|p| profile.default_time_s / p.speedup);
-                                (Some(freq), predicted, None)
-                            }
-                            None => (None, Some(profile.default_time_s), None),
-                        }
-                    }
-                    Err(ServeError::ModelUnavailable { ref app }) => {
-                        (None, None, Some(loader.failure_for(app)))
-                    }
-                    Err(ServeError::FeatureWidth { .. } | ServeError::ConfigWidth { .. }) => {
-                        (None, None, Some(FallbackReason::StaleArtifact))
-                    }
-                };
-                let record = execute_job(template, job, requested, predicted, fallback, &mut queue);
-                decisions.push(record);
-            }
-        }
-    }
-
-    decisions.sort_by_key(|d| d.job_id);
-
-    let deadline_misses = decisions.iter().filter(|d| !d.met_deadline).count();
-    let fallbacks = decisions.iter().filter(|d| d.fallback.is_some()).count();
-    let degradation = queue.degradation();
+    let Ok(run) = run_plan(&cfg.plan(), registry, &mut ());
     let report = GovernorReport {
         policy: cfg.policy,
         device: cfg.spec.name.clone(),
         seed: cfg.seed,
-        n_jobs: decisions.len(),
-        total_time_s: decisions.iter().map(|d| d.measured_time_s).sum(),
-        total_energy_j: decisions.iter().map(|d| d.measured_energy_j).sum(),
-        deadline_misses,
-        miss_rate: if decisions.is_empty() {
-            0.0
-        } else {
-            deadline_misses as f64 / decisions.len() as f64
-        },
-        fallbacks,
-        admission_rejected,
-        cache: engine.cache_stats(),
-        frequency_rejections: degradation.frequency_rejections,
-        default_clock_fallbacks: degradation.default_clock_fallbacks,
-        decisions,
+        n_jobs: run.n_jobs,
+        total_time_s: run.total_time_s,
+        total_energy_j: run.total_energy_j,
+        deadline_misses: run.deadline_misses,
+        miss_rate: run.miss_rate,
+        fallbacks: run.fallbacks,
+        admission_rejected: run.admission_rejected,
+        cache: run.cache,
+        frequency_rejections: run.degradation.frequency_rejections,
+        default_clock_fallbacks: run.degradation.default_clock_fallbacks,
+        decisions: run.decisions.into_iter().map(|d| d.record).collect(),
     };
 
     // Telemetry is observation-only: armed or not, the report above is
@@ -646,57 +501,6 @@ pub fn run_governor(cfg: &GovernorConfig, registry: &ModelRegistry) -> GovernorR
     }
 
     report
-}
-
-/// Replays one job under the chosen clock and records the outcome,
-/// folding device-side degradation (clock rejections riding the retry
-/// path back to the default clock) into the fallback field.
-pub(crate) fn execute_job(
-    template: &JobTemplate,
-    job: &Job,
-    requested_mhz: Option<f64>,
-    predicted_time_s: Option<f64>,
-    fallback: Option<FallbackReason>,
-    queue: &mut SynergyQueue,
-) -> DecisionRecord {
-    let before = queue.degradation();
-    match requested_mhz {
-        Some(freq) if fallback.is_none() => {
-            queue.set_policy(FrequencyPolicy::Fixed(freq));
-        }
-        _ => queue.set_policy(FrequencyPolicy::DeviceDefault),
-    }
-    let outcome = template.trace.try_replay_on(queue);
-    let after = queue.degradation();
-
-    let mut fallback = fallback;
-    let (measured_time_s, measured_energy_j, completed) = match outcome {
-        Ok(m) => {
-            if fallback.is_none() && after.default_clock_fallbacks > before.default_clock_fallbacks
-            {
-                fallback = Some(FallbackReason::FrequencyRejected);
-            }
-            (m.time_s, m.energy_j, true)
-        }
-        Err(_) => {
-            fallback = Some(FallbackReason::LaunchFailed);
-            (0.0, 0.0, false)
-        }
-    };
-
-    DecisionRecord {
-        job_id: job.id,
-        app: template.app.to_string(),
-        label: template.label.clone(),
-        requested_mhz,
-        fallback,
-        deadline_s: job.deadline_s,
-        predicted_time_s,
-        measured_time_s,
-        measured_energy_j,
-        completed,
-        met_deadline: completed && measured_time_s <= job.deadline_s,
-    }
 }
 
 #[cfg(test)]

@@ -104,7 +104,10 @@ impl Schedule {
         }
     }
 
-    fn fires(&self, seed: u64, stream: u64, index: u64) -> bool {
+    /// Whether the schedule fires at operation `index`: a pure function
+    /// of `(seed, stream, index)`, so any caller with its own operation
+    /// counter and stream id draws reproducibly.
+    pub fn fires(&self, seed: u64, stream: u64, index: u64) -> bool {
         match self {
             Schedule::Never => false,
             Schedule::At(s) => s.contains(&index),

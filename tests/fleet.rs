@@ -1,12 +1,19 @@
 //! Fleet end-to-end suite: the differential golden test against the
 //! single-device governor, the heterogeneous pinned-seed regression
-//! guard, and breaker-driven chaos.
+//! guard, device affinity on an empty registry, and breaker-driven chaos.
 //!
-//! Three contracts from `governor::fleet`'s docs, pinned here:
+//! Contracts from `governor::fleet`'s docs, pinned here:
 //!
 //! * **Differential** — a fleet of exactly one V100 with stealing
 //!   disabled is bit-identical (energy, misses, per-job clock decisions)
 //!   to `governor::sim::run_governor` on the same seed, for every policy.
+//!   Both run the crate's one job loop: the governor's one-device plan
+//!   differs from `FleetConfig::single` only in allowing one execution
+//!   attempt under a breaker that never trips, which shows only once a
+//!   launch fails.
+//! * **Affinity counts model-chosen clocks only** — on an empty registry
+//!   every job falls back as `ModelMissing`, and none is counted or
+//!   journaled as an affinity degradation.
 //! * **The fleet headline** — on the pinned seed, min-energy placement
 //!   over 2×V100 + 2×MI100 beats both round-robin-at-default-clock and
 //!   the single-device min-energy governor on total energy, at a
@@ -26,8 +33,8 @@ use std::sync::{Arc, OnceLock};
 use energy_model::telemetry::Telemetry;
 use energy_model::BreakerConfig;
 use governor::{
-    run_fleet, run_governor, train_and_publish, train_and_publish_fleet, FleetConfig, FleetDevice,
-    FleetEvent, GovernorConfig, ModelRegistry, Policy, StealPolicy,
+    run_fleet, run_governor, train_and_publish, train_and_publish_fleet, FallbackReason,
+    FleetConfig, FleetDevice, FleetEvent, GovernorConfig, ModelRegistry, Policy, StealPolicy,
 };
 use gpu_sim::{DeviceSpec, FaultPlan, Schedule};
 
@@ -231,6 +238,34 @@ fn pinned_fleet_beats_round_robin_and_single_device_min_energy() {
     assert!(fleet.cache.hits > 0);
     assert_eq!(fleet.devices_evicted, 0);
     assert_eq!(fleet.affinity_fallbacks, 0);
+}
+
+// ---------------------------------------------------------------------
+// An empty registry is a missing model, not an affinity degradation
+// ---------------------------------------------------------------------
+
+#[test]
+fn empty_registry_falls_back_as_model_missing_not_affinity() {
+    let empty = ModelRegistry::open(&test_dir("empty-registry"));
+    for cfg in [
+        FleetConfig::single(DeviceSpec::v100(), Policy::MinEnergyUnderDeadline),
+        FleetConfig::pinned(),
+    ] {
+        let report = run_fleet(&cfg, &empty);
+        assert_eq!(report.decisions.len(), cfg.n_jobs);
+        // No job carried a model-chosen clock, so none was degraded by
+        // device affinity: every one fell back for its missing model.
+        assert_eq!(report.affinity_fallbacks, 0);
+        assert_eq!(report.degradation.affinity_fallbacks, 0);
+        assert!(!report
+            .journal
+            .iter()
+            .any(|e| matches!(e, FleetEvent::AffinityDegraded { .. })));
+        assert!(report
+            .decisions
+            .iter()
+            .all(|d| d.record.fallback == Some(FallbackReason::ModelMissing)));
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -180,6 +180,32 @@ fn publishing_allocates_monotone_versions() {
     assert_eq!(v1, 1);
 }
 
+#[test]
+fn a_corrupt_newest_version_serves_the_newest_healthy_one() {
+    let (registry, fingerprint) = shared_registry();
+    // A scratch registry holding each published model twice, with the
+    // newer copy's payload corrupted on disk.
+    let scratch = ModelRegistry::open(&test_dir("corrupt-newest-registry"));
+    for app in ["cronos", "ligen"] {
+        let (model, _, _) = registry.load(app, None).expect("load published model");
+        assert_eq!(scratch.publish(app, &model, *fingerprint).expect("v1"), 1);
+        assert_eq!(scratch.publish(app, &model, *fingerprint).expect("v2"), 2);
+        let v2 = scratch.root().join(app).join("v0002.json");
+        let text = std::fs::read_to_string(&v2).expect("read v2");
+        std::fs::write(&v2, text.replacen("algorithm", "algoXithm", 1)).expect("corrupt v2");
+    }
+
+    // The loader walks past the corrupt version to the healthy one: no
+    // job falls back, and the run is the run on the clean registry.
+    let cfg = quick(Policy::MinEnergyUnderDeadline);
+    let report = run_governor(&cfg, &scratch);
+    assert!(report
+        .decisions
+        .iter()
+        .all(|d| d.fallback != Some(FallbackReason::LoadFailed)));
+    assert_eq!(report, run_governor(&cfg, registry));
+}
+
 // ---------------------------------------------------------------------
 // Golden determinism and telemetry inertness
 // ---------------------------------------------------------------------
