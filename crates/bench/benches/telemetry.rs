@@ -1,7 +1,7 @@
 //! Telemetry overhead guard: the metrics registry and point-level span
 //! tracing must stay marginal on the hot trace-replay sweep path — the
 //! acceptance budget is a small single-digit percentage of the recorded
-//! 11× sweep-engine speedup baseline.
+//! `BENCH_sweep.json` trace-replay baseline.
 //!
 //! Two views of the same comparison:
 //!

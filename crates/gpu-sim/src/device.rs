@@ -327,7 +327,9 @@ impl Device {
     /// order. The trace records a single aggregate event for the whole
     /// batch (when the trace is recording at all), not `n` events — that,
     /// plus the skipped per-launch cost-model evaluations, is where the
-    /// batch path's speed comes from.
+    /// batch path's speed comes from. A zero-capacity trace also skips the
+    /// cap resolution that recovers the event's effective clock, leaving
+    /// one price lookup per batch.
     ///
     /// Returns the number of *fault-throttled* launches in the batch —
     /// launches a fault-injected throttle window held below the request
@@ -359,14 +361,11 @@ impl Device {
             }
             return Ok(throttled);
         }
-        let (base_time_s, base_energy_j) = self.price(kernel, core_mhz);
-        // One resolution per batch (not per launch) recovers the effective
-        // clock the serial path would have reported. With an inert fault
+        // One price lookup per batch; clock snapping and the cap resolution
+        // run inside the lookup, and only on a miss. With an inert fault
         // plan no throttle *window* can fire, so the fault-throttle count
         // is zero even when the TDP/cap resolver lowers the clock.
-        let requested = self.spec.core_freqs.snap(core_mhz);
-        let res = self.resolve(kernel, requested);
-        let throttled = 0;
+        let (base_time_s, base_energy_j) = self.price(kernel, core_mhz);
         let start_s = self.clock_s;
         let mut batch_time_s = 0.0;
         let mut batch_energy_j = 0.0;
@@ -381,18 +380,21 @@ impl Device {
             sink(time_s, energy_j);
         }
         if self.trace.is_recording() {
+            // The event reports the clock the serial path would have: the
+            // snapped request, lowered by the TDP/cap resolver.
+            let effective_mhz = self.resolve(kernel, core_mhz).core_mhz;
             self.trace.push(TraceEvent {
                 kernel: kernel.name.clone(),
                 start_s,
                 duration_s: batch_time_s,
                 energy_j: batch_energy_j,
-                core_mhz: res.core_mhz,
+                core_mhz: effective_mhz,
                 mem_mhz: self.mem_mhz,
                 avg_power_w: batch_energy_j / batch_time_s,
                 work_items: kernel.work_items.saturating_mul(n),
             });
         }
-        Ok(throttled)
+        Ok(0)
     }
 
     /// The device's price memo cache.
@@ -409,7 +411,8 @@ impl Device {
     /// Replaces the execution trace with an empty one bounded by
     /// `capacity` events (`None` = unbounded, `Some(0)` = record nothing).
     /// Sweep drivers that replay millions of launches use a zero-capacity
-    /// trace so the per-batch event construction is skipped entirely.
+    /// trace so the per-batch event, and the clock resolution it needs, are
+    /// skipped entirely.
     pub fn set_trace_capacity(&mut self, capacity: Option<usize>) {
         self.trace = match capacity {
             Some(cap) => Trace::with_capacity_limit(cap),
@@ -750,6 +753,37 @@ mod tests {
         );
         assert!(rec.core_mhz < 1597.0);
         assert!(rec.avg_power_w <= d.spec().tdp_w * 1.001);
+    }
+
+    #[test]
+    fn batch_event_reports_the_tdp_throttled_clock() {
+        // The kernel of `tdp_throttles_saturating_kernel_at_top_clock`: at
+        // 1597 MHz its demand exceeds the V100's 300 W TDP, so the firmware
+        // loop lowers the clock. The batch's aggregate event must carry the
+        // clock the serial record reports, and a device that records no
+        // trace must produce the same launches bit for bit.
+        let spec = DeviceSpec::v100();
+        let k = KernelProfile::compute_bound("k", 100_000_000, 200.0);
+        let serial = Device::new(spec.clone()).launch_at(&k, 1597.0).unwrap();
+        assert!(serial.throttled && serial.core_mhz < 1597.0);
+        let mut recording = Device::with_noise(spec.clone(), NoiseModel::realistic(5));
+        let mut silent = Device::with_noise(spec, NoiseModel::realistic(5));
+        silent.set_trace_capacity(Some(0));
+        let mut seen = Vec::new();
+        recording
+            .launch_batch(&k, 1597.0, 4, &mut |t, e| seen.push((t, e)))
+            .unwrap();
+        let mut twin = Vec::new();
+        silent
+            .launch_batch(&k, 1597.0, 4, &mut |t, e| twin.push((t, e)))
+            .unwrap();
+        let ev = &recording.trace().events()[0];
+        assert_eq!(ev.core_mhz.to_bits(), serial.core_mhz.to_bits());
+        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            v.iter().map(|(t, e)| (t.to_bits(), e.to_bits())).collect()
+        };
+        assert_eq!(bits(&twin), bits(&seen));
+        assert!(silent.trace().events().is_empty());
     }
 
     #[test]

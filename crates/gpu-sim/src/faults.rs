@@ -120,8 +120,8 @@ impl Schedule {
 /// for the next `launches` kernel launches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThrottleWindow {
-    /// Cap on the effective core clock (MHz); snapped to a supported
-    /// frequency by the device.
+    /// Cap on the effective core clock (MHz), finite and positive; snapped
+    /// to a supported frequency by the device.
     pub cap_mhz: f64,
     /// How many launches the cap holds for.
     pub launches: u64,
@@ -203,7 +203,17 @@ impl FaultPlan {
 
     /// Starts a throttle `window` per `schedule` (indexed by launch
     /// attempt; a new window only starts when none is active).
+    ///
+    /// # Panics
+    /// Panics unless `window.cap_mhz` is finite and positive: an infinite
+    /// cap would mean "no cap" to the cursor but snap to the lowest clock
+    /// on the device.
     pub fn throttle(mut self, schedule: Schedule, window: ThrottleWindow) -> Self {
+        assert!(
+            window.cap_mhz.is_finite() && window.cap_mhz > 0.0,
+            "throttle cap must be finite and positive, got {}",
+            window.cap_mhz
+        );
         self.throttle_onsets = schedule;
         self.throttle_window = Some(window);
         self
@@ -479,6 +489,18 @@ mod tests {
             assert_eq!(s.on_launch_attempt("k").unwrap(), Some(700.0));
         }
         assert_eq!(s.on_launch_attempt("k").unwrap(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "throttle cap must be finite and positive")]
+    fn infinite_throttle_cap_panics() {
+        let _ = FaultPlan::none().throttle(
+            Schedule::once(0),
+            ThrottleWindow {
+                cap_mhz: f64::INFINITY,
+                launches: 1,
+            },
+        );
     }
 
     #[test]

@@ -94,17 +94,31 @@ impl FrequencyTable {
         self.freqs[self.snap_index(mhz)]
     }
 
-    /// Index of the nearest supported frequency. This is the primitive
-    /// `snap` is defined in terms of (it used to re-locate the snapped
-    /// value with a 1e-9 tolerance scan, a different tolerance than the
-    /// 1 kHz the table itself is deduplicated with).
+    /// Index of the nearest supported frequency, the primitive `snap` is
+    /// defined in terms of. Distances are `(f - mhz).abs()` as computed in
+    /// floating point, and of equally near entries the lowest index wins —
+    /// so a request exactly between two entries takes the lower one, and a
+    /// non-finite request (NaN, ±inf) lands on index 0, the lowest clock.
+    ///
+    /// O(log n): a binary search finds the first entry at or above `mhz`
+    /// (`hi`). Distances never grow towards `hi` from below nor shrink
+    /// beyond it, so the nearest entry is `hi` or the first of the entries
+    /// below it that are exactly as far away as its lower neighbour —
+    /// found by a second binary search, and the neighbour itself unless
+    /// `mhz` is so far above the table that rounding makes several
+    /// distances equal.
     pub fn snap_index(&self, mhz: f64) -> usize {
-        self.freqs
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| (*a - mhz).abs().total_cmp(&(*b - mhz).abs()))
-            .map(|(i, _)| i)
-            .expect("non-empty")
+        let freqs = &self.freqs;
+        let dist = |f: f64| (f - mhz).abs();
+        let hi = freqs.partition_point(|&f| f < mhz);
+        if hi == 0 {
+            return 0;
+        }
+        let d = dist(freqs[hi - 1]);
+        if hi < freqs.len() && dist(freqs[hi]) < d {
+            return hi;
+        }
+        freqs[..hi].partition_point(|&f| dist(f) > d)
     }
 
     /// Whether `mhz` is (within 1 kHz of) a supported frequency.
@@ -178,14 +192,50 @@ mod tests {
         }
     }
 
+    /// Reference nearest-neighbour search: a linear scan keeping the first
+    /// of equally near entries. `snap_index` must agree with it exactly.
+    fn scan_index(t: &FrequencyTable, mhz: f64) -> usize {
+        t.iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| (*a - mhz).abs().total_cmp(&(*b - mhz).abs()))
+            .map(|(i, _)| i)
+            .expect("non-empty")
+    }
+
+    #[test]
+    fn device_tables_snap_like_the_scan() {
+        use crate::spec::DeviceSpec;
+        for spec in [
+            DeviceSpec::v100(),
+            DeviceSpec::mi100(),
+            DeviceSpec::max1100(),
+        ] {
+            for t in [&spec.core_freqs, &spec.mem_freqs] {
+                let steps = ((t.max() + 100.0) * 4.0) as usize;
+                for q in (0..=steps).map(|k| k as f64 * 0.25) {
+                    assert_eq!(t.snap_index(q), scan_index(t, q), "{}: {q} MHz", spec.name);
+                }
+                for q in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    assert_eq!(t.snap_index(q), 0, "{}: {q}", spec.name);
+                    assert_eq!(scan_index(t, q), 0, "{}: {q}", spec.name);
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         /// `snap` ∘ `snap_index` round-trips on arbitrary tables: every
         /// table entry snaps to itself (same index, same bits), and an
-        /// arbitrary query snaps to the entry its index points at.
+        /// arbitrary query snaps to the entry its index points at. The
+        /// index equals the reference scan's for the query, for every
+        /// exact midpoint between neighbours (the lower one wins) and for
+        /// queries below the minimum and above the maximum.
         #[test]
         fn snap_and_snap_index_agree(
             raw in proptest::collection::vec(1.0f64..5000.0, 1..40),
             query in -100.0f64..6000.0,
+            below_exp in -3.0f64..6.0,
+            above_exp in -3.0f64..30.0,
         ) {
             let t = FrequencyTable::new(raw);
             for (i, f) in t.iter().enumerate() {
@@ -194,6 +244,20 @@ mod tests {
             }
             let i = t.snap_index(query);
             proptest::prop_assert_eq!(t.snap(query).to_bits(), t.as_slice()[i].to_bits());
+            proptest::prop_assert_eq!(i, scan_index(&t, query));
+            for (lo, w) in t.as_slice().windows(2).enumerate() {
+                let mid = (w[0] + w[1]) / 2.0;
+                proptest::prop_assert_eq!(t.snap_index(mid), scan_index(&t, mid));
+                if (w[1] - mid).abs() == (mid - w[0]).abs() {
+                    proptest::prop_assert_eq!(t.snap_index(mid), lo);
+                }
+            }
+            // Log-uniform offsets reach far above the table, where
+            // rounding makes runs of entries equally far from the query
+            // (all of them past ~1e20 MHz, so index 0 wins).
+            for q in [t.min() - 10f64.powf(below_exp), t.max() + 10f64.powf(above_exp)] {
+                proptest::prop_assert_eq!(t.snap_index(q), scan_index(&t, q));
+            }
         }
     }
 

@@ -19,8 +19,8 @@
 //! * the *freq bits* are the raw IEEE-754 bits of the **requested** core and
 //!   memory clocks — snapping to a supported frequency is itself
 //!   deterministic, so it can happen lazily inside the priced computation
-//!   and only on a cache miss (snapping is a linear scan over the frequency
-//!   table and is a measurable share of per-launch cost);
+//!   and only on a cache miss (a binary search over the frequency table,
+//!   cheap next to the cost model it feeds, but still work a hit skips);
 //! * the *cap bits* are the operator power cap's bits (`u64::MAX` for "no
 //!   cap"), since a binding cap throttles the effective clock and changes
 //!   the price of the very same requested clocks.
