@@ -1264,6 +1264,21 @@ fn lifecycle_cmd(inject_drift: bool) -> ExperimentResult {
     Ok(())
 }
 
+/// The measured pick over a characterized lattice: the minimum-energy
+/// point that meets `deadline_s`, else the fastest point — the same
+/// fallback the governor's `MinEnergyUnderDeadline` policy uses.
+fn measured_pick(
+    ch: &energy_model::characterize::LatticeCharacterization,
+    deadline_s: f64,
+) -> &energy_model::characterize::LatticePoint {
+    ch.min_energy_within(deadline_s).unwrap_or_else(|| {
+        ch.points
+            .iter()
+            .min_by(|a, b| a.time_s.total_cmp(&b.time_s))
+            .expect("non-empty lattice")
+    })
+}
+
 /// Core-frequency stride for the lattice sweep: the full (core × mem ×
 /// cap) product at sweep resolution would replay ~1200 configurations per
 /// workload; every 8th experiment clock keeps the lattice around 300
@@ -1296,9 +1311,7 @@ const LATTICE_MARGIN_MIN: f64 = 0.05;
 /// anything is written, so the committed record can never describe a
 /// regressed lattice.
 fn lattice_cmd() -> ExperimentResult {
-    use energy_model::characterize::{
-        characterize_lattice, LatticeAxes, LatticePoint, SweepOptions, Workload,
-    };
+    use energy_model::characterize::{characterize_lattice, LatticeAxes, SweepOptions, Workload};
     use energy_model::workflow::experiment_frequencies;
     use serde::Serialize;
 
@@ -1351,15 +1364,8 @@ fn lattice_cmd() -> ExperimentResult {
         deadline_missed: bool,
     }
     fn choose(ch: &energy_model::characterize::LatticeCharacterization, deadline_s: f64) -> Chosen {
-        // Min energy under the deadline; if nothing fits, the fastest
-        // point runs (and the miss is recorded) — the same fallback the
-        // governor's MinEnergyUnderDeadline policy uses.
-        let pick: &LatticePoint = ch.min_energy_within(deadline_s).unwrap_or_else(|| {
-            ch.points
-                .iter()
-                .min_by(|a, b| a.time_s.total_cmp(&b.time_s))
-                .expect("non-empty lattice")
-        });
+        // A pick that misses the deadline still runs; the miss is recorded.
+        let pick = measured_pick(ch, deadline_s);
         Chosen {
             core_mhz: pick.core_mhz,
             mem_mhz: pick.mem_mhz,
@@ -1658,14 +1664,8 @@ fn decomp_cmd() -> ExperimentResult {
     let profile = GangProfile::from_characterization(&dist);
     let gang = choose_gang(&profile, fleet_size, deadline_s).expect("non-empty gang surface");
 
-    // Best fixed single-device lattice point under the same deadline —
-    // min-energy feasible, else fastest (the governor's fallback).
-    let single = lat.min_energy_within(deadline_s).unwrap_or_else(|| {
-        lat.points
-            .iter()
-            .min_by(|a, b| a.time_s.total_cmp(&b.time_s))
-            .expect("non-empty lattice")
-    });
+    // Best fixed single-device lattice point under the same deadline.
+    let single = measured_pick(&lat, deadline_s);
     let single_missed = single.time_s > deadline_s;
     let saving = 1.0 - gang.energy_j / single.energy_j;
 

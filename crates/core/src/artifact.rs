@@ -376,6 +376,28 @@ mod tests {
     }
 
     #[test]
+    fn other_configuration_width_is_malformed() {
+        // A digest-valid envelope over a three-column model payload: the
+        // load refuses it instead of handing serving a model it cannot
+        // evaluate.
+        let mut art = ModelArtifact::seal("toy", &tiny_model(), 0);
+        assert!(art.payload.contains("\"config_cols\":1,"));
+        art.payload = art
+            .payload
+            .replace("\"config_cols\":1,", "\"config_cols\":3,");
+        art.content_digest = fnv1a_64(art.payload.as_bytes());
+        match art.open() {
+            Err(ArtifactError::Malformed(msg)) => {
+                assert!(msg.contains("3 configuration columns"), "{msg}");
+            }
+            other => panic!(
+                "expected Malformed error, got {:?}",
+                other.map(|_| "a loaded model")
+            ),
+        }
+    }
+
+    #[test]
     fn stale_fingerprint_is_rejected_before_parse() {
         let art = ModelArtifact::seal("toy", &tiny_model(), 0xAB);
         assert!(art.open_expecting(0xAB).is_ok());

@@ -14,19 +14,22 @@
 //!
 //! ## Sweep engine
 //!
-//! [`characterize`] is a *trace-once / re-price-everywhere* engine: the
-//! workload's kernel sequence is recorded once into a
-//! [`synergy::KernelTrace`], every sweep point replays that trace through
-//! the batch submission path (one cost-model evaluation per distinct
-//! `(kernel, frequency)` pair, shared across the whole sweep via an
-//! `Arc<PriceTable>`), and the per-frequency points fan out across threads
-//! with rayon. Results are **bit-identical** to the legacy per-submission
-//! sweep, kept as [`characterize_serial`]: replay preserves submission
-//! order (so floating-point accumulation order is unchanged), noise seeds
-//! are keyed by frequency *index* (so thread scheduling cannot reorder
-//! random streams), and each launch draws its noise factors in the legacy
-//! order. The equivalence tests at the bottom of this module pin the two
-//! paths together, noiseless and noisy, on NVIDIA and AMD devices.
+//! One *trace-once / re-price-everywhere* engine,
+//! [`characterize_lattice`], prices every sweep: the workload's kernel
+//! sequence is recorded once into a [`synergy::KernelTrace`], every sweep
+//! point replays that trace through the batch submission path (one
+//! cost-model evaluation per distinct `(kernel, frequency)` pair, shared
+//! across the whole sweep via an `Arc<PriceTable>`), and the points fan
+//! out across threads with rayon. A frequency sweep ([`characterize`],
+//! [`characterize_with_options`]) is the core-only lattice
+//! ([`LatticeAxes::core_only`]) projected onto the frequency axis.
+//! Results are **bit-identical** to the legacy per-submission sweep, kept
+//! as [`characterize_serial`]: replay preserves submission order (so
+//! floating-point accumulation order is unchanged), noise seeds are keyed
+//! by point *index* (so thread scheduling cannot reorder random streams),
+//! and each launch draws its noise factors in the legacy order. The
+//! equivalence tests at the bottom of this module pin the two paths
+//! together, noiseless and noisy, on NVIDIA and AMD devices.
 
 use std::sync::Arc;
 
@@ -397,7 +400,7 @@ pub(crate) fn try_measure_attempts<E>(
     }
 }
 
-/// Builds the per-attempt replay queue both the options sweep and the
+/// Builds the per-attempt replay queue both the lattice sweep and the
 /// campaign scheduler measure through: a fresh [`sweep_device`] with
 /// per-batch trace events disabled, pricing routed through the shared memo
 /// table, the options' fault plan reseeded for this `(point, attempt)`
@@ -429,7 +432,8 @@ pub(crate) fn replay_queue(
 /// Sweeps `freqs` with `reps` repetitions per point (median-aggregated).
 /// `noise_seed` enables the measurement-noise model; `None` runs noiseless.
 ///
-/// This is the fast path: the workload is recorded once, then every
+/// This is the fast path: the core-only lattice of `freqs`, swept by
+/// [`characterize_lattice`]. The workload is recorded once, then every
 /// frequency point replays the trace with memoized kernel pricing, fanned
 /// out over threads. Output is bit-identical to [`characterize_serial`].
 ///
@@ -451,7 +455,9 @@ pub fn characterize(
 }
 
 /// [`characterize`] with explicit [`SweepOptions`]: fault injection, retry
-/// policy, and dirty-point re-measurement.
+/// policy, dirty-point re-measurement and telemetry. Sweeps
+/// [`LatticeAxes::core_only`] through [`characterize_lattice`] and
+/// projects the result onto the frequency axis.
 ///
 /// Every measurement device carries the options' [`FaultPlan`], reseeded
 /// per point and per attempt. After measuring a point the sweep inspects
@@ -472,93 +478,29 @@ pub fn characterize_with_options(
     freqs: &[f64],
     opts: &SweepOptions,
 ) -> (Characterization, SweepDiagnostics) {
-    assert!(!freqs.is_empty(), "need at least one frequency");
-    assert!(opts.reps > 0, "need at least one repetition");
-
-    let tel = opts.telemetry.as_deref();
-    let meters = tel.map(SweepMeters::new);
-    let _sweep_span = tel.map(|t| {
-        t.registry().counter("sweep.runs").inc();
-        t.span(
-            SpanLevel::Sweep,
-            "sweep",
-            vec![
-                ("device", spec.name.clone()),
-                ("workload", workload.name()),
-                ("freqs", freqs.len().to_string()),
-                ("reps", opts.reps.to_string()),
-            ],
-        )
-    });
-
-    let trace = workload.record(spec);
-    let prices = Arc::new(PriceTable::new());
-    let make_queue =
-        |seed_off: u64, attempt: u32| replay_queue(spec, opts, &prices, seed_off, attempt);
-    // One replayed run = one Launch-level record; the level check comes
-    // before the field strings are built, so a sink not tracing down to
-    // launch granularity costs one comparison per rep, not allocations.
-    let launch_tel = tel.filter(|t| t.traces(SpanLevel::Launch));
-    let run_once = |q: &mut SynergyQueue| {
-        let failed = trace.try_replay_on(q).is_err();
-        if let Some(t) = launch_tel {
-            t.instant(
-                SpanLevel::Launch,
-                "replay",
-                vec![("submissions", q.submission_count().to_string())],
-            );
-        }
-        failed
-    };
-
-    // Baseline: the device's default configuration.
-    let (baseline, base_diag) = {
-        let _span =
-            tel.map(|t| t.span(SpanLevel::Point, "point", vec![("freq", "baseline".into())]));
-        measure_attempts(opts, |attempt| make_queue(0, attempt), run_once)
-    };
-    if let (Some(t), Some(m)) = (tel, &meters) {
-        m.record(t, baseline, &base_diag);
-    }
-
-    let results: Vec<(CharPoint, PointDiagnostics)> = freqs
-        .par_iter()
-        .enumerate()
-        .map(|(i, &f)| {
-            let _span =
-                tel.map(|t| t.span(SpanLevel::Point, "point", vec![("freq", format!("{f}"))]));
-            let (m, mut diag) = measure_attempts(
-                opts,
-                |attempt| {
-                    let mut q = make_queue(1 + i as u64, attempt);
-                    q.set_policy(synergy::FrequencyPolicy::Fixed(f));
-                    q
-                },
-                run_once,
-            );
-            diag.freq_mhz = Some(f);
-            if let (Some(t), Some(sm)) = (tel, &meters) {
-                sm.record(t, m, &diag);
-            }
-            (char_point(f, m, baseline), diag)
-        })
-        .collect();
-    let (points, diags): (Vec<CharPoint>, Vec<PointDiagnostics>) = results.into_iter().unzip();
-    if let Some(t) = tel {
-        t.record_pricing(prices.stats(), prices.len());
-    }
-
+    let (lattice, diag) =
+        characterize_lattice(spec, workload, &LatticeAxes::core_only(freqs), opts);
     (
         Characterization {
-            device: spec.name.clone(),
-            workload: workload.name(),
-            baseline_time_s: baseline.time_s,
-            baseline_energy_j: baseline.energy_j,
-            points,
+            device: lattice.device,
+            workload: lattice.workload,
+            baseline_time_s: lattice.baseline_time_s,
+            baseline_energy_j: lattice.baseline_energy_j,
+            points: lattice
+                .points
+                .iter()
+                .map(|p| CharPoint {
+                    freq_mhz: p.core_mhz,
+                    time_s: p.time_s,
+                    energy_j: p.energy_j,
+                    speedup: p.speedup,
+                    norm_energy: p.norm_energy,
+                })
+                .collect(),
         },
         SweepDiagnostics {
-            baseline: base_diag,
-            points: diags,
+            baseline: diag.baseline,
+            points: diag.points.into_iter().map(|p| p.diag).collect(),
         },
     )
 }
@@ -680,7 +622,7 @@ pub struct LatticeAxes {
     /// Memory frequencies to sweep (MHz). Empty means *default only*: the
     /// sweep stays on the device's top memory clock and never issues a
     /// memory-clock management call — which is what keeps a degenerate
-    /// lattice bit-identical to [`characterize`].
+    /// lattice bit-identical to [`characterize_serial`].
     pub mem_mhz: Vec<f64>,
     /// Operator power caps to sweep (W); `None` is the uncapped (TDP-only)
     /// configuration. Empty means *uncapped only*, with no cap call issued.
@@ -689,8 +631,8 @@ pub struct LatticeAxes {
 
 impl LatticeAxes {
     /// A core-only lattice: one point per core frequency on the default
-    /// memory clock with no power cap. Sweeping it is bit-identical to the
-    /// plain frequency sweep over the same list.
+    /// memory clock with no power cap — the frequency sweep
+    /// ([`characterize`]) over the same list.
     pub fn core_only(core_mhz: impl Into<Vec<f64>>) -> Self {
         LatticeAxes {
             core_mhz: core_mhz.into(),
@@ -853,17 +795,24 @@ impl LatticeDiagnostics {
     }
 }
 
-/// Sweeps the full configuration lattice `core × mem × cap` with the same
-/// trace-once / re-price-everywhere engine as [`characterize_with_options`].
+/// Sweeps the configuration lattice `core × mem × cap`: the
+/// trace-once / re-price-everywhere engine behind every single-device
+/// sweep. [`characterize_with_options`] runs the core-only lattice
+/// through it.
 ///
 /// Every lattice point pins its three actuators before replaying the trace:
 /// the memory clock (skipped when the point sits on the device's default,
 /// so the request sequence of a degenerate lattice is identical to the
-/// frequency sweep's), the power cap (skipped when uncapped), and the core
-/// clock via the queue policy. Noise and fault seeds are keyed by the
-/// point's flat lattice index — baseline `0`, point *i* → `1 + i` — so a
-/// single-point memory/cap axis reproduces [`characterize`] **bit for
-/// bit**, and thread scheduling cannot reorder random streams.
+/// serial frequency sweep's), the power cap (skipped when uncapped), and
+/// the core clock via the queue policy. Noise and fault seeds are keyed by
+/// the point's flat lattice index — baseline `0`, point *i* → `1 + i` — so
+/// a single-point memory/cap axis reproduces [`characterize_serial`]
+/// **bit for bit**, and thread scheduling cannot reorder random streams.
+///
+/// An armed [`SweepOptions::telemetry`] sink sees a `sweep` root span, a
+/// `point` span per measured point (baseline included), a Launch-level
+/// `replay` instant per replayed run, the `sweep.*` meters and the price
+/// table's counters; the results are bit-identical armed or not.
 ///
 /// A rejected memory-clock or cap request degrades to the default
 /// configuration on that axis (recorded in the queue's
@@ -904,11 +853,11 @@ pub fn characterize_lattice(
         t.registry().counter("sweep.runs").inc();
         t.span(
             SpanLevel::Sweep,
-            "lattice",
+            "sweep",
             vec![
                 ("device", spec.name.clone()),
                 ("workload", workload.name()),
-                ("cores", axes.core_mhz.len().to_string()),
+                ("freqs", axes.core_mhz.len().to_string()),
                 ("mems", mem_axis.len().to_string()),
                 ("caps", caps.len().to_string()),
                 ("reps", opts.reps.to_string()),
@@ -920,19 +869,27 @@ pub fn characterize_lattice(
     let prices = Arc::new(PriceTable::new());
     let make_queue =
         |seed_off: u64, attempt: u32| replay_queue(spec, opts, &prices, seed_off, attempt);
-    let run_once = |q: &mut SynergyQueue| trace.try_replay_on(q).is_err();
+    // One replayed run = one Launch-level record; the level check comes
+    // before the field strings are built, so a sink not tracing down to
+    // launch granularity costs one comparison per rep, not allocations.
+    let launch_tel = tel.filter(|t| t.traces(SpanLevel::Launch));
+    let run_once = |q: &mut SynergyQueue| {
+        let failed = trace.try_replay_on(q).is_err();
+        if let Some(t) = launch_tel {
+            t.instant(
+                SpanLevel::Launch,
+                "replay",
+                vec![("submissions", q.submission_count().to_string())],
+            );
+        }
+        failed
+    };
 
     // Baseline: the device's default configuration — top memory clock,
-    // uncapped, default core clock. Seed offset 0, exactly like the
-    // frequency sweep's baseline.
+    // uncapped, default core clock. Seed offset 0.
     let (baseline, base_diag) = {
-        let _span = tel.map(|t| {
-            t.span(
-                SpanLevel::Point,
-                "point",
-                vec![("config", "baseline".into())],
-            )
-        });
+        let _span =
+            tel.map(|t| t.span(SpanLevel::Point, "point", vec![("freq", "baseline".into())]));
         measure_attempts(opts, |attempt| make_queue(0, attempt), run_once)
     };
     if let (Some(t), Some(m)) = (tel, &meters) {
@@ -956,7 +913,11 @@ pub fn characterize_lattice(
                 t.span(
                     SpanLevel::Point,
                     "point",
-                    vec![("config", format!("{f}MHz/{m}MHz/{cap:?}W"))],
+                    vec![
+                        ("freq", format!("{f}")),
+                        ("mem", format!("{m}")),
+                        ("cap", cap.map_or_else(|| "none".into(), |w| format!("{w}"))),
+                    ],
                 )
             });
             let (meas, mut diag) = measure_attempts(
@@ -1345,18 +1306,37 @@ mod tests {
             }
             other => panic!("expected the point-time histogram, got {other:?}"),
         }
-        let events = tel.events();
-        let sweep_begins = events
-            .iter()
-            .filter(|e| e.span == "sweep" && e.kind == crate::telemetry::EventKind::Begin)
-            .count();
-        let point_begins = events
-            .iter()
-            .filter(|e| e.span == "point" && e.kind == crate::telemetry::EventKind::Begin)
-            .count();
-        assert_eq!(sweep_begins, 1);
-        assert_eq!(point_begins, 1 + freqs.len());
+        assert_eq!(span_begins(&tel, "sweep"), 1);
+        assert_eq!(span_begins(&tel, "point"), 1 + freqs.len());
         assert_eq!(tel.dropped_events(), 0);
+
+        // A full (core × mem × cap) lattice runs on the same engine and
+        // reports the same shape: one sweep, one point span per point.
+        let axes = LatticeAxes::full(freqs, [810.0, 1107.0], &[200.0]);
+        let (plain, plain_diag) =
+            characterize_lattice(&spec, &small_cronos(), &axes, &inert_opts(3, Some(42)));
+        let tel = Telemetry::new();
+        let opts = SweepOptions {
+            telemetry: Some(Arc::clone(&tel)),
+            ..inert_opts(3, Some(42))
+        };
+        let (armed, armed_diag) = characterize_lattice(&spec, &small_cronos(), &axes, &opts);
+        assert_eq!(plain, armed);
+        assert_eq!(plain_diag, armed_diag);
+        assert_eq!(
+            tel.registry().counter("sweep.points_priced").get(),
+            1 + axes.len() as u64
+        );
+        assert_eq!(span_begins(&tel, "sweep"), 1);
+        assert_eq!(span_begins(&tel, "point"), 1 + axes.len());
+        assert_eq!(tel.dropped_events(), 0);
+    }
+
+    fn span_begins(tel: &Telemetry, name: &str) -> usize {
+        tel.events()
+            .iter()
+            .filter(|e| e.span == name && e.kind == crate::telemetry::EventKind::Begin)
+            .count()
     }
 
     #[test]
@@ -1375,6 +1355,19 @@ mod tests {
         // One replay instant per rep per point: (1 + freqs) × reps.
         let replays = tel.events().iter().filter(|e| e.span == "replay").count();
         assert_eq!(replays, (1 + freqs.len()) * 2);
+
+        // The same on a full (core × mem × cap) lattice.
+        let axes = LatticeAxes::full(freqs, [810.0, 1107.0], &[200.0]);
+        let (plain, _) = characterize_lattice(&spec, &small_cronos(), &axes, &inert_opts(2, None));
+        let tel = Telemetry::with_trace_level(SpanLevel::Launch);
+        let opts = SweepOptions {
+            telemetry: Some(Arc::clone(&tel)),
+            ..inert_opts(2, None)
+        };
+        let (armed, _) = characterize_lattice(&spec, &small_cronos(), &axes, &opts);
+        assert_eq!(plain, armed);
+        let replays = tel.events().iter().filter(|e| e.span == "replay").count();
+        assert_eq!(replays, (1 + axes.len()) * 2);
     }
 
     // ---- Fault-aware sweep behaviour under a live plan ----

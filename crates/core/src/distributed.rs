@@ -18,6 +18,14 @@
 //! gang placement ([`choose_gang`][gang]) trade a bigger gang at a cheap
 //! clock against one device at an expensive one.
 //!
+//! The gang size is not one more lattice axis, and this sweep keeps an
+//! engine of its own rather than running on
+//! [`crate::characterize::characterize_lattice`]'s: a point runs
+//! `num_devices` queues in lockstep, with barrier waits and priced halo
+//! exchanges between them, where a lattice point replays one trace on one
+//! queue. Its measurements feed `governor::gang` directly; no model is
+//! trained over the gang axis.
+//!
 //! Telemetry is **inert by default**: an armed [`Telemetry`] sink only
 //! observes (spans plus the `synergy.exchange.*` counters via
 //! [`Telemetry::record_exchange`]) and leaves every measurement

@@ -15,6 +15,13 @@
 //! [`DomainSpecificModel::train_selecting`] reproduces the paper's model
 //! selection (§5.2.1): Linear, Lasso, SVR-RBF, and Random Forest compete
 //! under K-fold cross-validation; Random Forest wins.
+//!
+//! The core clock is the model's one configuration column: it is what
+//! the governor, the fleet and the lifecycle serve. The memory-clock,
+//! power-cap and gang-size axes exist only on the measurement side
+//! ([`crate::characterize::characterize_lattice`],
+//! [`crate::distributed::characterize_distributed`]), where the lattice
+//! and gang headlines pick from measured points.
 
 use std::sync::Arc;
 
@@ -45,113 +52,6 @@ pub struct DsSample {
     pub time_s: f64,
     /// Measured energy `e` (J).
     pub energy_j: f64,
-}
-
-/// One lattice training sample: input features plus the full
-/// `(core, mem, cap)` operating configuration (the three-axis
-/// generalization of [`DsSample`]).
-///
-/// The cap column is a plain finite wattage: pass the device TDP for
-/// uncapped points so the model sees one continuous axis instead of a
-/// sentinel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatticeSample {
-    /// Domain-specific input features `f⃗` (Table 2).
-    pub features: Arc<Vec<f64>>,
-    /// Core frequency (MHz).
-    pub core_mhz: f64,
-    /// Memory frequency (MHz).
-    pub mem_mhz: f64,
-    /// Effective power cap (W); the device TDP when uncapped.
-    pub cap_w: f64,
-    /// Measured execution time `t` (s).
-    pub time_s: f64,
-    /// Measured energy `e` (J).
-    pub energy_j: f64,
-}
-
-/// One distributed training sample: input features plus the full gang
-/// configuration `(core, mem, cap, num_devices)` — the four-column
-/// generalization of [`LatticeSample`] produced by
-/// [`crate::distributed::characterize_distributed`].
-///
-/// `num_devices` is carried as `f64` so the design matrix stays one
-/// homogeneous float block; it is always an exact small integer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DistributedSample {
-    /// Domain-specific input features `f⃗` (Table 2).
-    pub features: Arc<Vec<f64>>,
-    /// Core frequency (MHz).
-    pub core_mhz: f64,
-    /// Memory frequency (MHz).
-    pub mem_mhz: f64,
-    /// Effective power cap (W); the device TDP when uncapped.
-    pub cap_w: f64,
-    /// Gang size the sample was measured on.
-    pub num_devices: f64,
-    /// Measured makespan `t` (s).
-    pub time_s: f64,
-    /// Measured gang energy `e` (J).
-    pub energy_j: f64,
-}
-
-/// One predicted lattice operating point, normalized to the model's
-/// default configuration (the lattice sibling of
-/// [`PredictedPoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatticePredictedPoint {
-    /// Core frequency (MHz).
-    pub core_mhz: f64,
-    /// Memory frequency (MHz).
-    pub mem_mhz: f64,
-    /// Effective power cap (W); the device TDP when uncapped.
-    pub cap_w: f64,
-    /// Predicted `t_default / t`.
-    pub speedup: f64,
-    /// Predicted `e / e_default`.
-    pub norm_energy: f64,
-}
-
-/// One input's predicted lattice curve: the default-configuration anchors
-/// plus the normalized surface points.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatticeCurvePrediction {
-    /// Predicted execution time at the default configuration (s).
-    pub default_time_s: f64,
-    /// Predicted energy at the default configuration (J).
-    pub default_energy_j: f64,
-    /// Normalized predictions over the requested lattice points.
-    pub curve: Vec<LatticePredictedPoint>,
-}
-
-/// One predicted distributed operating point, normalized to the model's
-/// default configuration (the gang sibling of [`LatticePredictedPoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DistributedPredictedPoint {
-    /// Core frequency (MHz).
-    pub core_mhz: f64,
-    /// Memory frequency (MHz).
-    pub mem_mhz: f64,
-    /// Effective power cap (W); the device TDP when uncapped.
-    pub cap_w: f64,
-    /// Gang size.
-    pub num_devices: f64,
-    /// Predicted `t_default / t`.
-    pub speedup: f64,
-    /// Predicted `e / e_default`.
-    pub norm_energy: f64,
-}
-
-/// One input's predicted distributed surface: the default-configuration
-/// anchors plus the normalized gang points.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistributedCurvePrediction {
-    /// Predicted makespan at the default configuration (s).
-    pub default_time_s: f64,
-    /// Predicted energy at the default configuration (J).
-    pub default_energy_j: f64,
-    /// Normalized predictions over the requested gang points.
-    pub curve: Vec<DistributedPredictedPoint>,
 }
 
 /// The regression algorithms the paper compares.
@@ -259,18 +159,13 @@ pub struct DomainSpecificModel {
     pub algorithm: Algorithm,
     n_features: usize,
     default_freq_mhz: f64,
-    /// How many configuration columns follow the input features in the
-    /// design matrix: 1 for the legacy frequency-only models, 3 for
-    /// lattice models (`core_mhz`, `mem_mhz`, `cap_w`), 4 for distributed
-    /// models (the lattice columns plus `num_devices`). Serde-defaulted to
-    /// 1 so pre-lattice JSON artifacts deserialize unchanged.
+    /// Configuration columns after the input features in the design
+    /// matrix: always 1, the core clock. Kept in the payload as a format
+    /// marker so [`DomainSpecificModel::from_json`] refuses a model of
+    /// another width; serde-defaulted so payloads that predate the marker
+    /// still load.
     #[serde(default = "one_config_col")]
     config_cols: usize,
-    /// The default operating configuration lattice models normalize by
-    /// (`[core_mhz, mem_mhz, cap_w]`); empty for legacy models, whose
-    /// anchor is `default_freq_mhz` alone.
-    #[serde(default)]
-    default_config: Vec<f64>,
     // Compiled flat layouts serialize as `null` (see the FlatForest serde
     // impls) and are recompiled on deserialize by `from_json`.
     time_flat: Option<FlatForest>,
@@ -352,116 +247,6 @@ impl DomainSpecificModel {
             n_features: samples[0].features.len(),
             default_freq_mhz,
             config_cols: 1,
-            default_config: Vec::new(),
-            time_flat,
-            energy_flat,
-        }
-    }
-
-    /// Trains the Random Forest model pair on configuration-lattice
-    /// samples: the design matrix carries **three** configuration columns
-    /// (`core_mhz`, `mem_mhz`, `cap_w`) after the input features, and
-    /// predictions are normalized by `default_config` instead of a bare
-    /// default frequency. Legacy (frequency-only) training paths are
-    /// untouched — their design matrices, seeds, and predictions stay
-    /// bit-identical.
-    ///
-    /// # Panics
-    /// Panics on an empty sample set or inconsistent feature widths.
-    pub fn train_lattice(samples: &[LatticeSample], default_config: [f64; 3], seed: u64) -> Self {
-        assert!(!samples.is_empty(), "empty training set");
-        let n_features = samples[0].features.len();
-        let mut x = Matrix::with_cols(n_features + 3);
-        let mut y_time = Vec::with_capacity(samples.len());
-        let mut y_energy = Vec::with_capacity(samples.len());
-        let mut row = Vec::with_capacity(n_features + 3);
-        for s in samples {
-            assert_eq!(s.features.len(), n_features, "ragged feature vectors");
-            assert!(
-                s.time_s > 0.0 && s.energy_j > 0.0,
-                "times and energies must be positive"
-            );
-            row.clear();
-            row.extend_from_slice(&s.features);
-            row.push(s.core_mhz);
-            row.push(s.mem_mhz);
-            row.push(s.cap_w);
-            x.push_row(&row);
-            y_time.push(s.time_s.ln());
-            y_energy.push(s.energy_j.ln());
-        }
-        let mut time_model = Algorithm::RandomForest.build(seed);
-        time_model.fit(&x, &y_time);
-        let mut energy_model = Algorithm::RandomForest.build(seed ^ 0xE);
-        energy_model.fit(&x, &y_energy);
-        let time_flat = time_model.compile_flat();
-        let energy_flat = energy_model.compile_flat();
-        DomainSpecificModel {
-            time_model,
-            energy_model,
-            algorithm: Algorithm::RandomForest,
-            n_features,
-            default_freq_mhz: default_config[0],
-            config_cols: 3,
-            default_config: default_config.to_vec(),
-            time_flat,
-            energy_flat,
-        }
-    }
-
-    /// Trains the Random Forest model pair on distributed gang samples:
-    /// the design matrix carries **four** configuration columns
-    /// (`core_mhz`, `mem_mhz`, `cap_w`, `num_devices`) after the input
-    /// features, so one model prices the compute/communication trade-off —
-    /// bigger gangs finish sooner but pay halo-exchange and barrier
-    /// energy. Normalization anchors on `default_config` (conventionally
-    /// the 1-device default clock point). Lattice and legacy training
-    /// paths are untouched.
-    ///
-    /// # Panics
-    /// Panics on an empty sample set or inconsistent feature widths.
-    pub fn train_distributed(
-        samples: &[DistributedSample],
-        default_config: [f64; 4],
-        seed: u64,
-    ) -> Self {
-        assert!(!samples.is_empty(), "empty training set");
-        let n_features = samples[0].features.len();
-        let mut x = Matrix::with_cols(n_features + 4);
-        let mut y_time = Vec::with_capacity(samples.len());
-        let mut y_energy = Vec::with_capacity(samples.len());
-        let mut row = Vec::with_capacity(n_features + 4);
-        for s in samples {
-            assert_eq!(s.features.len(), n_features, "ragged feature vectors");
-            assert!(
-                s.time_s > 0.0 && s.energy_j > 0.0,
-                "times and energies must be positive"
-            );
-            assert!(s.num_devices >= 1.0, "gangs need at least one device");
-            row.clear();
-            row.extend_from_slice(&s.features);
-            row.push(s.core_mhz);
-            row.push(s.mem_mhz);
-            row.push(s.cap_w);
-            row.push(s.num_devices);
-            x.push_row(&row);
-            y_time.push(s.time_s.ln());
-            y_energy.push(s.energy_j.ln());
-        }
-        let mut time_model = Algorithm::RandomForest.build(seed);
-        time_model.fit(&x, &y_time);
-        let mut energy_model = Algorithm::RandomForest.build(seed ^ 0xE);
-        energy_model.fit(&x, &y_energy);
-        let time_flat = time_model.compile_flat();
-        let energy_flat = energy_model.compile_flat();
-        DomainSpecificModel {
-            time_model,
-            energy_model,
-            algorithm: Algorithm::RandomForest,
-            n_features,
-            default_freq_mhz: default_config[0],
-            config_cols: 4,
-            default_config: default_config.to_vec(),
             time_flat,
             energy_flat,
         }
@@ -549,10 +334,6 @@ impl DomainSpecificModel {
     /// Panics on a feature-width mismatch.
     pub fn predict_time_energy(&self, features: &[f64], freq_mhz: f64) -> (f64, f64) {
         assert_eq!(features.len(), self.n_features, "feature width mismatch");
-        assert_eq!(
-            self.config_cols, 1,
-            "lattice model needs a full configuration, not a bare frequency"
-        );
         let mut row = Vec::with_capacity(self.n_features + 1);
         row.extend_from_slice(features);
         row.push(freq_mhz);
@@ -572,10 +353,6 @@ impl DomainSpecificModel {
     /// tests and the `BENCH_serving` baseline.
     pub fn predict_time_energy_reference(&self, features: &[f64], freq_mhz: f64) -> (f64, f64) {
         assert_eq!(features.len(), self.n_features, "feature width mismatch");
-        assert_eq!(
-            self.config_cols, 1,
-            "lattice model needs a full configuration, not a bare frequency"
-        );
         let mut row = features.to_vec();
         row.push(freq_mhz);
         (
@@ -621,8 +398,9 @@ impl DomainSpecificModel {
     /// siblings only in the frequency column, so each flattened tree is
     /// descended once per input via `FlatForest::predict_sweep_into` —
     /// frequency splits partition the sweep range instead of re-walking
-    /// the tree per frequency. Non-forest models materialize one design
-    /// matrix and evaluate it in two batched model passes.
+    /// the tree per frequency. Non-forest models expand the templates into
+    /// one row per `(input, frequency)` and evaluate both matrices in
+    /// batched model passes.
     ///
     /// Per-row float schedules are unchanged on both paths, so every
     /// returned curve is bit-identical to
@@ -631,81 +409,8 @@ impl DomainSpecificModel {
     /// # Panics
     /// Panics on a feature-width mismatch.
     pub fn predict_curves_batch(&self, inputs: &[&[f64]], freqs: &[f64]) -> Vec<CurvePrediction> {
-        assert_eq!(
-            self.config_cols, 1,
-            "lattice model needs a full configuration, not a bare frequency"
-        );
-        let stride = freqs.len() + 1;
-        let assemble = |t_log: &[f64], e_log: &[f64], base: usize| {
-            let t_def = t_log[base].exp();
-            let e_def = e_log[base].exp();
-            let curve = freqs
-                .iter()
-                .enumerate()
-                .map(|(j, &f)| {
-                    let t = t_log[base + 1 + j].exp();
-                    let e = e_log[base + 1 + j].exp();
-                    PredictedPoint {
-                        freq_mhz: f,
-                        speedup: t_def / t,
-                        norm_energy: e / e_def,
-                    }
-                })
-                .collect();
-            CurvePrediction {
-                default_time_s: t_def,
-                default_energy_j: e_def,
-                curve,
-            }
-        };
-
-        if let (Some(time_flat), Some(energy_flat)) = (&self.time_flat, &self.energy_flat) {
-            // One template row per input, the default frequency in the
-            // swept column: the same matrix serves as the anchor batch
-            // (feature-major plain descents) and as the sweep templates
-            // (tree-major, frequency splits partition the ascending sweep
-            // range) — four tree-major passes total, each arena streamed
-            // once per pass regardless of batch size.
-            let mut x = Matrix::with_cols(self.n_features + 1);
-            let mut row = Vec::with_capacity(self.n_features + 1);
-            for features in inputs {
-                assert_eq!(features.len(), self.n_features, "feature width mismatch");
-                row.clear();
-                row.extend_from_slice(features);
-                row.push(self.default_freq_mhz);
-                x.push_row(&row);
-            }
-            let mut t_def_log = Vec::with_capacity(inputs.len());
-            let mut e_def_log = Vec::with_capacity(inputs.len());
-            time_flat.predict_batch_into(&x, &mut t_def_log);
-            energy_flat.predict_batch_into(&x, &mut e_def_log);
-            let mut t_curve = Vec::new();
-            let mut e_curve = Vec::new();
-            time_flat.predict_sweep_batch_into(&x, self.n_features, freqs, &mut t_curve);
-            energy_flat.predict_sweep_batch_into(&x, self.n_features, freqs, &mut e_curve);
-            return (0..inputs.len())
-                .map(|i| {
-                    let t_def = t_def_log[i].exp();
-                    let e_def = e_def_log[i].exp();
-                    let base = i * freqs.len();
-                    let curve = freqs
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &f)| PredictedPoint {
-                            freq_mhz: f,
-                            speedup: t_def / t_curve[base + j].exp(),
-                            norm_energy: e_curve[base + j].exp() / e_def,
-                        })
-                        .collect();
-                    CurvePrediction {
-                        default_time_s: t_def,
-                        default_energy_j: e_def,
-                        curve,
-                    }
-                })
-                .collect();
-        }
-
+        // One template row per input, the default frequency in the swept
+        // column: the anchor batch, and the templates of the sweep.
         let mut x = Matrix::with_cols(self.n_features + 1);
         let mut row = Vec::with_capacity(self.n_features + 1);
         for features in inputs {
@@ -714,193 +419,56 @@ impl DomainSpecificModel {
             row.extend_from_slice(features);
             row.push(self.default_freq_mhz);
             x.push_row(&row);
-            for &f in freqs {
-                if let Some(last) = row.last_mut() {
-                    *last = f;
-                }
-                x.push_row(&row);
-            }
         }
-
-        let mut t_log = Vec::with_capacity(x.rows());
-        let mut e_log = Vec::with_capacity(x.rows());
-        self.time_model.predict_batch(&x, &mut t_log);
-        self.energy_model.predict_batch(&x, &mut e_log);
-
-        (0..inputs.len())
-            .map(|i| assemble(&t_log, &e_log, i * stride))
-            .collect()
-    }
-
-    /// Predicts raw `(time, energy)` for an input at one operating
-    /// configuration. `config` must carry exactly
-    /// [`DomainSpecificModel::config_cols`] values — `[freq_mhz]` for
-    /// legacy models, `[core_mhz, mem_mhz, cap_w]` for lattice models.
-    ///
-    /// # Panics
-    /// Panics on a feature- or configuration-width mismatch.
-    pub fn predict_time_energy_config(&self, features: &[f64], config: &[f64]) -> (f64, f64) {
-        assert_eq!(features.len(), self.n_features, "feature width mismatch");
-        assert_eq!(
-            config.len(),
-            self.config_cols,
-            "configuration width mismatch"
-        );
-        let mut row = Vec::with_capacity(self.n_features + self.config_cols);
-        row.extend_from_slice(features);
-        row.extend_from_slice(config);
-        let t = match &self.time_flat {
-            Some(flat) => flat.predict_row(&row),
-            None => self.time_model.predict_row(&row),
-        };
-        let e = match &self.energy_flat {
-            Some(flat) => flat.predict_row(&row),
-            None => self.energy_model.predict_row(&row),
-        };
-        (t.exp(), e.exp())
-    }
-
-    /// The lattice prediction phase: speedup and normalized energy over
-    /// explicit `(core, mem, cap)` points, normalized by the *predicted*
-    /// default-configuration values — the three-axis Figure-12. The anchor
-    /// row and every point row go through one batched model pass per
-    /// target.
-    ///
-    /// # Panics
-    /// Panics unless the model was trained by
-    /// [`DomainSpecificModel::train_lattice`], or on a feature-width
-    /// mismatch.
-    pub fn predict_lattice_curve(
-        &self,
-        features: &[f64],
-        points: &[[f64; 3]],
-    ) -> LatticeCurvePrediction {
-        assert_eq!(features.len(), self.n_features, "feature width mismatch");
-        assert_eq!(
-            self.config_cols, 3,
-            "frequency-only model cannot price a configuration lattice"
-        );
-        let mut x = Matrix::with_cols(self.n_features + 3);
-        let mut row = Vec::with_capacity(self.n_features + 3);
-        row.extend_from_slice(features);
-        row.extend_from_slice(&self.default_config);
-        x.push_row(&row);
-        for p in points {
-            row.truncate(self.n_features);
-            row.extend_from_slice(p);
-            x.push_row(&row);
-        }
-        let mut t_log = Vec::with_capacity(x.rows());
-        let mut e_log = Vec::with_capacity(x.rows());
-        match (&self.time_flat, &self.energy_flat) {
-            (Some(tf), Some(ef)) => {
-                tf.predict_batch_into(&x, &mut t_log);
-                ef.predict_batch_into(&x, &mut e_log);
-            }
-            _ => {
-                self.time_model.predict_batch(&x, &mut t_log);
-                self.energy_model.predict_batch(&x, &mut e_log);
-            }
-        }
-        let t_def = t_log[0].exp();
-        let e_def = e_log[0].exp();
-        let curve = points
-            .iter()
-            .enumerate()
-            .map(|(j, p)| LatticePredictedPoint {
-                core_mhz: p[0],
-                mem_mhz: p[1],
-                cap_w: p[2],
-                speedup: t_def / t_log[1 + j].exp(),
-                norm_energy: e_log[1 + j].exp() / e_def,
-            })
-            .collect();
-        LatticeCurvePrediction {
-            default_time_s: t_def,
-            default_energy_j: e_def,
-            curve,
-        }
-    }
-
-    /// The distributed prediction phase: speedup and normalized energy
-    /// over explicit `(core, mem, cap, num_devices)` gang points,
-    /// normalized by the *predicted* default-configuration values — the
-    /// four-axis Figure-12. The anchor row and every point row go through
-    /// one batched model pass per target.
-    ///
-    /// # Panics
-    /// Panics unless the model was trained by
-    /// [`DomainSpecificModel::train_distributed`], or on a feature-width
-    /// mismatch.
-    pub fn predict_distributed_curve(
-        &self,
-        features: &[f64],
-        points: &[[f64; 4]],
-    ) -> DistributedCurvePrediction {
-        assert_eq!(features.len(), self.n_features, "feature width mismatch");
-        assert_eq!(
-            self.config_cols, 4,
-            "only a distributed model can price a gang surface"
-        );
-        let mut x = Matrix::with_cols(self.n_features + 4);
-        let mut row = Vec::with_capacity(self.n_features + 4);
-        row.extend_from_slice(features);
-        row.extend_from_slice(&self.default_config);
-        x.push_row(&row);
-        for p in points {
-            row.truncate(self.n_features);
-            row.extend_from_slice(p);
-            x.push_row(&row);
-        }
-        let mut t_log = Vec::with_capacity(x.rows());
-        let mut e_log = Vec::with_capacity(x.rows());
-        match (&self.time_flat, &self.energy_flat) {
-            (Some(tf), Some(ef)) => {
-                tf.predict_batch_into(&x, &mut t_log);
-                ef.predict_batch_into(&x, &mut e_log);
-            }
-            _ => {
-                self.time_model.predict_batch(&x, &mut t_log);
-                self.energy_model.predict_batch(&x, &mut e_log);
-            }
-        }
-        let t_def = t_log[0].exp();
-        let e_def = e_log[0].exp();
-        let curve = points
-            .iter()
-            .enumerate()
-            .map(|(j, p)| DistributedPredictedPoint {
-                core_mhz: p[0],
-                mem_mhz: p[1],
-                cap_w: p[2],
-                num_devices: p[3],
-                speedup: t_def / t_log[1 + j].exp(),
-                norm_energy: e_log[1 + j].exp() / e_def,
-            })
-            .collect();
-        DistributedCurvePrediction {
-            default_time_s: t_def,
-            default_energy_j: e_def,
-            curve,
-        }
-    }
-
-    /// How many configuration columns the design matrix carries after the
-    /// input features: 1 (frequency) for legacy models, 3 for lattice
-    /// models, 4 for distributed models.
-    pub fn config_cols(&self) -> usize {
-        self.config_cols
-    }
-
-    /// The default operating configuration predictions normalize by:
-    /// `[core, mem, cap]` for lattice models, `[default_freq_mhz]` for
-    /// legacy ones.
-    pub fn default_config(&self) -> Vec<f64> {
-        if self.default_config.is_empty() {
-            vec![self.default_freq_mhz]
+        let mut t_def_log = Vec::new();
+        let mut e_def_log = Vec::new();
+        let mut t_curve = Vec::new();
+        let mut e_curve = Vec::new();
+        if let (Some(time_flat), Some(energy_flat)) = (&self.time_flat, &self.energy_flat) {
+            // Anchors as feature-major plain descents, the sweep tree-major
+            // with frequency splits partitioning the ascending sweep range —
+            // four passes total, each arena streamed once per pass
+            // regardless of batch size.
+            time_flat.predict_batch_into(&x, &mut t_def_log);
+            energy_flat.predict_batch_into(&x, &mut e_def_log);
+            time_flat.predict_sweep_batch_into(&x, self.n_features, freqs, &mut t_curve);
+            energy_flat.predict_sweep_batch_into(&x, self.n_features, freqs, &mut e_curve);
         } else {
-            self.default_config.clone()
+            let mut sweep = Matrix::with_cols(self.n_features + 1);
+            for template in x.iter_rows() {
+                row.clear();
+                row.extend_from_slice(template);
+                for &f in freqs {
+                    row[self.n_features] = f;
+                    sweep.push_row(&row);
+                }
+            }
+            self.time_model.predict_batch(&x, &mut t_def_log);
+            self.energy_model.predict_batch(&x, &mut e_def_log);
+            self.time_model.predict_batch(&sweep, &mut t_curve);
+            self.energy_model.predict_batch(&sweep, &mut e_curve);
         }
+        (0..inputs.len())
+            .map(|i| {
+                let t_def = t_def_log[i].exp();
+                let e_def = e_def_log[i].exp();
+                let base = i * freqs.len();
+                let curve = freqs
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &f)| PredictedPoint {
+                        freq_mhz: f,
+                        speedup: t_def / t_curve[base + j].exp(),
+                        norm_energy: e_curve[base + j].exp() / e_def,
+                    })
+                    .collect();
+                CurvePrediction {
+                    default_time_s: t_def,
+                    default_energy_j: e_def,
+                    curve,
+                }
+            })
+            .collect()
     }
 
     /// Whether the model pair carries compiled flat forests (true for every
@@ -930,8 +498,17 @@ impl DomainSpecificModel {
 
     /// Restores a model pair from [`DomainSpecificModel::to_json`] output,
     /// recompiling the flat inference layout (it is never serialized).
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let mut model: Self = serde_json::from_str(json)?;
+    /// Refuses unparseable JSON and a payload whose `config_cols` marker
+    /// is not 1 (a model over other configuration columns, which no
+    /// prediction path here can serve).
+    pub fn from_json(json: &str) -> Result<Self, String> {
+        let mut model: Self = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        if model.config_cols != 1 {
+            return Err(format!(
+                "model has {} configuration columns; only core-clock models (1) load",
+                model.config_cols
+            ));
+        }
         model.time_flat = model.time_model.compile_flat();
         model.energy_flat = model.energy_model.compile_flat();
         Ok(model)
@@ -1150,228 +727,27 @@ mod tests {
         let _ = model.predict_time_energy(&[1.0], 500.0);
     }
 
-    // ---- Configuration-lattice models ----
-
-    /// Synthetic lattice app: the memory clock moves the roofline, the cap
-    /// stretches time when it binds — the qualitative response surface of
-    /// the simulator's power model.
-    fn synth_lattice_samples(inputs: &[(f64, f64)]) -> Vec<LatticeSample> {
-        let mut out = Vec::new();
-        for &(a, b) in inputs {
-            let work = a * b * 1e6;
-            for &f in &[600.0f64, 900.0, 1200.0, 1500.0] {
-                for &m in &[800.0f64, 1100.0] {
-                    for &cap in &[150.0f64, 300.0] {
-                        let roof = 0.9 * m;
-                        let eff = f.min(roof);
-                        let raw_power = 60.0 + 0.08 * f + 0.03 * m;
-                        let stretch = (raw_power / cap).max(1.0);
-                        let time = (work / (eff * 1e6) + 4.0e-5) * stretch;
-                        let power = raw_power.min(cap);
-                        out.push(LatticeSample {
-                            features: Arc::new(vec![a, b]),
-                            core_mhz: f,
-                            mem_mhz: m,
-                            cap_w: cap,
-                            time_s: time,
-                            energy_j: time * power,
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn lattice_model_fits_training_configurations() {
-        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0), (10.0, 10.0)]);
-        let model = DomainSpecificModel::train_lattice(&samples, [1500.0, 1100.0, 300.0], 0);
-        assert_eq!(model.config_cols(), 3);
-        assert_eq!(model.default_config(), vec![1500.0, 1100.0, 300.0]);
-        for s in samples.iter().step_by(5) {
-            let (t, e) =
-                model.predict_time_energy_config(&s.features, &[s.core_mhz, s.mem_mhz, s.cap_w]);
-            assert!((t - s.time_s).abs() / s.time_s < 0.15, "time");
-            assert!((e - s.energy_j).abs() / s.energy_j < 0.15, "energy");
-        }
-    }
-
-    #[test]
-    fn lattice_curve_normalizes_to_default_config() {
-        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)]);
-        let default = [1500.0, 1100.0, 300.0];
-        let model = DomainSpecificModel::train_lattice(&samples, default, 0);
-        let pred = model.predict_lattice_curve(&[4.0, 5.0], &[default]);
-        assert!((pred.curve[0].speedup - 1.0).abs() < 1e-9);
-        assert!((pred.curve[0].norm_energy - 1.0).abs() < 1e-9);
-        // And the curve rows agree with the row-at-a-time config path.
-        let pts = [[900.0, 800.0, 150.0], [1200.0, 1100.0, 300.0]];
-        let pred = model.predict_lattice_curve(&[4.0, 5.0], &pts);
-        let (t_def, e_def) = model.predict_time_energy_config(&[4.0, 5.0], &default);
-        for (p, cfg) in pred.curve.iter().zip(&pts) {
-            let (t, e) = model.predict_time_energy_config(&[4.0, 5.0], cfg);
-            assert_eq!(p.speedup.to_bits(), (t_def / t).to_bits());
-            assert_eq!(p.norm_energy.to_bits(), (e / e_def).to_bits());
-        }
-        assert_eq!(pred.default_time_s.to_bits(), t_def.to_bits());
-        assert_eq!(pred.default_energy_j.to_bits(), e_def.to_bits());
-    }
-
-    #[test]
-    fn lattice_model_json_round_trip_keeps_config_cols() {
-        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)]);
-        let model = DomainSpecificModel::train_lattice(&samples, [1500.0, 1100.0, 300.0], 4);
-        let back = DomainSpecificModel::from_json(&model.to_json()).unwrap();
-        assert_eq!(back.config_cols(), 3);
-        assert_eq!(back.default_config(), model.default_config());
-        assert!(back.has_flat());
-        let cfg = [900.0, 800.0, 150.0];
-        let (t0, e0) = model.predict_time_energy_config(&[4.0, 5.0], &cfg);
-        let (t1, e1) = back.predict_time_energy_config(&[4.0, 5.0], &cfg);
-        assert!(((t1 - t0) / t0).abs() < 1e-12);
-        assert!(((e1 - e0) / e0).abs() < 1e-12);
-    }
-
     #[test]
     fn legacy_json_defaults_to_one_config_col() {
         let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0)], &freqs());
         let model = DomainSpecificModel::train(&samples, 855.0, 9);
-        // Strip the new fields from the JSON to simulate a pre-lattice
-        // artifact; deserialization must default them.
-        let json = model
-            .to_json()
-            .replace("\"config_cols\":1,", "")
-            .replace("\"default_config\":[],", "");
-        let back = DomainSpecificModel::from_json(&json).unwrap();
-        assert_eq!(back.config_cols(), 1);
-        assert_eq!(back.default_config(), vec![855.0]);
-        let (t0, _) = model.predict_time_energy(&[2.0, 3.0], 700.0);
-        let (t1, _) = back.predict_time_energy(&[2.0, 3.0], 700.0);
-        assert!(((t1 - t0) / t0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn legacy_config_path_matches_frequency_path() {
-        let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0)], &freqs());
-        let model = DomainSpecificModel::train(&samples, 855.0, 9);
-        let (t0, e0) = model.predict_time_energy(&[2.0, 3.0], 700.0);
-        let (t1, e1) = model.predict_time_energy_config(&[2.0, 3.0], &[700.0]);
-        assert_eq!(t0.to_bits(), t1.to_bits());
-        assert_eq!(e0.to_bits(), e1.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "lattice model needs a full configuration")]
-    fn lattice_model_rejects_bare_frequency_prediction() {
-        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0)]);
-        let model = DomainSpecificModel::train_lattice(&samples, [1500.0, 1100.0, 300.0], 0);
-        let _ = model.predict_time_energy(&[2.0, 3.0], 900.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "frequency-only model cannot price a configuration lattice")]
-    fn legacy_model_rejects_lattice_curve() {
-        let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0)], &freqs());
-        let model = DomainSpecificModel::train(&samples, 855.0, 0);
-        let _ = model.predict_lattice_curve(&[2.0, 3.0], &[[900.0, 800.0, 150.0]]);
-    }
-
-    // ---- Distributed (gang) models ----
-
-    /// Synthetic strong-scaling app: compute shrinks as `1/d`, the halo
-    /// exchange cost is fixed per device — the qualitative surface the
-    /// decomposed Cronos driver measures.
-    fn synth_distributed_samples(inputs: &[(f64, f64)]) -> Vec<DistributedSample> {
-        let mut out = Vec::new();
-        for &(a, b) in inputs {
-            let work = a * b * 1e6;
-            for &f in &[600.0f64, 900.0, 1200.0, 1500.0] {
-                for &d in &[1.0f64, 2.0, 4.0, 8.0] {
-                    let eff = f.min(900.0);
-                    let exchange = if d > 1.0 { 6.0e-5 } else { 0.0 };
-                    let time = work / (d * eff * 1e6) + 4.0e-5 + exchange;
-                    let power = 50.0 + 0.1 * f;
-                    out.push(DistributedSample {
-                        features: Arc::new(vec![a, b]),
-                        core_mhz: f,
-                        mem_mhz: 1100.0,
-                        cap_w: 300.0,
-                        num_devices: d,
-                        time_s: time,
-                        energy_j: time * power * d,
-                    });
-                }
-            }
+        let json = model.to_json();
+        assert!(json.contains("\"config_cols\":1,"));
+        // Payloads without the width marker (pre-lattice) and payloads that
+        // still carry the retired `default_config` field both load.
+        let legacy = [
+            json.replace("\"config_cols\":1,", ""),
+            json.replace(
+                "\"config_cols\":1,",
+                "\"config_cols\":1,\"default_config\":[],",
+            ),
+        ];
+        for text in &legacy {
+            let back = DomainSpecificModel::from_json(text).unwrap();
+            assert_eq!(back.default_freq_mhz(), 855.0);
+            let (t0, _) = model.predict_time_energy(&[2.0, 3.0], 700.0);
+            let (t1, _) = back.predict_time_energy(&[2.0, 3.0], 700.0);
+            assert!(((t1 - t0) / t0).abs() < 1e-12);
         }
-        out
-    }
-
-    const DIST_DEFAULT: [f64; 4] = [1500.0, 1100.0, 300.0, 1.0];
-
-    #[test]
-    fn distributed_model_fits_training_configurations() {
-        let samples =
-            synth_distributed_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0), (10.0, 10.0)]);
-        let model = DomainSpecificModel::train_distributed(&samples, DIST_DEFAULT, 0);
-        assert_eq!(model.config_cols(), 4);
-        assert_eq!(model.default_config(), DIST_DEFAULT.to_vec());
-        for s in samples.iter().step_by(5) {
-            let cfg = [s.core_mhz, s.mem_mhz, s.cap_w, s.num_devices];
-            let (t, e) = model.predict_time_energy_config(&s.features, &cfg);
-            assert!((t - s.time_s).abs() / s.time_s < 0.2, "time");
-            assert!((e - s.energy_j).abs() / s.energy_j < 0.2, "energy");
-        }
-    }
-
-    #[test]
-    fn distributed_curve_normalizes_to_default_config() {
-        let samples = synth_distributed_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)]);
-        let model = DomainSpecificModel::train_distributed(&samples, DIST_DEFAULT, 0);
-        let pred = model.predict_distributed_curve(&[4.0, 5.0], &[DIST_DEFAULT]);
-        assert!((pred.curve[0].speedup - 1.0).abs() < 1e-9);
-        assert!((pred.curve[0].norm_energy - 1.0).abs() < 1e-9);
-        // And the surface rows agree with the row-at-a-time config path.
-        let pts = [[900.0, 1100.0, 300.0, 2.0], [1200.0, 1100.0, 300.0, 4.0]];
-        let pred = model.predict_distributed_curve(&[4.0, 5.0], &pts);
-        let (t_def, e_def) = model.predict_time_energy_config(&[4.0, 5.0], &DIST_DEFAULT);
-        for (p, cfg) in pred.curve.iter().zip(&pts) {
-            let (t, e) = model.predict_time_energy_config(&[4.0, 5.0], cfg);
-            assert_eq!(p.speedup.to_bits(), (t_def / t).to_bits());
-            assert_eq!(p.norm_energy.to_bits(), (e / e_def).to_bits());
-        }
-        assert_eq!(pred.default_time_s.to_bits(), t_def.to_bits());
-        assert_eq!(pred.default_energy_j.to_bits(), e_def.to_bits());
-    }
-
-    #[test]
-    fn distributed_model_json_round_trip_keeps_config_cols() {
-        let samples = synth_distributed_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)]);
-        let model = DomainSpecificModel::train_distributed(&samples, DIST_DEFAULT, 4);
-        let back = DomainSpecificModel::from_json(&model.to_json()).unwrap();
-        assert_eq!(back.config_cols(), 4);
-        assert_eq!(back.default_config(), model.default_config());
-        assert!(back.has_flat());
-        let cfg = [900.0, 1100.0, 300.0, 4.0];
-        let (t0, e0) = model.predict_time_energy_config(&[4.0, 5.0], &cfg);
-        let (t1, e1) = back.predict_time_energy_config(&[4.0, 5.0], &cfg);
-        assert!(((t1 - t0) / t0).abs() < 1e-12);
-        assert!(((e1 - e0) / e0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "only a distributed model can price a gang surface")]
-    fn lattice_model_rejects_gang_surface() {
-        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0)]);
-        let model = DomainSpecificModel::train_lattice(&samples, [1500.0, 1100.0, 300.0], 0);
-        let _ = model.predict_distributed_curve(&[2.0, 3.0], &[[900.0, 800.0, 150.0, 2.0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "configuration width mismatch")]
-    fn distributed_model_rejects_lattice_width_config() {
-        let samples = synth_distributed_samples(&[(2.0, 3.0), (4.0, 5.0)]);
-        let model = DomainSpecificModel::train_distributed(&samples, DIST_DEFAULT, 0);
-        let _ = model.predict_time_energy_config(&[2.0, 3.0], &[900.0, 1100.0, 300.0]);
     }
 }

@@ -27,7 +27,7 @@
 //!   sweep: gangs of identical devices run the domain-decomposed Cronos
 //!   driver over a (device count × core clock) lattice, pricing halo
 //!   exchanges and lockstep barriers so the compute/communication energy
-//!   trade-off is a first-class model input;
+//!   trade-off is measured for the governor's gang placement;
 //! * [`artifact`] — versioned, checksummed model artifacts: the envelope
 //!   (schema version, content digest, training fingerprint) that lets a
 //!   runtime loader reject corrupt or stale models with typed errors
@@ -86,10 +86,7 @@ pub use distributed::{
     characterize_distributed, DistributedAxes, DistributedCharacterization, DistributedPoint,
     DistributedSweepOptions,
 };
-pub use ds_model::{
-    CurvePrediction, DistributedCurvePrediction, DistributedPredictedPoint, DistributedSample,
-    DomainSpecificModel, LatticeCurvePrediction, LatticePredictedPoint, LatticeSample,
-};
+pub use ds_model::{CurvePrediction, DomainSpecificModel};
 pub use features::{CronosInput, LigenInput};
 pub use gp_model::GeneralPurposeModel;
 pub use pareto::pareto_front_indices;

@@ -1163,9 +1163,9 @@ impl<H: LoopHook> FleetRun<'_, H> {
                         Some(Err(ServeError::ModelUnavailable { app })) => {
                             Err(self.classes[c].loader.failure_for(app))
                         }
-                        Some(Err(
-                            ServeError::FeatureWidth { .. } | ServeError::ConfigWidth { .. },
-                        )) => Err(FallbackReason::StaleArtifact),
+                        Some(Err(ServeError::FeatureWidth { .. })) => {
+                            Err(FallbackReason::StaleArtifact)
+                        }
                         None => Err(FallbackReason::ModelMissing),
                     };
                     (c, candidate)

@@ -8,9 +8,11 @@
 //!
 //! 1. **Which gang?** [`choose_gang`] picks the energy-optimal
 //!    `(device count, core clock)` point from a strong-scaling
-//!    [`GangProfile`] under a per-job deadline — the gang sibling of
-//!    [`crate::policy::choose_config`], with the same deterministic
-//!    `total_cmp` tie-break discipline. Shrinking subdomains buy makespan
+//!    [`GangProfile`] under a per-job deadline — the gang counterpart of
+//!    [`crate::policy::choose_frequency`], with the same deterministic
+//!    `total_cmp` discipline but a body of its own: points must fit the
+//!    fleet, and equal-objective points break toward fewer devices before
+//!    a lower clock. Shrinking subdomains buy makespan
 //!    but pay halo-exchange and barrier energy, so under a loose deadline
 //!    the answer is a small gang at a cheap clock, and under a tight one a
 //!    bigger gang at whatever clock still makes the date.
@@ -22,10 +24,8 @@
 //!
 //! Profiles come from measurement
 //! ([`GangProfile::from_characterization`] over
-//! [`energy_model::DistributedCharacterization`]) or from a trained
-//! distributed model's predicted surface — both normalize against the
-//! 1-device default-clock anchor, so measured and predicted profiles are
-//! interchangeable here.
+//! [`energy_model::DistributedCharacterization`]), normalized against the
+//! 1-device default-clock anchor.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 

@@ -66,11 +66,11 @@ pub use lifecycle::{
     DriftSummary, ForcedTrip, LifecycleConfig, LifecycleDecision, LifecycleError, LifecycleEvent,
     LifecycleReport, ResidualTracker, ServedChannel,
 };
-pub use policy::{choose_config, choose_frequency, Policy};
+pub use policy::{choose_frequency, Policy};
 pub use registry::{ModelRegistry, RegistryError, RegistryEvent};
 pub use serving::{
-    AdmissionError, CacheStats, EngineConfig, LatticeProfile, LatticeServer, PredictedProfile,
-    PredictionEngine, PredictionRequest, ServeError,
+    AdmissionError, CacheStats, EngineConfig, PredictedProfile, PredictionEngine,
+    PredictionRequest, ServeError,
 };
 pub use sim::{
     run_governor, train_and_publish, DecisionRecord, FallbackReason, GovernorConfig,

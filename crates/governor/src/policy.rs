@@ -5,14 +5,18 @@
 //! baseline every other policy is measured against, and the fallback
 //! every failure mode converges to).
 //!
+//! The core clock is the one axis a served profile carries. Gangs of
+//! devices have their own selector, [`crate::gang::choose_gang`], over
+//! measured strong-scaling profiles.
+//!
 //! Tie-breaking is fully deterministic: candidates are compared by
 //! `total_cmp` chains, never by float `==` alone, so two runs of the same
 //! stream make the same choices bit-for-bit.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::serving::{LatticeProfile, PredictedProfile};
-use energy_model::ds_model::{LatticePredictedPoint, PredictedPoint};
+use crate::serving::PredictedProfile;
+use energy_model::ds_model::PredictedPoint;
 use serde::{Deserialize, Serialize};
 
 /// A frequency-selection policy.
@@ -118,77 +122,6 @@ pub fn choose_frequency(
     }
 }
 
-/// Tie-break ordering over lattice points: ascending core, then memory,
-/// then cap — a total order so equal-objective points resolve the same
-/// way on every run.
-fn config_order(a: &LatticePredictedPoint, b: &LatticePredictedPoint) -> std::cmp::Ordering {
-    a.core_mhz
-        .total_cmp(&b.core_mhz)
-        .then(a.mem_mhz.total_cmp(&b.mem_mhz))
-        .then(a.cap_w.total_cmp(&b.cap_w))
-}
-
-fn finite_config(point: &LatticePredictedPoint) -> bool {
-    point.speedup.is_finite() && point.norm_energy.is_finite() && point.speedup > 0.0
-}
-
-/// Picks the full operating configuration `[core_mhz, mem_mhz, cap_w]` a
-/// policy requests over a predicted Pareto *surface* — the lattice
-/// sibling of [`choose_frequency`]. `None` means "leave the device at its
-/// default configuration" (always for [`Policy::DefaultClock`], and the
-/// degenerate answer when the surface is empty or non-finite). The same
-/// deterministic `total_cmp` tie-break discipline applies, extended to
-/// the `(core, mem, cap)` triple.
-pub fn choose_config(
-    policy: Policy,
-    profile: &LatticeProfile,
-    deadline_s: f64,
-) -> Option<[f64; 3]> {
-    let candidates: Vec<&LatticePredictedPoint> = profile
-        .surface
-        .iter()
-        .filter(|p| finite_config(p))
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    let pick = match policy {
-        Policy::DefaultClock => return None,
-        Policy::MinEnergyUnderDeadline => {
-            let feasible: Vec<&&LatticePredictedPoint> = candidates
-                .iter()
-                .filter(|p| profile.default_time_s / p.speedup <= deadline_s)
-                .collect();
-            if feasible.is_empty() {
-                // Nothing meets the deadline: minimize the damage by
-                // running as fast as the model believes possible.
-                candidates.iter().max_by(|a, b| {
-                    a.speedup
-                        .total_cmp(&b.speedup)
-                        .then(b.norm_energy.total_cmp(&a.norm_energy))
-                        .then(config_order(a, b))
-                })?
-            } else {
-                feasible.into_iter().min_by(|a, b| {
-                    a.norm_energy
-                        .total_cmp(&b.norm_energy)
-                        .then(b.speedup.total_cmp(&a.speedup))
-                        .then(config_order(a, b))
-                })?
-            }
-        }
-        Policy::MinEdp => candidates.iter().min_by(|a, b| {
-            let edp_a = a.norm_energy / a.speedup;
-            let edp_b = b.norm_energy / b.speedup;
-            edp_a
-                .total_cmp(&edp_b)
-                .then(b.speedup.total_cmp(&a.speedup))
-                .then(config_order(a, b))
-        })?,
-    };
-    Some([pick.core_mhz, pick.mem_mhz, pick.cap_w])
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -266,106 +199,5 @@ mod tests {
             assert_eq!(Policy::parse(policy.name()), Some(policy));
         }
         assert_eq!(Policy::parse("nope"), None);
-    }
-
-    // ---- Lattice (configuration-surface) selection ----
-
-    fn cfg_point(
-        core: f64,
-        mem: f64,
-        cap: f64,
-        speedup: f64,
-        norm_energy: f64,
-    ) -> LatticePredictedPoint {
-        LatticePredictedPoint {
-            core_mhz: core,
-            mem_mhz: mem,
-            cap_w: cap,
-            speedup,
-            norm_energy,
-        }
-    }
-
-    fn lattice_profile(surface: Vec<LatticePredictedPoint>) -> LatticeProfile {
-        LatticeProfile {
-            default_time_s: 10.0,
-            default_energy_j: 100.0,
-            default_config: [1500.0, 1100.0, 300.0],
-            surface,
-        }
-    }
-
-    #[test]
-    fn default_clock_never_requests_a_config() {
-        let p = lattice_profile(vec![cfg_point(900.0, 800.0, 150.0, 0.9, 0.7)]);
-        assert_eq!(choose_config(Policy::DefaultClock, &p, 1.0), None);
-    }
-
-    #[test]
-    fn min_energy_picks_cheapest_feasible_lattice_point() {
-        // Deadline 12 s: the mem-downclocked point is feasible and cheaper
-        // than the core-only point — the lattice must beat the front.
-        let p = lattice_profile(vec![
-            cfg_point(900.0, 1100.0, 300.0, 0.9, 0.75),
-            cfg_point(900.0, 800.0, 300.0, 0.88, 0.65),
-            cfg_point(700.0, 800.0, 150.0, 0.6, 0.5),
-            cfg_point(1500.0, 1100.0, 300.0, 1.0, 1.0),
-        ]);
-        assert_eq!(
-            choose_config(Policy::MinEnergyUnderDeadline, &p, 12.0),
-            Some([900.0, 800.0, 300.0])
-        );
-    }
-
-    #[test]
-    fn min_energy_config_falls_back_to_fastest_when_nothing_feasible() {
-        let p = lattice_profile(vec![
-            cfg_point(700.0, 800.0, 150.0, 0.6, 0.5),
-            cfg_point(1200.0, 1100.0, 300.0, 0.95, 0.8),
-        ]);
-        assert_eq!(
-            choose_config(Policy::MinEnergyUnderDeadline, &p, 1.0),
-            Some([1200.0, 1100.0, 300.0])
-        );
-    }
-
-    #[test]
-    fn min_edp_config_ignores_deadline() {
-        let p = lattice_profile(vec![
-            cfg_point(700.0, 800.0, 150.0, 0.7, 0.5),
-            cfg_point(1500.0, 1100.0, 300.0, 1.0, 1.0),
-        ]);
-        assert_eq!(
-            choose_config(Policy::MinEdp, &p, 0.001),
-            Some([700.0, 800.0, 150.0])
-        );
-    }
-
-    #[test]
-    fn equal_objective_configs_tie_break_deterministically() {
-        // Two points with identical objectives: ascending (core, mem, cap)
-        // order must decide, on every run.
-        let a = cfg_point(900.0, 800.0, 150.0, 0.9, 0.7);
-        let b = cfg_point(900.0, 1100.0, 150.0, 0.9, 0.7);
-        let p1 = lattice_profile(vec![a, b]);
-        let p2 = lattice_profile(vec![b, a]);
-        assert_eq!(
-            choose_config(Policy::MinEnergyUnderDeadline, &p1, 100.0),
-            choose_config(Policy::MinEnergyUnderDeadline, &p2, 100.0),
-        );
-        assert_eq!(
-            choose_config(Policy::MinEnergyUnderDeadline, &p1, 100.0),
-            Some([900.0, 800.0, 150.0])
-        );
-    }
-
-    #[test]
-    fn empty_or_degenerate_surface_yields_no_request() {
-        let empty = lattice_profile(vec![]);
-        let nan = lattice_profile(vec![cfg_point(900.0, 800.0, 150.0, f64::NAN, 0.5)]);
-        for policy in Policy::all() {
-            assert_eq!(choose_config(policy, &empty, 10.0), None);
-            assert_eq!(choose_config(policy, &nan, 10.0), None);
-        }
     }
 }

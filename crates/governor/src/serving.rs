@@ -39,6 +39,10 @@
 //! integer-valued (grid dimensions, ligand counts), so quantization is
 //! lossless there; it exists to keep float bit-noise from defeating
 //! memoization if a caller computes features.
+//!
+//! Every served model is a core-clock model: a payload of another
+//! configuration width is refused when its artifact is opened
+//! (`DomainSpecificModel::from_json`), so it never reaches a drain.
 
 // Serving is runtime infrastructure: typed errors, no panics.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -49,7 +53,7 @@ use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use energy_model::ds_model::{CurvePrediction, LatticePredictedPoint, PredictedPoint};
+use energy_model::ds_model::{CurvePrediction, PredictedPoint};
 use energy_model::pareto::pareto_front_indices;
 use energy_model::DomainSpecificModel;
 use serde::Serialize;
@@ -267,16 +271,6 @@ pub enum ServeError {
         /// What the request carried.
         found: usize,
     },
-    /// The model's configuration width does not fit the serving path
-    /// (e.g. a frequency-only model installed behind a lattice server).
-    ConfigWidth {
-        /// The app whose model was consulted.
-        app: String,
-        /// What the serving path requires.
-        expected: usize,
-        /// What the model carries.
-        found: usize,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -293,16 +287,6 @@ impl fmt::Display for ServeError {
                 write!(
                     f,
                     "app {app:?}: request has {found} features, model expects {expected}"
-                )
-            }
-            ServeError::ConfigWidth {
-                app,
-                expected,
-                found,
-            } => {
-                write!(
-                    f,
-                    "app {app:?}: model has {found} configuration columns, serving path needs {expected}"
                 )
             }
         }
@@ -684,167 +668,6 @@ fn assemble_profile(default_freq_mhz: f64, prediction: CurvePrediction) -> Predi
     }
 }
 
-/// What a lattice server predicts for one request: the absolute
-/// default-configuration operating point and the predicted Pareto
-/// **surface** over the configuration lattice — the three-axis sibling of
-/// [`PredictedProfile`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatticeProfile {
-    /// Predicted wall time at the default configuration (seconds).
-    pub default_time_s: f64,
-    /// Predicted energy at the default configuration (joules).
-    pub default_energy_j: f64,
-    /// The model's normalization anchor: `[core_mhz, mem_mhz, cap_w]`.
-    pub default_config: [f64; 3],
-    /// The Pareto-optimal subset of the predicted lattice, in ascending
-    /// `(core, mem, cap)` order.
-    pub surface: Vec<LatticePredictedPoint>,
-}
-
-/// A memoizing server over one app's configuration-lattice model: the
-/// lattice sibling of [`PredictionEngine`]'s per-app serving path.
-///
-/// The memo digest starts from a seed that folds the app name **and the
-/// quantized lattice points** — so two servers over different lattices
-/// (or the same lattice re-enumerated differently) can never exchange
-/// profiles, even across a 64-bit digest collision the full-key equality
-/// check would catch anyway. Feature quantization and collision-chain
-/// semantics are identical to the engine's cache.
-pub struct LatticeServer {
-    app: String,
-    model: DomainSpecificModel,
-    digest_seed: u64,
-    points: Vec<[f64; 3]>,
-    map: RwLock<HashMap<u64, Vec<CacheEntryLattice>, BuildHasherDefault<DigestHasher>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    collisions: AtomicU64,
-}
-
-struct CacheEntryLattice {
-    key: CacheKey,
-    profile: Arc<LatticeProfile>,
-}
-
-impl LatticeServer {
-    /// Builds a server over `model` (which must be lattice-trained,
-    /// `config_cols == 3`) and the enumerated lattice `points`.
-    pub fn new(
-        app: &str,
-        model: DomainSpecificModel,
-        points: Vec<[f64; 3]>,
-    ) -> Result<Self, ServeError> {
-        if model.config_cols() != 3 {
-            return Err(ServeError::ConfigWidth {
-                app: app.to_string(),
-                expected: 3,
-                found: model.config_cols(),
-            });
-        }
-        // Fold the lattice itself into the digest seed: quantized the same
-        // way as features, length-framed per point.
-        let mut seed = fnv_str(FNV_OFFSET, app);
-        for p in &points {
-            for &c in p {
-                seed = fnv_word(seed, (c * QUANT_STEPS_PER_UNIT).round() as i64 as u64);
-            }
-        }
-        seed = fnv_word(seed, points.len() as u64);
-        Ok(LatticeServer {
-            app: app.to_string(),
-            model,
-            digest_seed: seed,
-            points,
-            map: RwLock::new(HashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
-        })
-    }
-
-    /// The enumerated lattice this server prices.
-    pub fn points(&self) -> &[[f64; 3]] {
-        &self.points
-    }
-
-    /// Cache counters so far.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Serves one feature vector: memo probe, then one batched lattice
-    /// inference on miss. Identical quantization and collision accounting
-    /// to [`PredictionEngine`].
-    pub fn serve(&self, features: &[f64]) -> Result<Arc<LatticeProfile>, ServeError> {
-        let expected = self.model.n_features();
-        if features.len() != expected {
-            return Err(ServeError::FeatureWidth {
-                app: self.app.clone(),
-                expected,
-                found: features.len(),
-            });
-        }
-        let key = CacheKey {
-            app_id: self.digest_seed,
-            quant_features: features
-                .iter()
-                .map(|&f| (f * QUANT_STEPS_PER_UNIT).round() as i64)
-                .collect(),
-        };
-        let digest = key.digest();
-        if let Ok(map) = self.map.read() {
-            if let Some(chain) = map.get(&digest) {
-                for entry in chain {
-                    if entry.key == key {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Arc::clone(&entry.profile));
-                    }
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let prediction = self.model.predict_lattice_curve(features, &self.points);
-        let plane: Vec<(f64, f64)> = prediction
-            .curve
-            .iter()
-            .map(|p| (p.speedup, p.norm_energy))
-            .collect();
-        let front = pareto_front_indices(&plane);
-        let mut surface: Vec<LatticePredictedPoint> =
-            front.into_iter().map(|i| prediction.curve[i]).collect();
-        surface.sort_by(|a, b| {
-            a.core_mhz
-                .total_cmp(&b.core_mhz)
-                .then(a.mem_mhz.total_cmp(&b.mem_mhz))
-                .then(a.cap_w.total_cmp(&b.cap_w))
-        });
-        let dc = self.model.default_config();
-        let profile = Arc::new(LatticeProfile {
-            default_time_s: prediction.default_time_s,
-            default_energy_j: prediction.default_energy_j,
-            default_config: [dc[0], dc[1], dc[2]],
-            surface,
-        });
-        if let Ok(mut map) = self.map.write() {
-            let chain = map.entry(digest).or_default();
-            if !chain.iter().any(|e| e.key == key) {
-                if !chain.is_empty() {
-                    self.collisions.fetch_add(1, Ordering::Relaxed);
-                }
-                chain.push(CacheEntryLattice {
-                    key,
-                    profile: Arc::clone(&profile),
-                });
-            }
-        }
-        Ok(profile)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -1103,117 +926,6 @@ mod tests {
         let stats = engine.cache_stats();
         // job 0 and 4 miss, job 3 is a (within-batch) hit, errors don't count.
         assert_eq!((stats.hits, stats.misses), (1, 2));
-    }
-
-    // ---- Lattice serving ----
-
-    fn tiny_lattice_model() -> DomainSpecificModel {
-        use energy_model::ds_model::LatticeSample;
-        let mut samples = Vec::new();
-        for size in [1.0f64, 2.0, 4.0, 8.0] {
-            let features = Arc::new(vec![size]);
-            for freq in [600.0f64, 900.0, 1200.0, 1500.0] {
-                for mem in [800.0f64, 1100.0] {
-                    for cap in [150.0f64, 300.0] {
-                        let roof = 0.9 * mem;
-                        let eff = freq.min(roof);
-                        let raw_power = 60.0 + 0.08 * freq + 0.03 * mem;
-                        let stretch = (raw_power / cap).max(1.0);
-                        let time = size * 1500.0 / eff * stretch;
-                        samples.push(LatticeSample {
-                            features: Arc::clone(&features),
-                            core_mhz: freq,
-                            mem_mhz: mem,
-                            cap_w: cap,
-                            time_s: time,
-                            energy_j: time * raw_power.min(cap),
-                        });
-                    }
-                }
-            }
-        }
-        DomainSpecificModel::train_lattice(&samples, [1500.0, 1100.0, 300.0], 7)
-    }
-
-    fn toy_lattice() -> Vec<[f64; 3]> {
-        let mut points = Vec::new();
-        for f in [600.0, 900.0, 1200.0, 1500.0] {
-            for m in [800.0, 1100.0] {
-                for c in [150.0, 300.0] {
-                    points.push([f, m, c]);
-                }
-            }
-        }
-        points
-    }
-
-    #[test]
-    fn lattice_server_memoizes_and_serves_a_pareto_surface() {
-        let server = LatticeServer::new("toy", tiny_lattice_model(), toy_lattice()).unwrap();
-        let a = server.serve(&[4.0]).unwrap();
-        let b = server.serve(&[4.0]).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "repeat features must hit the memo");
-        let stats = server.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert!(!a.surface.is_empty());
-        assert_eq!(a.default_config, [1500.0, 1100.0, 300.0]);
-        // No surface point may dominate another.
-        for p in &a.surface {
-            for q in &a.surface {
-                let dominates = (p.speedup >= q.speedup && p.norm_energy <= q.norm_energy)
-                    && (p.speedup > q.speedup || p.norm_energy < q.norm_energy);
-                assert!(!dominates, "served surface contains a dominated point");
-            }
-        }
-    }
-
-    #[test]
-    fn lattice_server_rejects_frequency_only_models() {
-        let err = match LatticeServer::new("toy", tiny_model(), toy_lattice()) {
-            Err(e) => e,
-            Ok(_) => panic!("frequency-only model must be rejected"),
-        };
-        assert_eq!(
-            err,
-            ServeError::ConfigWidth {
-                app: "toy".to_string(),
-                expected: 3,
-                found: 1,
-            }
-        );
-    }
-
-    #[test]
-    fn lattice_server_validates_feature_width() {
-        let server = LatticeServer::new("toy", tiny_lattice_model(), toy_lattice()).unwrap();
-        assert_eq!(
-            server.serve(&[1.0, 2.0]),
-            Err(ServeError::FeatureWidth {
-                app: "toy".to_string(),
-                expected: 1,
-                found: 2,
-            })
-        );
-    }
-
-    #[test]
-    fn lattice_digest_seed_depends_on_the_lattice() {
-        // Two servers over different lattices must key the same features
-        // differently: the axes are folded into the digest seed.
-        let full = LatticeServer::new("toy", tiny_lattice_model(), toy_lattice()).unwrap();
-        let narrow = LatticeServer::new(
-            "toy",
-            tiny_lattice_model(),
-            vec![[900.0, 1100.0, 300.0], [1500.0, 1100.0, 300.0]],
-        )
-        .unwrap();
-        assert_ne!(full.digest_seed, narrow.digest_seed);
-        // And the served surfaces genuinely differ (the narrow lattice
-        // cannot contain the full lattice's mem-downclocked points).
-        let wide = full.serve(&[4.0]).unwrap();
-        let thin = narrow.serve(&[4.0]).unwrap();
-        assert!(thin.surface.iter().all(|p| p.mem_mhz == 1100.0));
-        assert!(wide.surface.len() >= thin.surface.len());
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! The expensive fixtures (trained models, published registry) are built
 //! once per test binary behind a lazy lock.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use energy_model::telemetry::Telemetry;
-use energy_model::{ArtifactError, ModelArtifact};
+use energy_model::{fnv1a_64, ArtifactError, ModelArtifact};
 use governor::{
     run_governor, train_and_publish, FallbackReason, GovernorConfig, ModelFaults, ModelRegistry,
     Policy, RegistryError,
@@ -180,30 +180,54 @@ fn publishing_allocates_monotone_versions() {
     assert_eq!(v1, 1);
 }
 
+/// Rots a sealed artifact's payload on disk: its digest no longer verifies.
+fn rot_payload(path: &Path) {
+    let text = std::fs::read_to_string(path).expect("read v2");
+    std::fs::write(path, text.replacen("algorithm", "algoXithm", 1)).expect("corrupt v2");
+}
+
+/// Re-seals an artifact over a three-column model payload: the digest
+/// verifies, but no core-clock serving path can use the model.
+fn reseal_as_three_columns(path: &Path) {
+    let mut artifact = ModelArtifact::load(path).expect("load v2");
+    assert!(artifact.payload.contains("\"config_cols\":1,"));
+    artifact.payload = artifact
+        .payload
+        .replace("\"config_cols\":1,", "\"config_cols\":3,");
+    artifact.content_digest = fnv1a_64(artifact.payload.as_bytes());
+    artifact.save(path).expect("re-seal v2");
+}
+
 #[test]
 fn a_corrupt_newest_version_serves_the_newest_healthy_one() {
     let (registry, fingerprint) = shared_registry();
-    // A scratch registry holding each published model twice, with the
-    // newer copy's payload corrupted on disk.
-    let scratch = ModelRegistry::open(&test_dir("corrupt-newest-registry"));
-    for app in ["cronos", "ligen"] {
-        let (model, _, _) = registry.load(app, None).expect("load published model");
-        assert_eq!(scratch.publish(app, &model, *fingerprint).expect("v1"), 1);
-        assert_eq!(scratch.publish(app, &model, *fingerprint).expect("v2"), 2);
-        let v2 = scratch.root().join(app).join("v0002.json");
-        let text = std::fs::read_to_string(&v2).expect("read v2");
-        std::fs::write(&v2, text.replacen("algorithm", "algoXithm", 1)).expect("corrupt v2");
-    }
+    for (label, corrupt) in [
+        ("rotted", rot_payload as fn(&Path)),
+        ("three-column", reseal_as_three_columns),
+    ] {
+        // A scratch registry holding each published model twice, with the
+        // newer copy corrupted on disk.
+        let scratch = ModelRegistry::open(&test_dir(&format!("corrupt-newest-registry-{label}")));
+        for app in ["cronos", "ligen"] {
+            let (model, _, _) = registry.load(app, None).expect("load published model");
+            assert_eq!(scratch.publish(app, &model, *fingerprint).expect("v1"), 1);
+            assert_eq!(scratch.publish(app, &model, *fingerprint).expect("v2"), 2);
+            corrupt(&scratch.root().join(app).join("v0002.json"));
+        }
 
-    // The loader walks past the corrupt version to the healthy one: no
-    // job falls back, and the run is the run on the clean registry.
-    let cfg = quick(Policy::MinEnergyUnderDeadline);
-    let report = run_governor(&cfg, &scratch);
-    assert!(report
-        .decisions
-        .iter()
-        .all(|d| d.fallback != Some(FallbackReason::LoadFailed)));
-    assert_eq!(report, run_governor(&cfg, registry));
+        // The loader walks past the corrupt version to the healthy one: no
+        // job falls back, and the run is the run on the clean registry.
+        let cfg = quick(Policy::MinEnergyUnderDeadline);
+        let report = run_governor(&cfg, &scratch);
+        assert!(
+            report
+                .decisions
+                .iter()
+                .all(|d| d.fallback != Some(FallbackReason::LoadFailed)),
+            "{label}"
+        );
+        assert_eq!(report, run_governor(&cfg, registry), "{label}");
+    }
 }
 
 // ---------------------------------------------------------------------
