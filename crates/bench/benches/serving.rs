@@ -122,7 +122,7 @@ fn bench_drain_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving/drain_batch");
     group.sample_size(10);
     // Steady-state drain: the first iteration warms the memo cache, after
-    // which every batch is served from the shards — the governor's common
+    // which every batch is served from the memo — the governor's common
     // case of a repetitive arrival stream.
     group.bench_function("warm_64_requests", |b| {
         b.iter(|| {

@@ -549,7 +549,7 @@ fn serving_profile(quick: bool) -> ExperimentResult {
     );
 
     // End-to-end drain: a repetitive arrival stream (the governor's common
-    // case) over a bounded key set, so later rounds serve from the shards.
+    // case) over a bounded key set, so later rounds serve from the memo.
     let mut engine = PredictionEngine::new(EngineConfig {
         freqs: freqs.clone(),
         queue_capacity: 64,

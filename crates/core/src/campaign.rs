@@ -45,11 +45,12 @@ use synergy::metrics::DegradationMetrics;
 use synergy::queue::{RetryPolicy, SubmitError};
 use synergy::KernelTrace;
 
+use crate::artifact::fnv1a_64;
 use crate::characterize::{
     char_point, replay_queue, try_measure_attempts, Characterization, PointDiagnostics,
     SweepDiagnostics, SweepOptions, Workload,
 };
-use crate::persist::{atomic_write_str, read_journal, Journal, PersistError};
+use crate::persist::{atomic_write_str, heal_torn_tail, read_journal, Journal, PersistError};
 use crate::telemetry::{SpanLevel, Telemetry};
 
 /// Journal file name inside a campaign directory.
@@ -201,14 +202,79 @@ pub struct SlotState {
     pub trips: u32,
 }
 
-impl SlotState {
-    fn new() -> Self {
+impl Default for SlotState {
+    /// A healthy slot: closed breaker, no trips.
+    fn default() -> Self {
         SlotState {
             breaker: BreakerState::Closed {
                 consecutive_failures: 0,
             },
             trips: 0,
         }
+    }
+}
+
+/// The breaker's transitions, shared by the campaign scheduler and the
+/// governor's fleet loop; each caller keeps its own bookkeeping.
+impl SlotState {
+    /// Whether the slot may take work at `tick`: closed and half-open
+    /// slots may, an open one once its cooldown has elapsed, an evicted
+    /// one never.
+    pub fn ready(&self, cfg: &BreakerConfig, tick: u64) -> bool {
+        match self.breaker {
+            BreakerState::Closed { .. } | BreakerState::HalfOpen => true,
+            BreakerState::Open { since_tick } => tick >= since_tick + cfg.cooldown_ticks,
+            BreakerState::Evicted => false,
+        }
+    }
+
+    /// Starts a half-open probe: a (cooled-down) open breaker's next
+    /// assignment is a single probe. Any other state is left as it is.
+    pub fn start_probe(&mut self) {
+        if let BreakerState::Open { .. } = self.breaker {
+            self.breaker = BreakerState::HalfOpen;
+        }
+    }
+
+    /// Records a success: the breaker closes with its failure count reset.
+    /// Trips are never forgiven.
+    pub fn succeed(&mut self) {
+        self.breaker = BreakerState::Closed {
+            consecutive_failures: 0,
+        };
+    }
+
+    /// Records a failure at `tick` and returns `(tripped, evicted)`:
+    /// whether the breaker tripped, and whether that trip was the
+    /// `max_trips`-th, which evicts the slot for good. A closed breaker
+    /// trips at `failure_threshold` consecutive failures; a failed
+    /// half-open probe trips at once. A trip that does not evict opens the
+    /// breaker at `tick`.
+    pub fn fail(&mut self, cfg: &BreakerConfig, tick: u64) -> (bool, bool) {
+        if let BreakerState::Closed {
+            consecutive_failures,
+        } = self.breaker
+        {
+            let k = consecutive_failures + 1;
+            if k < cfg.failure_threshold {
+                self.breaker = BreakerState::Closed {
+                    consecutive_failures: k,
+                };
+                return (false, false);
+            }
+        }
+        // The threshold-th consecutive failure or a failed probe trips.
+        // So would a failure while open or evicted, which neither
+        // scheduler produces: both start a probe before running work on
+        // an open slot, and never assign an evicted one.
+        self.trips += 1;
+        let evicted = self.trips >= cfg.max_trips;
+        self.breaker = if evicted {
+            BreakerState::Evicted
+        } else {
+            BreakerState::Open { since_tick: tick }
+        };
+        (true, evicted)
     }
 }
 
@@ -306,20 +372,11 @@ impl CampaignConfig {
                 desc,
                 "workload={}:{:016x};",
                 w.name(),
-                fnv1a64(format!("{trace:?}").as_bytes())
+                fnv1a_64(format!("{trace:?}").as_bytes())
             );
         }
-        format!("{:016x}", fnv1a64(desc.as_bytes()))
+        format!("{:016x}", fnv1a_64(desc.as_bytes()))
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Derives the fault-stream base seed for measuring an item on `slot`
@@ -474,17 +531,9 @@ impl CampaignState {
             rr_cursor: 0,
             failures: vec![0; pending.len()],
             pending,
-            slots: vec![SlotState::new(); cfg.slots.len()],
+            slots: vec![SlotState::default(); cfg.slots.len()],
             done: Vec::new(),
             totals: Totals::default(),
-        }
-    }
-
-    fn slot_ready(&self, s: usize, cooldown_ticks: u64) -> bool {
-        match self.slots[s].breaker {
-            BreakerState::Closed { .. } | BreakerState::HalfOpen => true,
-            BreakerState::Open { since_tick } => self.tick >= since_tick + cooldown_ticks,
-            BreakerState::Evicted => false,
         }
     }
 
@@ -496,7 +545,7 @@ impl CampaignState {
     /// when every slot is evicted.
     fn acquire_slot(&mut self, cfg: &BreakerConfig) -> Option<usize> {
         let n = self.slots.len();
-        if !(0..n).any(|s| self.slot_ready(s, cfg.cooldown_ticks)) {
+        if !self.slots.iter().any(|st| st.ready(cfg, self.tick)) {
             let next_ready = self
                 .slots
                 .iter()
@@ -509,10 +558,8 @@ impl CampaignState {
         }
         for off in 0..n {
             let s = (self.rr_cursor + off) % n;
-            if self.slot_ready(s, cfg.cooldown_ticks) {
-                if let BreakerState::Open { .. } = self.slots[s].breaker {
-                    self.slots[s].breaker = BreakerState::HalfOpen;
-                }
+            if self.slots[s].ready(cfg, self.tick) {
+                self.slots[s].start_probe();
                 return Some(s);
             }
         }
@@ -541,9 +588,7 @@ impl CampaignState {
                 energy_j,
                 diag,
             } => {
-                self.slots[slot].breaker = BreakerState::Closed {
-                    consecutive_failures: 0,
-                };
+                self.slots[slot].succeed();
                 self.done.push(DoneItem {
                     item,
                     slot,
@@ -568,43 +613,9 @@ impl CampaignState {
                     FailureKind::Watchdog => self.totals.watchdog_misses += 1,
                 }
                 self.pending.push(item);
-                let st = &mut self.slots[slot];
-                let opens = match st.breaker {
-                    BreakerState::Closed {
-                        consecutive_failures,
-                    } => {
-                        let k = consecutive_failures + 1;
-                        if k >= cfg.failure_threshold {
-                            true
-                        } else {
-                            st.breaker = BreakerState::Closed {
-                                consecutive_failures: k,
-                            };
-                            false
-                        }
-                    }
-                    // A failed probe re-opens immediately.
-                    BreakerState::HalfOpen => true,
-                    // Unreachable under the scheduler's own assignments;
-                    // treat defensively as another trip.
-                    BreakerState::Open { .. } | BreakerState::Evicted => true,
-                };
-                let mut tripped = false;
-                let mut evicted = false;
-                if opens {
-                    st.trips += 1;
-                    self.totals.breaker_trips += 1;
-                    tripped = true;
-                    if st.trips >= cfg.max_trips {
-                        st.breaker = BreakerState::Evicted;
-                        evicted = true;
-                        self.totals.devices_evicted += 1;
-                    } else {
-                        st.breaker = BreakerState::Open {
-                            since_tick: self.tick,
-                        };
-                    }
-                }
+                let (tripped, evicted) = self.slots[slot].fail(cfg, self.tick);
+                self.totals.breaker_trips += u64::from(tripped);
+                self.totals.devices_evicted += u64::from(evicted);
                 JournalRecord::Failed {
                     seq,
                     item,
@@ -1151,24 +1162,6 @@ fn load_snapshot(spath: &Path, fingerprint: &str) -> Result<Option<CampaignState
         });
     }
     Ok(Some(snap.state))
-}
-
-/// Truncates an uncommitted torn trailing line in place, so appends keep
-/// starting on a fresh line. Committed records are untouched: this only
-/// moves the file end back to the last committed newline.
-fn heal_torn_tail(jpath: &Path) -> Result<(), CampaignError> {
-    let io = |e| {
-        CampaignError::Persist(PersistError::Io {
-            path: jpath.to_path_buf(),
-            source: e,
-        })
-    };
-    let bytes = fs::read(jpath).map_err(io)?;
-    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1) as u64;
-    let f = fs::OpenOptions::new().write(true).open(jpath).map_err(io)?;
-    f.set_len(keep).map_err(io)?;
-    f.sync_all().map_err(io)?;
-    Ok(())
 }
 
 /// Compacts the journal: atomically write the snapshot, then atomically

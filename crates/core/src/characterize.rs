@@ -402,10 +402,10 @@ pub(crate) fn try_measure_attempts<E>(
 
 /// Builds the per-attempt replay queue both the lattice sweep and the
 /// campaign scheduler measure through: a fresh [`sweep_device`] with
-/// per-batch trace events disabled, pricing routed through the shared memo
-/// table, the options' fault plan reseeded for this `(point, attempt)`
-/// cell, and the options' retry policy installed. Single-sourcing this
-/// construction is what keeps a campaign's measurements bit-identical to
+/// pricing routed through the shared memo table, the options' fault plan
+/// reseeded for this `(point, attempt)` cell, and the options' retry
+/// policy installed. Single-sourcing this construction is what keeps a
+/// campaign's measurements bit-identical to
 /// [`characterize_with_options`]'s.
 pub(crate) fn replay_queue(
     spec: &DeviceSpec,
@@ -415,9 +415,6 @@ pub(crate) fn replay_queue(
     attempt: u32,
 ) -> SynergyQueue {
     let mut dev = sweep_device(spec, opts.noise_seed, seed_off);
-    // Replay reads only the queue's aggregate counters; skip per-batch
-    // trace events and route all pricing through the shared memo table.
-    dev.set_trace_capacity(Some(0));
     dev.set_price_table(Arc::clone(prices));
     dev.set_fault_plan(opts.faults.clone().with_seed(fault_seed(
         opts.faults.seed(),

@@ -144,9 +144,9 @@ impl Default for DistributedSweepOptions {
 }
 
 /// Builds the gang of measurement queues for one sweep point: fresh
-/// devices with per-(point, device) noise streams, per-batch trace events
-/// disabled, pricing routed through the sweep's shared memo table, and
-/// the point's fixed-clock policy installed on every member.
+/// devices with per-(point, device) noise streams, pricing routed through
+/// the sweep's shared memo table, and the point's fixed-clock policy
+/// installed on every member.
 fn gang_queues(
     spec: &DeviceSpec,
     num_devices: usize,
@@ -169,7 +169,6 @@ fn gang_queues(
                 }
                 None => Device::new(spec.clone()),
             };
-            dev.set_trace_capacity(Some(0));
             dev.set_price_table(Arc::clone(prices));
             let mut q = SynergyQueue::for_device(dev);
             if let Some(f) = core_mhz {

@@ -13,7 +13,8 @@
 //!   line anywhere else is surfaced as corruption instead of being
 //!   silently skipped. A record only counts as committed once its
 //!   trailing newline is durable — a final line without one is an
-//!   uncommitted tail even when it happens to parse.
+//!   uncommitted tail even when it happens to parse. A writer resuming a
+//!   journal first cuts such a tail off with [`heal_torn_tail`].
 //!
 //! The serde/serde_json shims round-trip `f64` bit-exactly (shortest
 //! `Display` form, exact re-parse), which is what lets a resumed campaign
@@ -181,6 +182,20 @@ impl Journal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// Truncates an uncommitted torn trailing line in place, so appends keep
+/// starting on a fresh line. Committed records are untouched: this only
+/// moves the file end back to the last committed newline (the newline is
+/// the commit mark, see [`Journal::append`]).
+pub fn heal_torn_tail(path: &Path) -> Result<(), PersistError> {
+    let io = |e| io_err(path, e);
+    let bytes = fs::read(path).map_err(io)?;
+    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1) as u64;
+    let f = OpenOptions::new().write(true).open(path).map_err(io)?;
+    f.set_len(keep).map_err(io)?;
+    f.sync_all().map_err(io)?;
+    Ok(())
 }
 
 /// What [`read_journal`] found.

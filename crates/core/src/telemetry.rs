@@ -461,9 +461,9 @@ pub struct TraceEvent {
     pub fields: Vec<(&'static str, String)>,
 }
 
-/// Bounded ring of trace events (same idiom as `gpu_sim::Trace`): at
-/// capacity the oldest record is evicted and counted, so a runaway sweep
-/// can never exhaust memory through its own diagnostics.
+/// Bounded ring of trace events: at capacity the oldest record is evicted
+/// and counted, so a runaway sweep can never exhaust memory through its
+/// own diagnostics.
 #[derive(Debug)]
 struct TraceBuffer {
     inner: Mutex<TraceRing>,

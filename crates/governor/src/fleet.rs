@@ -692,11 +692,9 @@ impl DeviceRuntime {
     }
 }
 
-/// A device's SYnergy queue under `faults`, with trace recording off.
+/// A device's SYnergy queue under `faults`.
 fn device_queue(spec: &DeviceSpec, faults: FaultPlan) -> SynergyQueue {
-    let mut device = Device::with_faults(spec.clone(), faults);
-    device.set_trace_capacity(Some(0));
-    SynergyQueue::for_device(device)
+    SynergyQueue::for_device(Device::with_faults(spec.clone(), faults))
 }
 
 /// The in-flight state of one run of the job loop.
@@ -721,13 +719,7 @@ impl<H: LoopHook> FleetRun<'_, H> {
     /// becomes eligible once its cooldown has elapsed (the next job it
     /// runs is the half-open probe).
     fn available(&self, i: usize) -> bool {
-        match self.devices[i].slot.breaker {
-            BreakerState::Closed { .. } | BreakerState::HalfOpen => true,
-            BreakerState::Open { since_tick } => {
-                self.tick >= since_tick + self.cfg.breaker.cooldown_ticks
-            }
-            BreakerState::Evicted => false,
-        }
+        self.devices[i].slot.ready(&self.cfg.breaker, self.tick)
     }
 
     fn any_survivor(&self) -> bool {
@@ -809,41 +801,18 @@ impl<H: LoopHook> FleetRun<'_, H> {
     /// Applies one failure to device `i`'s breaker; on eviction, drains
     /// its remaining queue onto the survivors.
     fn on_device_failure(&mut self, i: usize) {
-        let threshold = self.cfg.breaker.failure_threshold;
-        let (tripped, failures) = match self.devices[i].slot.breaker {
-            BreakerState::Closed {
-                consecutive_failures,
-            } => {
-                let f = consecutive_failures + 1;
-                (f >= threshold, f)
-            }
-            // A failed half-open probe trips immediately.
-            BreakerState::HalfOpen => (true, threshold),
-            // Unreachable: only executing devices fail, and executing
-            // promotes Open to HalfOpen first.
-            BreakerState::Open { .. } | BreakerState::Evicted => (true, threshold),
-        };
+        let (tripped, evicted) = self.devices[i].slot.fail(&self.cfg.breaker, self.tick);
         if !tripped {
-            self.devices[i].slot.breaker = BreakerState::Closed {
-                consecutive_failures: failures,
-            };
             return;
         }
-        self.devices[i].slot.trips += 1;
-        let evicted = self.devices[i].slot.trips >= self.cfg.breaker.max_trips;
         self.journal.push(FleetEvent::Tripped {
             tick: self.tick,
             device: i,
             evicted,
         });
         if evicted {
-            self.devices[i].slot.breaker = BreakerState::Evicted;
             self.devices_evicted += 1;
             self.drain_evicted(i);
-        } else {
-            self.devices[i].slot.breaker = BreakerState::Open {
-                since_tick: self.tick,
-            };
         }
     }
 
@@ -932,10 +901,8 @@ impl<H: LoopHook> FleetRun<'_, H> {
     /// updating the breaker, and either recording the decision or
     /// rescheduling the job after a permanent launch failure.
     fn execute_on(&mut self, i: usize, mut rj: ReadyJob) {
-        // Promote a cooled-down open breaker: this execution is a probe.
-        if let BreakerState::Open { .. } = self.devices[i].slot.breaker {
-            self.devices[i].slot.breaker = BreakerState::HalfOpen;
-        }
+        // A cooled-down open breaker: this execution is its probe.
+        self.devices[i].slot.start_probe();
 
         let class_i = self.devices[i].class;
         if self.cfg.placement != Placement::RoundRobin {
@@ -985,9 +952,7 @@ impl<H: LoopHook> FleetRun<'_, H> {
 
         if record.completed {
             let d = &mut self.devices[i];
-            d.slot.breaker = BreakerState::Closed {
-                consecutive_failures: 0,
-            };
+            d.slot.succeed();
             d.jobs_run += 1;
             d.busy_time_s += record.measured_time_s;
             d.energy_j += record.measured_energy_j;
@@ -1388,12 +1353,7 @@ pub(crate) fn run_plan<H: LoopHook>(
                 queue: device_queue(&fd.spec, faults),
                 twin,
                 ready: VecDeque::new(),
-                slot: SlotState {
-                    breaker: BreakerState::Closed {
-                        consecutive_failures: 0,
-                    },
-                    trips: 0,
-                },
+                slot: SlotState::default(),
                 jobs_run: 0,
                 busy_time_s: 0.0,
                 energy_j: 0.0,

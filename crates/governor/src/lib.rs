@@ -11,10 +11,8 @@
 //!   reject corruption/version skew/stale training fingerprints with typed
 //!   errors;
 //! * [`serving`] — a batched inference engine: an admission-controlled
-//!   bounded request queue in front of a quantized-feature prediction memo
-//!   cache (the same design discipline as `gpu_sim::pricing::PriceTable`:
-//!   FNV word hashing, a custom map hasher, per-key overflow chains with
-//!   full equality verification, and hit/miss/collision counters);
+//!   bounded request queue in front of one prediction memo per installed
+//!   model, keyed by the exact feature bits, with hit/miss counters;
 //! * [`policy`] — what to do with a predicted Pareto set: minimize energy
 //!   under a per-job deadline, minimize energy-delay product, or hold the
 //!   vendor default clock (the baseline every other policy is judged

@@ -78,14 +78,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use energy_model::artifact::fnv1a_64;
 use energy_model::campaign::{run_campaign, CampaignConfig, DeviceSlot};
 use energy_model::characterize::Workload;
-use energy_model::persist::{read_journal, Journal, PersistError};
+use energy_model::persist::{heal_torn_tail, read_journal, Journal, PersistError};
 use energy_model::quarantine::{quarantine_results, QuarantinePolicy};
 use energy_model::telemetry::Telemetry;
 use energy_model::workflow::{experiment_frequencies, CharacterizedInput, CRONOS_STEPS};
@@ -631,23 +630,6 @@ impl LifecycleJournal {
         }
         Ok(())
     }
-}
-
-/// Truncates an uncommitted torn trailing line (same discipline as the
-/// campaign journal: the newline is the commit mark).
-fn heal_torn_tail(jpath: &Path) -> Result<(), LifecycleError> {
-    let io = |e: std::io::Error| {
-        LifecycleError::Persist(PersistError::Io {
-            path: jpath.to_path_buf(),
-            source: e,
-        })
-    };
-    let bytes = fs::read(jpath).map_err(io)?;
-    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1) as u64;
-    let f = fs::OpenOptions::new().write(true).open(jpath).map_err(io)?;
-    f.set_len(keep).map_err(io)?;
-    f.sync_all().map_err(io)?;
-    Ok(())
 }
 
 // ---- Configuration ----
@@ -1320,8 +1302,8 @@ impl LifecycleHook<'_> {
                 }
                 self.jr.commit(done)?;
                 // Serving advance: the promoted model replaces the
-                // incumbent under the stable key (invalidating its cached
-                // profiles in every shard), and the canary channel closes.
+                // incumbent under the stable key (its memo goes with it),
+                // and the canary channel closes.
                 engine.install_model(app, model.as_ref().clone());
                 engine.remove_model(&canary_key(app));
                 self.promotes += 1;

@@ -401,9 +401,7 @@ pub(crate) fn build_templates(spec: &DeviceSpec) -> Vec<JobTemplate> {
     }
     // Default-clock reference times on a clean, faultless device: the
     // deadline anchor must not depend on the run's fault plan.
-    let mut device = Device::new(spec.clone());
-    device.set_trace_capacity(Some(0));
-    let mut queue = SynergyQueue::for_device(device);
+    let mut queue = SynergyQueue::for_device(Device::new(spec.clone()));
     queue.set_policy(FrequencyPolicy::DeviceDefault);
     for t in &mut templates {
         t.base_time_s = t.trace.replay_on(&mut queue).time_s;

@@ -1,10 +1,12 @@
 //! The device execution engine.
 //!
 //! [`Device`] owns the mutable state of one simulated GPU: current clocks,
-//! cumulative energy counter, device clock, execution trace, and the
-//! optional measurement-noise stream. The vendor-specific management layers
-//! ([`crate::nvml`], [`crate::rocm`]) and the portable `synergy` crate all
-//! drive this type.
+//! cumulative energy counter, device clock, and the optional
+//! measurement-noise stream. Every measurement leaves the device as a
+//! [`LaunchRecord`] or a counter reading, as it does through NVML or
+//! ROCm-SMI; the device keeps no per-launch log. The vendor-specific
+//! management layers ([`crate::nvml`], [`crate::rocm`]) and the portable
+//! `synergy` crate all drive this type.
 
 use std::sync::Arc;
 
@@ -18,7 +20,6 @@ use crate::power::{energy_from_parts, resolve_power_cap, CapResolution, PowerBre
 use crate::pricing::PriceTable;
 use crate::spec::DeviceSpec;
 use crate::timing::TimingBreakdown;
-use crate::trace::{Trace, TraceEvent};
 
 /// Result of one kernel launch: what a profiler would hand back.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,7 +62,6 @@ pub struct Device {
     clock_s: f64,
     /// Power reading of the most recent activity (W).
     last_power_w: f64,
-    trace: Trace,
     noise: NoiseModel,
     /// Memo cache of noiseless launch prices; shareable across devices.
     prices: Arc<PriceTable>,
@@ -70,8 +70,8 @@ pub struct Device {
 }
 
 impl Device {
-    /// Creates a device at its default clocks, with noise disabled and an
-    /// unbounded trace.
+    /// Creates a device at its default clocks, with noise disabled and no
+    /// fault plan.
     pub fn new(spec: DeviceSpec) -> Self {
         let core = spec.default_core_mhz;
         let mem = spec.mem_freqs.max();
@@ -84,7 +84,6 @@ impl Device {
             energy_counter_j: 0.0,
             clock_s: 0.0,
             last_power_w: idle,
-            trace: Trace::with_capacity_limit(100_000),
             noise: NoiseModel::disabled(),
             prices: Arc::new(PriceTable::new()),
             faults: FaultState::inert(),
@@ -253,16 +252,6 @@ impl Device {
             throttled: f < requested,
             fault_throttled: granted < requested,
         };
-        self.trace.push(TraceEvent {
-            kernel: kernel.name.clone(),
-            start_s: self.clock_s,
-            duration_s: time_s,
-            energy_j,
-            core_mhz: f,
-            mem_mhz: self.mem_mhz,
-            avg_power_w,
-            work_items: kernel.work_items,
-        });
         self.clock_s += time_s;
         self.energy_counter_j += energy_j;
         self.last_power_w = avg_power_w;
@@ -282,7 +271,7 @@ impl Device {
     }
 
     /// Dry-run: computes what a launch *would* cost at `core_mhz` without
-    /// mutating any state (no trace, no counters, no noise). Used by models
+    /// mutating any state (no counters, no noise). Used by models
     /// that need ground truth independent of measurement jitter. Reflects
     /// cap throttling: the returned timing/power belong to the *effective*
     /// clock.
@@ -324,12 +313,9 @@ impl Device {
     /// counter values are bit-identical to the unbatched path.
     ///
     /// `sink` observes every launch's `(time_s, energy_j)` in submission
-    /// order. The trace records a single aggregate event for the whole
-    /// batch (when the trace is recording at all), not `n` events — that,
-    /// plus the skipped per-launch cost-model evaluations, is where the
-    /// batch path's speed comes from. A zero-capacity trace also skips the
-    /// cap resolution that recovers the event's effective clock, leaving
-    /// one price lookup per batch.
+    /// order. The skipped per-launch cost-model evaluations are where the
+    /// batch path's speed comes from: one price lookup per batch, then the
+    /// noise draws.
     ///
     /// Returns the number of *fault-throttled* launches in the batch —
     /// launches a fault-injected throttle window held below the request
@@ -366,33 +352,13 @@ impl Device {
         // plan no throttle *window* can fire, so the fault-throttle count
         // is zero even when the TDP/cap resolver lowers the clock.
         let (base_time_s, base_energy_j) = self.price(kernel, core_mhz);
-        let start_s = self.clock_s;
-        let mut batch_time_s = 0.0;
-        let mut batch_energy_j = 0.0;
         for _ in 0..n {
             let time_s = base_time_s * self.noise.time_factor();
             let energy_j = base_energy_j * self.noise.energy_factor();
             self.clock_s += time_s;
             self.energy_counter_j += energy_j;
             self.last_power_w = energy_j / time_s;
-            batch_time_s += time_s;
-            batch_energy_j += energy_j;
             sink(time_s, energy_j);
-        }
-        if self.trace.is_recording() {
-            // The event reports the clock the serial path would have: the
-            // snapped request, lowered by the TDP/cap resolver.
-            let effective_mhz = self.resolve(kernel, core_mhz).core_mhz;
-            self.trace.push(TraceEvent {
-                kernel: kernel.name.clone(),
-                start_s,
-                duration_s: batch_time_s,
-                energy_j: batch_energy_j,
-                core_mhz: effective_mhz,
-                mem_mhz: self.mem_mhz,
-                avg_power_w: batch_energy_j / batch_time_s,
-                work_items: kernel.work_items.saturating_mul(n),
-            });
         }
         Ok(0)
     }
@@ -408,17 +374,10 @@ impl Device {
         self.prices = table;
     }
 
-    /// Replaces the execution trace with an empty one bounded by
-    /// `capacity` events (`None` = unbounded, `Some(0)` = record nothing).
-    /// Sweep drivers that replay millions of launches use a zero-capacity
-    /// trace so the per-batch event, and the clock resolution it needs, are
-    /// skipped entirely.
-    pub fn set_trace_capacity(&mut self, capacity: Option<usize>) {
-        self.trace = match capacity {
-            Some(cap) => Trace::with_capacity_limit(cap),
-            None => Trace::new(),
-        };
-    }
+    /// Accepts and ignores a per-launch event-log bound. The device keeps
+    /// no such log, so there is nothing to size; the method remains only so
+    /// that callers written against the earlier API still build.
+    pub fn set_trace_capacity(&mut self, _capacity: Option<usize>) {}
 
     /// Advances the device clock by `dt` seconds of idleness, charging idle
     /// power to the energy counter (host-side gaps between kernels).
@@ -457,18 +416,6 @@ impl Device {
         let power_w = transfer_power_w(&self.spec, self.mem_mhz, util);
         let time_s = time_base_s * self.noise.time_factor();
         let energy_j = power_w * time_base_s * self.noise.energy_factor();
-        if self.trace.is_recording() {
-            self.trace.push(TraceEvent {
-                kernel: "link::transfer".to_string(),
-                start_s: self.clock_s,
-                duration_s: time_s,
-                energy_j,
-                core_mhz: self.core_mhz,
-                mem_mhz: self.mem_mhz,
-                avg_power_w: energy_j / time_s,
-                work_items: bytes,
-            });
-        }
         self.clock_s += time_s;
         self.energy_counter_j += energy_j;
         self.last_power_w = energy_j / time_s;
@@ -496,16 +443,6 @@ impl Device {
     pub fn power_usage_w(&self) -> f64 {
         self.last_power_w
     }
-
-    /// The execution trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Clears the execution trace (counters are unaffected).
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
 }
 
 #[cfg(test)]
@@ -522,7 +459,6 @@ mod tests {
         assert!(rec.time_s > 0.0);
         assert!(d.energy_counter_j() > before);
         assert!((d.clock_s() - rec.time_s).abs() < 1e-15);
-        assert_eq!(d.trace().events().len(), 1);
     }
 
     #[test]
@@ -560,7 +496,6 @@ mod tests {
         assert_eq!(t1.total_s, t2.total_s);
         assert_eq!(p1.total_w, p2.total_w);
         assert_eq!(d.energy_counter_j(), 0.0);
-        assert!(d.trace().events().is_empty());
     }
 
     #[test]
@@ -617,42 +552,48 @@ mod tests {
         assert_eq!(batched.clock_s(), serial.clock_s());
         assert_eq!(batched.energy_counter_j(), serial.energy_counter_j());
         assert_eq!(batched.power_usage_w(), serial.power_usage_w());
-        // One aggregate trace event instead of seven.
-        assert_eq!(batched.trace().events().len(), 1);
-        let ev = &batched.trace().events()[0];
-        assert_eq!(ev.work_items, 7_000_000);
-        assert_eq!(ev.duration_s, batched.clock_s());
     }
 
     #[test]
     fn launch_batch_matches_serial_launches_with_noise() {
         let spec = DeviceSpec::v100();
-        let k = KernelProfile::memory_bound("k", 4_000_000, 64.0);
-        let mut serial = Device::with_noise(spec.clone(), NoiseModel::realistic(31));
-        let mut batched = Device::with_noise(spec, NoiseModel::realistic(31));
-        let mut expected = Vec::new();
-        for _ in 0..5 {
-            let rec = serial.launch_at(&k, 700.0).unwrap();
-            expected.push((rec.time_s, rec.energy_j));
+        // (kernel, clock, noise seed, launches, TDP-throttled). The second
+        // is the kernel of `tdp_throttles_saturating_kernel_at_top_clock`:
+        // at 1597 MHz its demand exceeds the 300 W TDP, so the firmware
+        // loop lowers the clock the batch's one price lookup must match.
+        let streaming = KernelProfile::memory_bound("k", 4_000_000, 64.0);
+        let saturating = KernelProfile::compute_bound("k", 100_000_000, 200.0);
+        let cases = [
+            (&streaming, 700.0, 31, 5, false),
+            (&saturating, 1597.0, 5, 4, true),
+        ];
+        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            v.iter().map(|(t, e)| (t.to_bits(), e.to_bits())).collect()
+        };
+        for (k, f, seed, n, tdp_throttled) in cases {
+            let mut serial = Device::with_noise(spec.clone(), NoiseModel::realistic(seed));
+            let mut batched = Device::with_noise(spec.clone(), NoiseModel::realistic(seed));
+            let mut expected = Vec::new();
+            for _ in 0..n {
+                let rec = serial.launch_at(k, f).unwrap();
+                assert_eq!(rec.throttled, tdp_throttled, "{f} MHz");
+                expected.push((rec.time_s, rec.energy_j));
+            }
+            let mut seen = Vec::new();
+            batched
+                .launch_batch(k, f, n, &mut |t, e| seen.push((t, e)))
+                .unwrap();
+            assert_eq!(
+                bits(&seen),
+                bits(&expected),
+                "noise must be drawn per launch, in order ({f} MHz)"
+            );
+            assert_eq!(batched.clock_s().to_bits(), serial.clock_s().to_bits());
+            assert_eq!(
+                batched.energy_counter_j().to_bits(),
+                serial.energy_counter_j().to_bits()
+            );
         }
-        let mut seen = Vec::new();
-        batched
-            .launch_batch(&k, 700.0, 5, &mut |t, e| seen.push((t, e)))
-            .unwrap();
-        assert_eq!(seen, expected, "noise must be drawn per launch, in order");
-        assert_eq!(batched.clock_s(), serial.clock_s());
-        assert_eq!(batched.energy_counter_j(), serial.energy_counter_j());
-    }
-
-    #[test]
-    fn zero_capacity_trace_skips_batch_events() {
-        let mut d = Device::new(DeviceSpec::v100());
-        d.set_trace_capacity(Some(0));
-        let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
-        d.launch_batch(&k, 900.0, 3, &mut |_, _| {}).unwrap();
-        assert!(d.trace().events().is_empty());
-        assert_eq!(d.trace().dropped(), 0, "events are never even built");
-        assert!(d.clock_s() > 0.0, "counters still advance");
     }
 
     #[test]
@@ -753,37 +694,6 @@ mod tests {
         );
         assert!(rec.core_mhz < 1597.0);
         assert!(rec.avg_power_w <= d.spec().tdp_w * 1.001);
-    }
-
-    #[test]
-    fn batch_event_reports_the_tdp_throttled_clock() {
-        // The kernel of `tdp_throttles_saturating_kernel_at_top_clock`: at
-        // 1597 MHz its demand exceeds the V100's 300 W TDP, so the firmware
-        // loop lowers the clock. The batch's aggregate event must carry the
-        // clock the serial record reports, and a device that records no
-        // trace must produce the same launches bit for bit.
-        let spec = DeviceSpec::v100();
-        let k = KernelProfile::compute_bound("k", 100_000_000, 200.0);
-        let serial = Device::new(spec.clone()).launch_at(&k, 1597.0).unwrap();
-        assert!(serial.throttled && serial.core_mhz < 1597.0);
-        let mut recording = Device::with_noise(spec.clone(), NoiseModel::realistic(5));
-        let mut silent = Device::with_noise(spec, NoiseModel::realistic(5));
-        silent.set_trace_capacity(Some(0));
-        let mut seen = Vec::new();
-        recording
-            .launch_batch(&k, 1597.0, 4, &mut |t, e| seen.push((t, e)))
-            .unwrap();
-        let mut twin = Vec::new();
-        silent
-            .launch_batch(&k, 1597.0, 4, &mut |t, e| twin.push((t, e)))
-            .unwrap();
-        let ev = &recording.trace().events()[0];
-        assert_eq!(ev.core_mhz.to_bits(), serial.core_mhz.to_bits());
-        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
-            v.iter().map(|(t, e)| (t.to_bits(), e.to_bits())).collect()
-        };
-        assert_eq!(bits(&twin), bits(&seen));
-        assert!(silent.trace().events().is_empty());
     }
 
     #[test]
@@ -890,7 +800,6 @@ mod tests {
         assert!(matches!(err, FaultError::LaunchFailed { .. }));
         assert_eq!(d.energy_counter_j(), 0.0);
         assert_eq!(d.clock_s(), 0.0);
-        assert!(d.trace().events().is_empty());
         // Retry (attempt index 1) succeeds.
         assert!(d.launch(&k).is_ok());
     }
@@ -935,8 +844,6 @@ mod tests {
         let p = rec.energy_j / rec.time_s;
         assert!(p > d.spec().idle_power_w);
         assert!(p < d.spec().idle_power_w + d.spec().mem_power_w);
-        assert_eq!(d.trace().events().len(), 1);
-        assert_eq!(d.trace().events()[0].work_items, bytes);
     }
 
     #[test]

@@ -142,7 +142,8 @@ impl OpMix {
 /// A complete kernel launch descriptor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelProfile {
-    /// Kernel name (for traces and feature attribution).
+    /// Kernel name: keys per-kernel clock policies, the price memo and
+    /// fault reports.
     pub name: String,
     /// Number of parallel work items (GPU threads with useful work).
     pub work_items: u64,

@@ -50,10 +50,8 @@ pub mod nvml;
 pub mod power;
 pub mod pricing;
 pub mod rocm;
-pub mod sampling;
 pub mod spec;
 pub mod timing;
-pub mod trace;
 pub mod voltage;
 
 pub use device::{Device, LaunchRecord};

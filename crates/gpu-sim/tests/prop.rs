@@ -4,7 +4,6 @@
 use gpu_sim::kernel::{KernelProfile, OpMix};
 use gpu_sim::noise::NoiseModel;
 use gpu_sim::power::{energy_from_parts, kernel_power, resolve_power_cap};
-use gpu_sim::sampling::{integrate_samples, sample_power};
 use gpu_sim::timing::kernel_timing;
 use gpu_sim::{Device, DeviceSpec, FaultPlan, Schedule, ThrottleWindow};
 use proptest::prelude::*;
@@ -193,65 +192,6 @@ proptest! {
             prop_assert!(rec.core_mhz <= requested * (1.0 + 1e-12));
             prop_assert_eq!(rec.throttled, rec.core_mhz < requested);
         }
-    }
-
-    /// Trapezoidal re-integration of the sampled power timeline converges
-    /// to the exact energy of the trace's piecewise-constant timeline as
-    /// the sampling period shrinks: for a piecewise-constant integrand the
-    /// trapezoid rule is exact away from discontinuities, so the total
-    /// error is bounded by (discontinuities + tail) · period · max power —
-    /// linear in the period, for *any* randomized launch/idle sequence.
-    #[test]
-    fn sampled_energy_converges_to_trace_energy(
-        seq in proptest::collection::vec(
-            (arb_kernel(), 0usize..195, 0.0..0.02f64),
-            1..6,
-        ),
-    ) {
-        let spec = DeviceSpec::v100();
-        let fs: Vec<f64> = spec.core_freqs.as_slice().to_vec();
-        let idle_w = spec.idle_power_w;
-        let mut dev = Device::new(spec);
-        for (k, fi, gap) in &seq {
-            dev.launch_at(k, fs[*fi]).unwrap();
-            if *gap > 0.0 {
-                dev.idle_advance(*gap);
-            }
-        }
-        let trace = dev.trace();
-        let end = trace
-            .events()
-            .iter()
-            .map(|e| e.start_s + e.duration_s)
-            .fold(0.0f64, f64::max);
-        prop_assume!(end > 0.0);
-        let busy: f64 = trace.events().iter().map(|e| e.duration_s).sum();
-        let exact: f64 = trace
-            .events()
-            .iter()
-            .map(|e| e.avg_power_w * e.duration_s)
-            .sum::<f64>()
-            + idle_w * (end - busy);
-        let p_max = trace
-            .events()
-            .iter()
-            .map(|e| e.avg_power_w)
-            .fold(idle_w, f64::max);
-        let n_disc = (2 * trace.events().len() + 2) as f64;
-        for n in [64u64, 512, 4096] {
-            let period = end / n as f64;
-            let sampled = integrate_samples(&sample_power(trace, period, idle_w));
-            let bound = period * p_max * (2.0 * n_disc + 2.0);
-            prop_assert!(
-                (sampled - exact).abs() <= bound + 1e-9,
-                "period {}: sampled {} vs exact {} exceeds bound {}",
-                period, sampled, exact, bound
-            );
-        }
-        // And the densest grid is genuinely close in relative terms.
-        let period = end / 4096.0;
-        let sampled = integrate_samples(&sample_power(trace, period, idle_w));
-        prop_assert!((sampled - exact).abs() <= 0.1 * exact + 1e-9);
     }
 
     /// Noise factors stay within ±20 % at realistic σ and are reproducible.

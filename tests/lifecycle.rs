@@ -475,11 +475,11 @@ fn publisher_crash_at_every_journal_boundary_resumes_bit_identically() {
 }
 
 // ---------------------------------------------------------------------
-// Serving-cache invalidation across every shard
+// Serving-cache invalidation: a model's memo goes with the model
 // ---------------------------------------------------------------------
 
 #[test]
-fn promote_and_rollback_invalidate_the_memo_cache_in_every_shard() {
+fn promote_and_rollback_drop_the_memo_with_its_model() {
     let registry = ModelRegistry::open(template_registry());
     let (ligen, _, _) = registry.load("ligen", None).expect("ligen model");
     let (cronos, _, _) = registry.load("cronos", None).expect("cronos model");
@@ -494,8 +494,7 @@ fn promote_and_rollback_invalidate_the_memo_cache_in_every_shard() {
     engine.install_model("ligen#canary", ligen.clone());
     engine.install_model("cronos", cronos);
 
-    // Warm the cache with enough distinct feature vectors that every one
-    // of the 16 shards holds entries for each key.
+    // Warm each channel's memo with 512 distinct feature vectors.
     let mut warm = |app: &str, width: usize| {
         for i in 0..512u64 {
             let features: Vec<f64> = (0..width)
@@ -520,39 +519,22 @@ fn promote_and_rollback_invalidate_the_memo_cache_in_every_shard() {
     warm("ligen", ligen_width);
     warm("ligen#canary", ligen_width);
     warm("cronos", cronos_width);
-
-    fn all_shards_populated(engine: &PredictionEngine, app: &str) -> bool {
-        let per_shard = engine.cached_entries_per_shard(app);
-        assert_eq!(per_shard.len(), 16);
-        per_shard.iter().all(|&n| n > 0)
+    for app in ["ligen", "ligen#canary", "cronos"] {
+        assert_eq!(engine.cached_entries(app), 512, "{app}");
     }
-    assert!(all_shards_populated(&engine, "ligen"));
-    assert!(all_shards_populated(&engine, "ligen#canary"));
-    assert!(all_shards_populated(&engine, "cronos"));
 
-    // Promote: the canary model replaces the stable key — every shard's
-    // entries for the stale incumbent must go; the canary channel closes.
+    // Promote: the canary model replaces the stable key — the stale
+    // incumbent's memo must go; the canary channel closes.
     engine.install_model("ligen", ligen);
-    assert!(engine
-        .cached_entries_per_shard("ligen")
-        .iter()
-        .all(|&n| n == 0));
+    assert_eq!(engine.cached_entries("ligen"), 0);
     engine.remove_model("ligen#canary");
-    assert!(engine
-        .cached_entries_per_shard("ligen#canary")
-        .iter()
-        .all(|&n| n == 0));
+    assert_eq!(engine.cached_entries("ligen#canary"), 0);
 
-    // Rollback on the other app's canary: removal clears every shard and
+    // Rollback on the other app's canary: removal drops its memo and
     // leaves unrelated apps untouched.
-    let before = engine.cached_entries_per_shard("cronos");
     engine.remove_model("ligen");
-    assert!(engine
-        .cached_entries_per_shard("ligen")
-        .iter()
-        .all(|&n| n == 0));
-    assert_eq!(engine.cached_entries_per_shard("cronos"), before);
-    assert!(all_shards_populated(&engine, "cronos"));
+    assert_eq!(engine.cached_entries("ligen"), 0);
+    assert_eq!(engine.cached_entries("cronos"), 512);
 }
 
 // ---------------------------------------------------------------------
