@@ -5,10 +5,14 @@
 //! cargo run -p bench --release --bin figures -- all
 //! ```
 //!
-//! Ids: `fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 table1 table2
-//! fig13 fig14 headline`, plus `campaign [--resume]` — a supervised,
-//! journaled multi-device characterization campaign under
-//! `results/campaign/` that can be killed at any point and resumed.
+//! Paper ids: `fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 table1
+//! table2 fig13 fig14 headline`; `all` runs these plus the extensions
+//! `fig13-mi100 portability`. The remaining ids write records under
+//! `results/` or `BENCH_*.json`: `campaign [--resume]` (a supervised,
+//! journaled multi-device characterization campaign that can be killed at
+//! any point and resumed), `telemetry`, `govern [--policy <name>]`,
+//! `fleet`, `lattice`, `decomp` and `lifecycle [--inject-drift]`. An
+//! unknown id exits with status 2.
 
 use bench::*;
 use energy_model::features::{CronosInput, LigenInput};
@@ -335,299 +339,6 @@ fn portability() {
     }
 }
 
-/// Profiles the trace-replay sweep engine against the legacy
-/// per-submission sweep on the full-resolution V100 frequency sweep and
-/// writes the comparison to `BENCH_sweep.json` (the committed before/after
-/// record backing DESIGN.md's performance-architecture section).
-fn sweep_profile() -> ExperimentResult {
-    use energy_model::characterize::{characterize, characterize_serial, Workload};
-    use serde::Serialize;
-    use std::time::Instant;
-
-    #[derive(Serialize)]
-    struct Case {
-        workload: String,
-        noise: bool,
-        legacy_s: f64,
-        replay_s: f64,
-        speedup: f64,
-    }
-
-    #[derive(Serialize)]
-    struct Profile {
-        bench: String,
-        device: String,
-        freq_points: u64,
-        reps: u64,
-        threads: u64,
-        cases: Vec<Case>,
-    }
-
-    let spec = DeviceSpec::v100();
-    let freqs = energy_model::workflow::experiment_frequencies(&spec, 1);
-    let workloads: Vec<(&str, Box<dyn Workload>)> = vec![
-        (
-            "cronos 20x8x8",
-            Box::new(cronos_workload(&CronosInput::new(20, 8, 8))),
-        ),
-        (
-            "cronos 160x64x64",
-            Box::new(cronos_workload(&CronosInput::new(160, 64, 64))),
-        ),
-        (
-            "ligen 256x31x4",
-            Box::new(ligen_workload(&LigenInput::new(256, 31, 4))),
-        ),
-        (
-            "ligen 10000x89x20",
-            Box::new(ligen_workload(&LigenInput::new(10_000, 89, 20))),
-        ),
-    ];
-
-    println!(
-        "\n## Sweep-engine profile — {} frequencies × {REPS} reps on {}",
-        freqs.len(),
-        spec.name
-    );
-    let mut cases = Vec::new();
-    for (name, w) in &workloads {
-        for noise_seed in [None, Some(SEED)] {
-            // Untimed warm-up run of each path, then the timed run — both
-            // paths get identical treatment.
-            let _ = characterize_serial(&spec, w.as_ref(), &freqs, REPS, noise_seed);
-            let t0 = Instant::now();
-            let slow = characterize_serial(&spec, w.as_ref(), &freqs, REPS, noise_seed);
-            let legacy_s = t0.elapsed().as_secs_f64();
-
-            let _ = characterize(&spec, w.as_ref(), &freqs, REPS, noise_seed);
-            let t1 = Instant::now();
-            let fast = characterize(&spec, w.as_ref(), &freqs, REPS, noise_seed);
-            let replay_s = t1.elapsed().as_secs_f64();
-
-            assert_eq!(fast, slow, "sweep engines diverged on {name}");
-            let speedup = legacy_s / replay_s;
-            println!(
-                "{name:>18} noise={}: legacy {legacy_s:.3} s, replay {replay_s:.3} s — {speedup:.1}×",
-                noise_seed.is_some()
-            );
-            cases.push(Case {
-                workload: name.to_string(),
-                noise: noise_seed.is_some(),
-                legacy_s,
-                replay_s,
-                speedup,
-            });
-        }
-    }
-
-    let profile = Profile {
-        bench: "full-resolution characterization sweep: legacy per-submission vs trace-replay"
-            .to_string(),
-        device: spec.name.clone(),
-        freq_points: freqs.len() as u64,
-        reps: REPS as u64,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-        cases,
-    };
-    let json = serde_json::to_string_pretty(&profile)?;
-    atomic_write_str(std::path::Path::new("BENCH_sweep.json"), &json)?;
-    println!("\nwrote BENCH_sweep.json");
-    Ok(())
-}
-
-/// Profiles the flattened-forest serving path against the row-at-a-time
-/// pointer-walk reference on a production-shape Cronos model and writes
-/// the comparison to `BENCH_serving.json` (the committed before/after
-/// record backing DESIGN.md's serving section). Asserts bit-identity
-/// between the paths unconditionally, and the ≥`SERVING_SPEEDUP_MIN`×
-/// throughput floor when that env var is set (CI sets it).
-fn serving_profile(quick: bool) -> ExperimentResult {
-    use governor::{EngineConfig, PredictionEngine, PredictionRequest};
-    use serde::Serialize;
-    use std::time::Instant;
-
-    #[derive(Serialize)]
-    struct Drain {
-        batch_size: u64,
-        rounds: u64,
-        distinct_keys: u64,
-        p99_ms: f64,
-        cache_hit_rate: f64,
-    }
-
-    #[derive(Serialize)]
-    struct Profile {
-        bench: String,
-        device: String,
-        freq_points: u64,
-        training_samples: u64,
-        eval_requests: u64,
-        bit_identical: bool,
-        single_reference_predictions_per_s: f64,
-        single_flat_predictions_per_s: f64,
-        batched_flat_predictions_per_s: f64,
-        batched_speedup_vs_reference: f64,
-        drain: Drain,
-    }
-
-    println!("\n## Serving profile — flat-forest batched inference vs pointer walk (V100)");
-    let spec = DeviceSpec::v100();
-    // Quick mode thins the *training* grid (characterization cost) but the
-    // curve evaluation always sweeps the full frequency list — that is the
-    // shape the serving path sees in production.
-    let train_freqs = if quick {
-        spec.core_freqs.strided(8)
-    } else {
-        sweep_freqs(&spec)
-    };
-    let freqs = sweep_freqs(&spec);
-    let configs = CronosInput::paper_configs();
-    let configs = if quick { &configs[..2] } else { &configs[..] };
-    let reps = if quick { 1 } else { REPS };
-    let inputs = characterize_cronos(&spec, configs, &train_freqs, reps, Some(SEED));
-    let samples = energy_model::workflow::training_set(&inputs);
-    let model = train_ds(&inputs, spec.default_core_mhz);
-    assert!(model.has_flat(), "forest model must carry the flat layout");
-
-    // Distinct off-grid queries: every one misses the memo cache, so the
-    // throughput numbers measure inference, not memoization.
-    let eval: Vec<Vec<f64>> = (0..64)
-        .map(|i| {
-            vec![
-                8.0 + (i % 17) as f64 * 7.0,
-                4.0 + (i % 11) as f64 * 3.0,
-                4.0 + (i % 7) as f64 * 5.0,
-            ]
-        })
-        .collect();
-    let refs: Vec<&[f64]> = eval.iter().map(|f| f.as_slice()).collect();
-
-    // Bit-identity before any timing: a fast wrong answer must never pass.
-    let batched = model.predict_curves_batch(&refs, &freqs);
-    for (f, prediction) in eval.iter().zip(&batched) {
-        let reference = model.predict_curve_reference(f, &freqs);
-        assert_eq!(prediction.curve.len(), reference.len());
-        for (a, b) in prediction.curve.iter().zip(&reference) {
-            assert_eq!(a.freq_mhz.to_bits(), b.freq_mhz.to_bits());
-            assert_eq!(a.speedup.to_bits(), b.speedup.to_bits(), "input {f:?}");
-            assert_eq!(a.norm_energy.to_bits(), b.norm_energy.to_bits());
-        }
-    }
-
-    // Interleaved per-round minima (scheduler noise only adds time).
-    let rounds = if quick { 4 } else { 12 };
-    let mut reference_min = f64::INFINITY;
-    let mut flat_single_min = f64::INFINITY;
-    let mut flat_batched_min = f64::INFINITY;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        for f in &eval {
-            std::hint::black_box(model.predict_curve_reference(f, &freqs));
-        }
-        reference_min = reference_min.min(t0.elapsed().as_secs_f64());
-
-        let t1 = Instant::now();
-        for f in &eval {
-            std::hint::black_box(model.predict_curve(f, &freqs));
-        }
-        flat_single_min = flat_single_min.min(t1.elapsed().as_secs_f64());
-
-        let t2 = Instant::now();
-        std::hint::black_box(model.predict_curves_batch(&refs, &freqs));
-        flat_batched_min = flat_batched_min.min(t2.elapsed().as_secs_f64());
-    }
-    let n = eval.len() as f64;
-    let speedup = reference_min / flat_batched_min;
-    println!(
-        "{} requests × {} freqs: reference {:.2} ms, flat single {:.2} ms, \
-         flat batched {:.2} ms — {speedup:.1}×",
-        eval.len(),
-        freqs.len(),
-        reference_min * 1e3,
-        flat_single_min * 1e3,
-        flat_batched_min * 1e3,
-    );
-
-    // End-to-end drain: a repetitive arrival stream (the governor's common
-    // case) over a bounded key set, so later rounds serve from the memo.
-    let mut engine = PredictionEngine::new(EngineConfig {
-        freqs: freqs.clone(),
-        queue_capacity: 64,
-        max_batch: 64,
-    });
-    engine.install_model("cronos", model);
-    let pool: Vec<Vec<f64>> = (0..96)
-        .map(|i| {
-            vec![
-                8.0 + (i % 19) as f64 * 6.0,
-                4.0 + (i % 13) as f64 * 3.0,
-                4.0 + (i % 5) as f64 * 5.0,
-            ]
-        })
-        .collect();
-    let drain_rounds = if quick { 50 } else { 400 };
-    let mut latencies = Vec::with_capacity(drain_rounds);
-    let mut next = 0usize;
-    for _ in 0..drain_rounds {
-        for _ in 0..64 {
-            let features = pool[next % pool.len()].clone();
-            let _ = engine.try_enqueue(PredictionRequest {
-                job_id: next as u64,
-                app: "cronos".to_string(),
-                features,
-            });
-            next += 1;
-        }
-        let t = Instant::now();
-        let served = engine.drain_batch();
-        latencies.push(t.elapsed().as_secs_f64());
-        assert_eq!(served.len(), 64);
-    }
-    latencies.sort_by(f64::total_cmp);
-    let p99_idx = ((latencies.len() as f64 * 0.99).ceil() as usize).max(1) - 1;
-    let p99_ms = latencies[p99_idx] * 1e3;
-    let stats = engine.cache_stats();
-    println!(
-        "drain: {drain_rounds} batches of 64 over {} keys — p99 {p99_ms:.3} ms, \
-         cache hit rate {:.1}%",
-        pool.len(),
-        100.0 * stats.hit_rate()
-    );
-
-    if let Ok(min) = std::env::var("SERVING_SPEEDUP_MIN") {
-        let min: f64 = min.parse()?;
-        assert!(
-            speedup >= min,
-            "flat batched serving is only {speedup:.2}× the pointer walk (floor {min}×)"
-        );
-    }
-
-    let profile = Profile {
-        bench: "prediction serving: row-at-a-time pointer walk vs sweep-aware flat batched"
-            .to_string(),
-        device: spec.name.clone(),
-        freq_points: freqs.len() as u64,
-        training_samples: samples.len() as u64,
-        eval_requests: eval.len() as u64,
-        bit_identical: true,
-        single_reference_predictions_per_s: n / reference_min,
-        single_flat_predictions_per_s: n / flat_single_min,
-        batched_flat_predictions_per_s: n / flat_batched_min,
-        batched_speedup_vs_reference: speedup,
-        drain: Drain {
-            batch_size: 64,
-            rounds: drain_rounds as u64,
-            distinct_keys: pool.len() as u64,
-            p99_ms,
-            cache_hit_rate: stats.hit_rate(),
-        },
-    };
-    let json = serde_json::to_string_pretty(&profile)?;
-    atomic_write_str(std::path::Path::new("BENCH_serving.json"), &json)?;
-    println!("\nwrote BENCH_serving.json");
-    Ok(())
-}
-
 /// Runs a supervised multi-device characterization campaign (one healthy
 /// device slot plus one degraded one) with journaled checkpoint/resume
 /// under `results/campaign/`. Kill it at any point and re-run with
@@ -850,8 +561,9 @@ fn govern_cmd(policies: &[governor::Policy]) -> ExperimentResult {
 /// Runs the heterogeneous fleet experiment — min-energy placement over
 /// 2×V100 + 2×MI100 vs the round-robin-at-default-clock fleet baseline
 /// vs the single-device governor — and writes the committed guard
-/// numbers to `BENCH_fleet.json` (the margins the `fleet` Criterion
-/// bench and the `fleet-smoke` CI job re-assert).
+/// numbers to `BENCH_fleet.json` (the margins
+/// `tests/fleet.rs::pinned_fleet_beats_round_robin_and_single_device_min_energy`
+/// re-asserts).
 fn fleet_cmd() -> ExperimentResult {
     use governor::{
         run_fleet, run_governor, train_and_publish, train_and_publish_fleet, FleetConfig,
@@ -1959,12 +1671,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!(
-            "usage: figures -- <id> [...]   ids: fig1..fig10 table1 table2 fig13 fig14 headline portability sweep-profile serving-profile [--quick] campaign [--resume] telemetry govern [--policy <name>] fleet lattice decomp lifecycle [--inject-drift] all"
+            "usage: figures -- <id> [...]   ids: fig1..fig10 table1 table2 fig13 fig14 headline fig13-mi100 portability campaign [--resume] telemetry govern [--policy <name>] fleet lattice decomp lifecycle [--inject-drift] all"
         );
         std::process::exit(2);
     }
     let resume = args.iter().any(|a| a == "--resume");
-    let quick = args.iter().any(|a| a == "--quick");
     let inject_drift = args.iter().any(|a| a == "--inject-drift");
     // `--policy <name>` (repeatable) selects which governor policies run
     // against the default-clock baseline; default is all of them.
@@ -2010,8 +1721,6 @@ fn main() {
             "headline" => headline_cmd(),
             "portability" => portability(),
             "fig13-mi100" => fig13_mi100(),
-            "sweep-profile" => return sweep_profile(),
-            "serving-profile" => return serving_profile(quick),
             "campaign" => return campaign_cmd(resume),
             "telemetry" => return telemetry_cmd(),
             "govern" => return govern_cmd(&policies),
@@ -2034,9 +1743,6 @@ fn main() {
         }
         if id == "--resume" {
             continue; // flag for `campaign`, not an experiment id
-        }
-        if id == "--quick" {
-            continue; // flag for `serving-profile`, not an experiment id
         }
         if id == "--inject-drift" {
             continue; // flag for `lifecycle`, not an experiment id

@@ -1125,6 +1125,33 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Asserts the two engines agree on each of `workloads` at full
+    /// resolution: every V100 experiment clock, five repetitions.
+    fn assert_identical_at_full_resolution(workloads: &[&dyn Workload], noise_seed: Option<u64>) {
+        let spec = v100();
+        let freqs = crate::workflow::experiment_frequencies(&spec, 1);
+        for w in workloads {
+            let fast = characterize(&spec, *w, &freqs, 5, noise_seed);
+            let slow = characterize_serial(&spec, *w, &freqs, 5, noise_seed);
+            assert_identical(&fast, &slow);
+        }
+    }
+
+    /// The Cronos grids 20×8×8 and 160×64×64 at the experiments' step count.
+    fn full_resolution_cronos(noise_seed: Option<u64>) {
+        let steps = crate::workflow::CRONOS_STEPS;
+        let small = cronos::GpuCronos::new(Grid::cubic(20, 8, 8), steps);
+        let large = cronos::GpuCronos::new(Grid::cubic(160, 64, 64), steps);
+        assert_identical_at_full_resolution(&[&small, &large], noise_seed);
+    }
+
+    /// The LiGen inputs 256×31×4 and 10000×89×20 (ligands × atoms × fragments).
+    fn full_resolution_ligen(noise_seed: Option<u64>) {
+        let small = ligen::GpuLigen::new(256, 31, 4);
+        let large = ligen::GpuLigen::new(10_000, 89, 20);
+        assert_identical_at_full_resolution(&[&small, &large], noise_seed);
+    }
+
     #[test]
     fn replay_sweep_is_bit_identical_cronos_noiseless() {
         let spec = v100();
@@ -1132,6 +1159,7 @@ mod tests {
         let fast = characterize(&spec, &small_cronos(), &freqs, 2, None);
         let slow = characterize_serial(&spec, &small_cronos(), &freqs, 2, None);
         assert_identical(&fast, &slow);
+        full_resolution_cronos(None);
     }
 
     #[test]
@@ -1141,6 +1169,7 @@ mod tests {
         let fast = characterize(&spec, &small_cronos(), &freqs, 3, Some(20231112));
         let slow = characterize_serial(&spec, &small_cronos(), &freqs, 3, Some(20231112));
         assert_identical(&fast, &slow);
+        full_resolution_cronos(Some(20231112));
     }
 
     #[test]
@@ -1151,6 +1180,7 @@ mod tests {
         let fast = characterize(&spec, &wl, &freqs, 2, None);
         let slow = characterize_serial(&spec, &wl, &freqs, 2, None);
         assert_identical(&fast, &slow);
+        full_resolution_ligen(None);
     }
 
     #[test]
@@ -1161,6 +1191,7 @@ mod tests {
         let fast = characterize(&spec, &wl, &freqs, 5, Some(99));
         let slow = characterize_serial(&spec, &wl, &freqs, 5, Some(99));
         assert_identical(&fast, &slow);
+        full_resolution_ligen(Some(20231112));
     }
 
     #[test]

@@ -350,7 +350,7 @@ impl DomainSpecificModel {
 
     /// Pointer-walk reference for [`DomainSpecificModel::predict_time_energy`]:
     /// bypasses the flat layout. Kept as the bit-identity oracle for golden
-    /// tests and the `BENCH_serving` baseline.
+    /// tests and the `serving` guard bench.
     pub fn predict_time_energy_reference(&self, features: &[f64], freq_mhz: f64) -> (f64, f64) {
         assert_eq!(features.len(), self.n_features, "feature width mismatch");
         let mut row = features.to_vec();
@@ -374,7 +374,7 @@ impl DomainSpecificModel {
 
     /// Row-at-a-time pointer-walk reference for
     /// [`DomainSpecificModel::predict_curve`] — the pre-flattening serving
-    /// path, kept for golden tests and the `BENCH_serving` baseline.
+    /// path, kept for golden tests and the `serving` guard bench.
     pub fn predict_curve_reference(&self, features: &[f64], freqs: &[f64]) -> Vec<PredictedPoint> {
         let (t_def, e_def) = self.predict_time_energy_reference(features, self.default_freq_mhz);
         freqs
