@@ -6,15 +6,21 @@
 //! serialized model in an envelope carrying everything a loader needs to
 //! refuse bad input with a typed error instead of predicting garbage:
 //!
-//! * a **schema version** — artifacts written by a future incompatible
-//!   format are rejected as [`ArtifactError::Version`], mirroring the
-//!   campaign journal's `ConfigMismatch` behaviour;
+//! * a **schema version** — artifacts written in any other format are
+//!   rejected as [`ArtifactError::Version`], mirroring the campaign
+//!   journal's `ConfigMismatch` behaviour. Schema 2 persists each forest
+//!   as its compiled arena, the form it serves from; schema-1 payloads
+//!   (pointer trees) are refused, so there is one reader;
 //! * a **content digest** (FNV-1a over the payload bytes) — bit rot,
 //!   truncation, or a hand-edited payload is [`ArtifactError::Digest`];
 //! * a **training fingerprint** — a caller-supplied digest of the training
 //!   conditions (device, frequency set, seed). A loader that knows what it
 //!   expects can reject a stale or foreign model as
 //!   [`ArtifactError::Fingerprint`] even though the file itself is intact.
+//!
+//! A payload that verifies is parsed by [`DomainSpecificModel::from_json`],
+//! which checks every arena before the model can serve; a refused payload
+//! is [`ArtifactError::Malformed`].
 //!
 //! Artifacts are written through [`crate::persist::atomic_write`], so a
 //! reader never observes a torn envelope: either the old artifact or the
@@ -32,8 +38,9 @@ use serde::{Deserialize, Serialize};
 use crate::ds_model::DomainSpecificModel;
 use crate::persist::{atomic_write_str, PersistError};
 
-/// The artifact schema this build writes and accepts.
-pub const ARTIFACT_SCHEMA_VERSION: u32 = 1;
+/// The artifact schema this build writes and accepts: 2, whose payload
+/// holds each forest as its compiled arena.
+pub const ARTIFACT_SCHEMA_VERSION: u32 = 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -164,9 +171,10 @@ impl ModelArtifact {
     }
 
     /// Verifies the envelope and deserializes the model: schema version,
-    /// then content digest, then payload parse. Does *not* check the
-    /// training fingerprint — use [`ModelArtifact::open_expecting`] when
-    /// the loader knows what it was trained for.
+    /// then content digest, then payload parse and arena checks. Does
+    /// *not* check the training fingerprint — use
+    /// [`ModelArtifact::open_expecting`] when the loader knows what it was
+    /// trained for.
     pub fn open(&self) -> Result<DomainSpecificModel, ArtifactError> {
         if self.schema_version != ARTIFACT_SCHEMA_VERSION {
             return Err(ArtifactError::Version {
@@ -238,8 +246,8 @@ impl DomainSpecificModel {
         Ok(artifact)
     }
 
-    /// Loads a model from an artifact file, verifying schema version and
-    /// content digest — the safe counterpart of
+    /// Loads a model from an artifact file, verifying schema version,
+    /// content digest and forest arenas — the safe counterpart of
     /// [`DomainSpecificModel::from_json`] on untrusted bytes.
     pub fn load_artifact(path: &Path) -> Result<(Self, ModelArtifact), ArtifactError> {
         let artifact = ModelArtifact::load(path)?;
@@ -328,19 +336,16 @@ mod tests {
 
     #[test]
     fn flatten_round_trip_is_fingerprint_stable() {
-        // serialize → load → (implicit) re-flatten must reproduce the exact
-        // prediction fingerprint: the recompiled SoA arena serves the same
-        // bits as the arena compiled at training time, across repeated
-        // round trips.
+        // save → load must reproduce the exact prediction fingerprint: the
+        // persisted arena serves the same bits as the arena compiled at
+        // training time, across repeated round trips.
         let dir = scratch("flat-fingerprint");
         let model = tiny_model();
-        assert!(model.has_flat(), "forest pair must carry a flat layout");
         let original = prediction_fingerprint(&model);
 
         let path = dir.join("toy.json");
         model.save_artifact(&path, "toy", 7).unwrap();
         let (back, _) = DomainSpecificModel::load_artifact(&path).unwrap();
-        assert!(back.has_flat(), "load must recompile the flat layout");
         assert_eq!(prediction_fingerprint(&back), original);
 
         // Second generation: re-seal the reloaded model and load again.
@@ -352,14 +357,18 @@ mod tests {
 
     #[test]
     fn version_skew_is_a_typed_error() {
-        let mut art = ModelArtifact::seal("toy", &tiny_model(), 0);
-        art.schema_version = ARTIFACT_SCHEMA_VERSION + 1;
-        match art.open() {
-            Err(ArtifactError::Version { found, expected }) => {
-                assert_eq!(found, ARTIFACT_SCHEMA_VERSION + 1);
-                assert_eq!(expected, ARTIFACT_SCHEMA_VERSION);
+        // A future schema, and schema 1 (pointer-tree payloads).
+        let sealed = ModelArtifact::seal("toy", &tiny_model(), 0);
+        for version in [ARTIFACT_SCHEMA_VERSION + 1, ARTIFACT_SCHEMA_VERSION - 1] {
+            let mut art = sealed.clone();
+            art.schema_version = version;
+            match art.open() {
+                Err(ArtifactError::Version { found, expected }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(expected, ARTIFACT_SCHEMA_VERSION);
+                }
+                other => panic!("expected Version error, got {other:?}"),
             }
-            other => panic!("expected Version error, got {other:?}"),
         }
     }
 
@@ -381,14 +390,35 @@ mod tests {
         // load refuses it instead of handing serving a model it cannot
         // evaluate.
         let mut art = ModelArtifact::seal("toy", &tiny_model(), 0);
-        assert!(art.payload.contains("\"config_cols\":1,"));
+        assert!(art.payload.contains("\"config_cols\":1"));
         art.payload = art
             .payload
-            .replace("\"config_cols\":1,", "\"config_cols\":3,");
+            .replace("\"config_cols\":1", "\"config_cols\":3");
         art.content_digest = fnv1a_64(art.payload.as_bytes());
         match art.open() {
             Err(ArtifactError::Malformed(msg)) => {
                 assert!(msg.contains("3 configuration columns"), "{msg}");
+            }
+            other => panic!(
+                "expected Malformed error, got {:?}",
+                other.map(|_| "a loaded model")
+            ),
+        }
+    }
+
+    #[test]
+    fn a_looping_arena_is_malformed() {
+        // A digest-valid envelope whose first arena points slot 1 back at
+        // itself: a descent through it would never end, so it never loads.
+        let mut art = ModelArtifact::seal("toy", &tiny_model(), 0);
+        let head = "\"child\":[1,";
+        let at = art.payload.find(head).unwrap() + head.len();
+        let end = at + art.payload[at..].find(',').unwrap();
+        art.payload.replace_range(at..end, "1");
+        art.content_digest = fnv1a_64(art.payload.as_bytes());
+        match art.open() {
+            Err(ArtifactError::Malformed(msg)) => {
+                assert!(msg.contains("split 1 points back"), "{msg}");
             }
             other => panic!(
                 "expected Malformed error, got {:?}",

@@ -22,6 +22,12 @@
 //! ([`crate::characterize::characterize_lattice`],
 //! [`crate::distributed::characterize_distributed`]), where the lattice
 //! and gang headlines pick from measured points.
+//!
+//! A Random Forest pair keeps one form from fit to serve: training fits
+//! the pointer trees, compiles each forest to its [`FlatForest`] arena and
+//! drops the trees. Serving walks the arena, [`DomainSpecificModel::to_json`]
+//! persists its arrays, and [`DomainSpecificModel::from_json`] checks every
+//! arena it reads before the model can serve.
 
 use std::sync::Arc;
 
@@ -78,41 +84,39 @@ impl Algorithm {
         ]
     }
 
-    fn build(&self, seed: u64) -> AnyModel {
+    /// Fits this algorithm on `(x, y)`. A forest is compiled to its flat
+    /// arena, and its pointer trees are dropped.
+    fn fit(&self, x: &Matrix, y: &[f64], seed: u64) -> AnyModel {
+        fn fitted<M: Regressor>(mut model: M, x: &Matrix, y: &[f64]) -> M {
+            model.fit(x, y);
+            model
+        }
         match self {
-            Algorithm::Linear => AnyModel::Linear(LinearRegression::new()),
-            Algorithm::Lasso => AnyModel::Lasso(Lasso::new(1e-3)),
-            Algorithm::SvrRbf => AnyModel::Svr(SvrRbf::with_defaults()),
-            Algorithm::RandomForest => AnyModel::Forest(RandomForest::new(
-                RandomForestParams {
+            Algorithm::Linear => AnyModel::Linear(fitted(LinearRegression::new(), x, y)),
+            Algorithm::Lasso => AnyModel::Lasso(fitted(Lasso::new(1e-3), x, y)),
+            Algorithm::SvrRbf => AnyModel::Svr(fitted(SvrRbf::with_defaults(), x, y)),
+            Algorithm::RandomForest => {
+                let params = RandomForestParams {
                     n_estimators: 60,
                     ..Default::default()
-                },
-                seed,
-            )),
+                };
+                AnyModel::Forest(fitted(RandomForest::new(params, seed), x, y).flatten())
+            }
         }
     }
 }
 
-/// Type-erased regressor covering the four candidate algorithms.
+/// A fitted model of one of the four candidate algorithms; a forest is
+/// held as its compiled arena.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum AnyModel {
     Linear(LinearRegression),
     Lasso(Lasso),
     Svr(SvrRbf),
-    Forest(RandomForest),
+    Forest(FlatForest),
 }
 
-impl Regressor for AnyModel {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) {
-        match self {
-            AnyModel::Linear(m) => m.fit(x, y),
-            AnyModel::Lasso(m) => m.fit(x, y),
-            AnyModel::Svr(m) => m.fit(x, y),
-            AnyModel::Forest(m) => m.fit(x, y),
-        }
-    }
-
+impl AnyModel {
     fn predict_row(&self, row: &[f64]) -> f64 {
         match self {
             AnyModel::Linear(m) => m.predict_row(row),
@@ -122,35 +126,21 @@ impl Regressor for AnyModel {
         }
     }
 
-    /// One enum dispatch per batch instead of per row; the forest arm also
-    /// picks up `RandomForest`'s tree-major override.
+    /// One enum dispatch per batch instead of per row.
     fn predict_batch(&self, x: &Matrix, out: &mut Vec<f64>) {
         match self {
             AnyModel::Linear(m) => m.predict_batch(x, out),
             AnyModel::Lasso(m) => m.predict_batch(x, out),
             AnyModel::Svr(m) => m.predict_batch(x, out),
-            AnyModel::Forest(m) => m.predict_batch(x, out),
-        }
-    }
-}
-
-impl AnyModel {
-    /// Flattened-forest compilation hook: `Some` only for the forest arm.
-    fn compile_flat(&self) -> Option<FlatForest> {
-        match self {
-            AnyModel::Forest(m) => Some(m.flatten()),
-            _ => None,
+            AnyModel::Forest(m) => m.predict_batch_into(x, out),
         }
     }
 }
 
 /// A trained domain-specific model pair (time + energy).
 ///
-/// Forest models additionally carry a compiled [`FlatForest`] — a derived
-/// struct-of-arrays arena used on the serving hot path. The flat layouts
-/// are **not** serialized (the pointer forests remain the source of truth);
-/// they are recompiled by `train*` and [`DomainSpecificModel::from_json`],
-/// and their predictions are bit-identical to the pointer walk.
+/// A Random Forest pair holds each forest as its compiled [`FlatForest`]
+/// arena: the form it is trained into, served from and persisted as.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DomainSpecificModel {
     time_model: AnyModel,
@@ -162,18 +152,8 @@ pub struct DomainSpecificModel {
     /// Configuration columns after the input features in the design
     /// matrix: always 1, the core clock. Kept in the payload as a format
     /// marker so [`DomainSpecificModel::from_json`] refuses a model of
-    /// another width; serde-defaulted so payloads that predate the marker
-    /// still load.
-    #[serde(default = "one_config_col")]
+    /// another width.
     config_cols: usize,
-    // Compiled flat layouts serialize as `null` (see the FlatForest serde
-    // impls) and are recompiled on deserialize by `from_json`.
-    time_flat: Option<FlatForest>,
-    energy_flat: Option<FlatForest>,
-}
-
-fn one_config_col() -> usize {
-    1
 }
 
 /// One input's batched curve prediction: the predicted default-frequency
@@ -234,21 +214,13 @@ impl DomainSpecificModel {
     ) -> Self {
         assert!(!samples.is_empty(), "empty training set");
         let (x, y_time, y_energy) = build_design(samples);
-        let mut time_model = algorithm.build(seed);
-        time_model.fit(&x, &y_time);
-        let mut energy_model = algorithm.build(seed ^ 0xE);
-        energy_model.fit(&x, &y_energy);
-        let time_flat = time_model.compile_flat();
-        let energy_flat = energy_model.compile_flat();
         DomainSpecificModel {
-            time_model,
-            energy_model,
+            time_model: algorithm.fit(&x, &y_time, seed),
+            energy_model: algorithm.fit(&x, &y_energy, seed ^ 0xE),
             algorithm,
             n_features: samples[0].features.len(),
             default_freq_mhz,
             config_cols: 1,
-            time_flat,
-            energy_flat,
         }
     }
 
@@ -327,8 +299,8 @@ impl DomainSpecificModel {
         )
     }
 
-    /// Predicts raw `(time, energy)` for an input at one frequency,
-    /// through the flat layout when the model pair is a forest.
+    /// Predicts raw `(time, energy)` for an input at one frequency: one
+    /// row walk of each model (of each forest's arena for a forest pair).
     ///
     /// # Panics
     /// Panics on a feature-width mismatch.
@@ -336,24 +308,6 @@ impl DomainSpecificModel {
         assert_eq!(features.len(), self.n_features, "feature width mismatch");
         let mut row = Vec::with_capacity(self.n_features + 1);
         row.extend_from_slice(features);
-        row.push(freq_mhz);
-        let t = match &self.time_flat {
-            Some(flat) => flat.predict_row(&row),
-            None => self.time_model.predict_row(&row),
-        };
-        let e = match &self.energy_flat {
-            Some(flat) => flat.predict_row(&row),
-            None => self.energy_model.predict_row(&row),
-        };
-        (t.exp(), e.exp())
-    }
-
-    /// Pointer-walk reference for [`DomainSpecificModel::predict_time_energy`]:
-    /// bypasses the flat layout. Kept as the bit-identity oracle for golden
-    /// tests and the `serving` guard bench.
-    pub fn predict_time_energy_reference(&self, features: &[f64], freq_mhz: f64) -> (f64, f64) {
-        assert_eq!(features.len(), self.n_features, "feature width mismatch");
-        let mut row = features.to_vec();
         row.push(freq_mhz);
         (
             self.time_model.predict_row(&row).exp(),
@@ -372,15 +326,16 @@ impl DomainSpecificModel {
             .curve
     }
 
-    /// Row-at-a-time pointer-walk reference for
-    /// [`DomainSpecificModel::predict_curve`] — the pre-flattening serving
-    /// path, kept for golden tests and the `serving` guard bench.
+    /// Row-at-a-time reference for [`DomainSpecificModel::predict_curve`]:
+    /// one [`DomainSpecificModel::predict_time_energy`] walk per frequency,
+    /// kept for golden tests and as the baseline of the `serving` guard
+    /// bench.
     pub fn predict_curve_reference(&self, features: &[f64], freqs: &[f64]) -> Vec<PredictedPoint> {
-        let (t_def, e_def) = self.predict_time_energy_reference(features, self.default_freq_mhz);
+        let (t_def, e_def) = self.predict_time_energy(features, self.default_freq_mhz);
         freqs
             .iter()
             .map(|&f| {
-                let (t, e) = self.predict_time_energy_reference(features, f);
+                let (t, e) = self.predict_time_energy(features, f);
                 PredictedPoint {
                     freq_mhz: f,
                     speedup: t_def / t,
@@ -424,7 +379,9 @@ impl DomainSpecificModel {
         let mut e_def_log = Vec::new();
         let mut t_curve = Vec::new();
         let mut e_curve = Vec::new();
-        if let (Some(time_flat), Some(energy_flat)) = (&self.time_flat, &self.energy_flat) {
+        if let (AnyModel::Forest(time_flat), AnyModel::Forest(energy_flat)) =
+            (&self.time_model, &self.energy_model)
+        {
             // Anchors as feature-major plain descents, the sweep tree-major
             // with frequency splits partitioning the ascending sweep range —
             // four passes total, each arena streamed once per pass
@@ -471,12 +428,6 @@ impl DomainSpecificModel {
             .collect()
     }
 
-    /// Whether the model pair carries compiled flat forests (true for every
-    /// trained or deserialized Random Forest pair).
-    pub fn has_flat(&self) -> bool {
-        self.time_flat.is_some() && self.energy_flat.is_some()
-    }
-
     /// Default frequency used for normalization.
     pub fn default_freq_mhz(&self) -> f64 {
         self.default_freq_mhz
@@ -491,26 +442,39 @@ impl DomainSpecificModel {
 
     /// Serializes the trained model pair to JSON — train once during the
     /// (expensive) training phase, ship the model to the runtime that does
-    /// frequency selection.
+    /// frequency selection. A forest pair persists its arenas' arrays, and
+    /// every float round-trips bit for bit.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("model serialization cannot fail")
     }
 
-    /// Restores a model pair from [`DomainSpecificModel::to_json`] output,
-    /// recompiling the flat inference layout (it is never serialized).
-    /// Refuses unparseable JSON and a payload whose `config_cols` marker
-    /// is not 1 (a model over other configuration columns, which no
-    /// prediction path here can serve).
+    /// Restores a model pair from [`DomainSpecificModel::to_json`] output.
+    /// Refuses unparseable JSON, a payload whose `config_cols` marker is
+    /// not 1 (a model over other configuration columns, which no
+    /// prediction path here can serve), and a forest arena that fails
+    /// [`FlatForest::check`] or is not one column wider than the input
+    /// features — so no arena read from bytes can index out of bounds or
+    /// descend forever.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let mut model: Self = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        let model: Self = serde_json::from_str(json).map_err(|e| e.to_string())?;
         if model.config_cols != 1 {
             return Err(format!(
                 "model has {} configuration columns; only core-clock models (1) load",
                 model.config_cols
             ));
         }
-        model.time_flat = model.time_model.compile_flat();
-        model.energy_flat = model.energy_model.compile_flat();
+        for (name, m) in [("time", &model.time_model), ("energy", &model.energy_model)] {
+            if let AnyModel::Forest(flat) = m {
+                flat.check().map_err(|e| format!("{name} forest: {e}"))?;
+                if model.n_features.checked_add(1) != Some(flat.n_features()) {
+                    return Err(format!(
+                        "{name} forest is {} columns wide, not the model's {} features + 1",
+                        flat.n_features(),
+                        model.n_features
+                    ));
+                }
+            }
+        }
         Ok(model)
     }
 }
@@ -621,19 +585,70 @@ mod tests {
         assert_eq!(pa, pb);
     }
 
+    fn assert_curves_bit_identical(a: &[PredictedPoint], b: &[PredictedPoint]) {
+        assert_eq!(a.len(), b.len());
+        for (p, q) in a.iter().zip(b) {
+            assert_eq!(p.freq_mhz.to_bits(), q.freq_mhz.to_bits());
+            assert_eq!(
+                p.speedup.to_bits(),
+                q.speedup.to_bits(),
+                "{} MHz",
+                p.freq_mhz
+            );
+            assert_eq!(p.norm_energy.to_bits(), q.norm_energy.to_bits());
+        }
+    }
+
     #[test]
     fn json_round_trip_preserves_predictions() {
+        // The reloaded copy writes the same payload and walks every row to
+        // the same bits as the model it was saved from.
         let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)], &freqs());
         let model = DomainSpecificModel::train(&samples, 855.0, 4);
         let json = model.to_json();
         let back = DomainSpecificModel::from_json(&json).unwrap();
         assert_eq!(back.algorithm, model.algorithm);
-        for &f in freqs().iter().step_by(5) {
-            let (t0, e0) = model.predict_time_energy(&[4.0, 5.0], f);
-            let (t1, e1) = back.predict_time_energy(&[4.0, 5.0], f);
-            assert!(((t1 - t0) / t0).abs() < 1e-12);
-            assert!(((e1 - e0) / e0).abs() < 1e-12);
+        assert_eq!(back.to_json(), json);
+        for input in [[4.0, 5.0], [12.0, 9.0]] {
+            for &f in &freqs() {
+                let (t0, e0) = model.predict_time_energy(&input, f);
+                let (t1, e1) = back.predict_time_energy(&input, f);
+                assert_eq!(t0.to_bits(), t1.to_bits());
+                assert_eq!(e0.to_bits(), e1.to_bits());
+            }
         }
+    }
+
+    #[test]
+    fn deserialized_model_recompiles_flat_layout() {
+        // Nothing is recompiled on load: the arena read from the payload is
+        // the one served. The reloaded forest pair takes the batched arena
+        // sweep, and both it and the row walk give the saved model's curves
+        // bit for bit.
+        let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)], &freqs());
+        let model = DomainSpecificModel::train(&samples, 855.0, 4);
+        let back = DomainSpecificModel::from_json(&model.to_json()).unwrap();
+        assert!(matches!(
+            (&back.time_model, &back.energy_model),
+            (AnyModel::Forest(_), AnyModel::Forest(_))
+        ));
+        let fs = freqs();
+        for input in [[4.0, 5.0], [12.0, 9.0]] {
+            let truth = model.predict_curve_reference(&input, &fs);
+            assert_curves_bit_identical(&back.predict_curve(&input, &fs), &truth);
+            assert_curves_bit_identical(&back.predict_curve_reference(&input, &fs), &truth);
+        }
+    }
+
+    #[test]
+    fn forest_of_another_width_is_refused() {
+        let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0)], &freqs());
+        let json = DomainSpecificModel::train(&samples, 855.0, 9).to_json();
+        let marker = "\"algorithm\":\"RandomForest\",\"n_features\":2,";
+        assert!(json.contains(marker));
+        let wider = json.replace(marker, "\"algorithm\":\"RandomForest\",\"n_features\":3,");
+        let err = DomainSpecificModel::from_json(&wider).unwrap_err();
+        assert!(err.contains("time forest is 3 columns wide"), "{err}");
     }
 
     #[test]
@@ -645,21 +660,11 @@ mod tests {
     fn flat_path_bit_identical_to_reference() {
         let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)], &freqs());
         let model = DomainSpecificModel::train(&samples, 855.0, 4);
-        assert!(model.has_flat());
-        for &f in freqs().iter().step_by(3) {
-            let (t, e) = model.predict_time_energy(&[4.0, 5.0], f);
-            let (tr, er) = model.predict_time_energy_reference(&[4.0, 5.0], f);
-            assert_eq!(t.to_bits(), tr.to_bits());
-            assert_eq!(e.to_bits(), er.to_bits());
-        }
         let fs = freqs();
-        let curve = model.predict_curve(&[4.0, 5.0], &fs);
-        let reference = model.predict_curve_reference(&[4.0, 5.0], &fs);
-        assert_eq!(curve.len(), reference.len());
-        for (a, b) in curve.iter().zip(&reference) {
-            assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
-            assert_eq!(a.norm_energy.to_bits(), b.norm_energy.to_bits());
-        }
+        assert_curves_bit_identical(
+            &model.predict_curve(&[4.0, 5.0], &fs),
+            &model.predict_curve_reference(&[4.0, 5.0], &fs),
+        );
     }
 
     #[test]
@@ -671,31 +676,10 @@ mod tests {
         let batch = model.predict_curves_batch(&inputs, &fs);
         assert_eq!(batch.len(), 3);
         for (input, pred) in inputs.iter().zip(&batch) {
-            let (t_def, e_def) = model.predict_time_energy_reference(input, 855.0);
+            let (t_def, e_def) = model.predict_time_energy(input, 855.0);
             assert_eq!(pred.default_time_s.to_bits(), t_def.to_bits());
             assert_eq!(pred.default_energy_j.to_bits(), e_def.to_bits());
-            let single = model.predict_curve_reference(input, &fs);
-            for (a, b) in pred.curve.iter().zip(&single) {
-                assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
-                assert_eq!(a.norm_energy.to_bits(), b.norm_energy.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn deserialized_model_recompiles_flat_layout() {
-        let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)], &freqs());
-        let model = DomainSpecificModel::train(&samples, 855.0, 4);
-        let back = DomainSpecificModel::from_json(&model.to_json()).unwrap();
-        assert!(back.has_flat());
-        // The recompiled flat layout must stay bit-identical to the pointer
-        // forest it was compiled from (the JSON float round-trip itself is
-        // only covered to 1e-12 by `json_round_trip_preserves_predictions`).
-        for &f in freqs().iter().step_by(5) {
-            let (t0, e0) = back.predict_time_energy(&[4.0, 5.0], f);
-            let (t1, e1) = back.predict_time_energy_reference(&[4.0, 5.0], f);
-            assert_eq!(t0.to_bits(), t1.to_bits());
-            assert_eq!(e0.to_bits(), e1.to_bits());
+            assert_curves_bit_identical(&pred.curve, &model.predict_curve_reference(input, &fs));
         }
     }
 
@@ -703,14 +687,11 @@ mod tests {
     fn non_forest_models_serve_without_flat_layout() {
         let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)], &freqs());
         let model = DomainSpecificModel::train_algorithm(&samples, 855.0, Algorithm::Linear, 0);
-        assert!(!model.has_flat());
         let fs = freqs();
-        let curve = model.predict_curve(&[4.0, 5.0], &fs);
-        let reference = model.predict_curve_reference(&[4.0, 5.0], &fs);
-        for (a, b) in curve.iter().zip(&reference) {
-            assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
-            assert_eq!(a.norm_energy.to_bits(), b.norm_energy.to_bits());
-        }
+        assert_curves_bit_identical(
+            &model.predict_curve(&[4.0, 5.0], &fs),
+            &model.predict_curve_reference(&[4.0, 5.0], &fs),
+        );
     }
 
     #[test]
@@ -725,29 +706,5 @@ mod tests {
         let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0)], &freqs());
         let model = DomainSpecificModel::train(&samples, 855.0, 0);
         let _ = model.predict_time_energy(&[1.0], 500.0);
-    }
-
-    #[test]
-    fn legacy_json_defaults_to_one_config_col() {
-        let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0)], &freqs());
-        let model = DomainSpecificModel::train(&samples, 855.0, 9);
-        let json = model.to_json();
-        assert!(json.contains("\"config_cols\":1,"));
-        // Payloads without the width marker (pre-lattice) and payloads that
-        // still carry the retired `default_config` field both load.
-        let legacy = [
-            json.replace("\"config_cols\":1,", ""),
-            json.replace(
-                "\"config_cols\":1,",
-                "\"config_cols\":1,\"default_config\":[],",
-            ),
-        ];
-        for text in &legacy {
-            let back = DomainSpecificModel::from_json(text).unwrap();
-            assert_eq!(back.default_freq_mhz(), 855.0);
-            let (t0, _) = model.predict_time_energy(&[2.0, 3.0], 700.0);
-            let (t1, _) = back.predict_time_energy(&[2.0, 3.0], 700.0);
-            assert!(((t1 - t0) / t0).abs() < 1e-12);
-        }
     }
 }

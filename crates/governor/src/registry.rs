@@ -17,8 +17,9 @@
 //! published; [`ModelRegistry::publish`] always allocates the next number.
 //!
 //! Loading verifies the envelope (schema version, content digest, and —
-//! for [`ModelRegistry::load_expecting`] — the training fingerprint) and
-//! surfaces every failure as a typed [`RegistryError`], never a panic:
+//! for [`ModelRegistry::load_expecting`] — the training fingerprint),
+//! then the payload's forest arenas, and surfaces every failure as a
+//! typed [`RegistryError`], never a panic:
 //! a corrupt registry entry is an expected runtime condition that the
 //! governor degrades around.
 //!

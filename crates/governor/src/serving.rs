@@ -28,10 +28,11 @@
 //! grouped per app and evaluated through
 //! `DomainSpecificModel::predict_curves_batch`, which walks the flattened
 //! struct-of-arrays forest (`ml::flat`) feature-major across the whole
-//! batch — bit-identical to the pointer walk, several times faster.
+//! batch — bit-identical to the row-at-a-time walk, several times faster.
 //!
-//! Every served model is a core-clock model: a payload of another
-//! configuration width is refused when its artifact is opened
+//! Every served model is a core-clock model with checked forest arenas: a
+//! payload of another configuration width, or an arena that could index
+//! out of bounds or loop, is refused when its artifact is opened
 //! (`DomainSpecificModel::from_json`), so it never reaches a drain.
 
 // Serving is runtime infrastructure: typed errors, no panics.
@@ -637,9 +638,8 @@ mod tests {
         assert_eq!(served.len(), sizes.len());
         for ((req, result), &size) in served.iter().zip(&sizes) {
             let profile = result.as_ref().ok().cloned().unwrap();
-            // Reference: the pre-flattening row-at-a-time pointer walk.
-            let (t_def, e_def) =
-                model.predict_time_energy_reference(&req.features, model.default_freq_mhz());
+            // Reference: the row-at-a-time arena walk.
+            let (t_def, e_def) = model.predict_time_energy(&req.features, model.default_freq_mhz());
             assert_eq!(profile.default_time_s.to_bits(), t_def.to_bits(), "{size}");
             assert_eq!(profile.default_energy_j.to_bits(), e_def.to_bits());
             let curve = model.predict_curve_reference(&req.features, &engine.config.freqs);

@@ -1,11 +1,13 @@
 //! Flattened Random Forest inference.
 //!
-//! [`FlatForest`] compiles a fitted [`RandomForest`] into a contiguous
-//! struct-of-arrays node arena for the governor's online hot path. The
-//! pointer-based trees in [`crate::tree`] are ideal for training (recursive
-//! construction, cheap structural sharing in tests) but hostile to serving:
-//! every descent chases `Box<Node>` pointers scattered across the heap, and
-//! every level pays an enum-tag branch.
+//! [`RandomForest::flatten`] compiles a fitted forest into a
+//! [`FlatForest`], a contiguous struct-of-arrays node arena. The arena is
+//! the only form a domain-specific model keeps: what it serves and what
+//! its artifact persists. The pointer-based trees in [`crate::tree`] are
+//! ideal for training (recursive construction) but hostile to serving:
+//! every descent chases `Box<Node>` pointers scattered across the heap,
+//! and every level pays an enum-tag branch. Their walk stays the
+//! bit-identity oracle for freshly compiled arenas.
 //!
 //! The flat layout stores one node per index across three parallel arrays:
 //!
@@ -30,6 +32,12 @@
 //! the outer loop walks one tree across every row before moving to the next
 //! tree, so a tree's ~few-KiB arena stays resident in L1/L2 for the whole
 //! batch instead of re-streaming the entire forest per row.
+//!
+//! The arena serializes as its numeric arrays (floats round-trip bit for
+//! bit). An arena read from bytes was never compiled here, so
+//! [`FlatForest::check`] must accept it before it serves.
+
+use serde::{Deserialize, Serialize};
 
 use crate::dataset::Matrix;
 use crate::forest::RandomForest;
@@ -39,12 +47,9 @@ use crate::tree::Node;
 /// real child can ever be 0).
 const LEAF: u32 = 0;
 
-/// A [`RandomForest`] compiled to a contiguous struct-of-arrays layout.
-///
-/// This is a derived, compile-on-load artifact — it is *not* serialized.
-/// Persisted models store the pointer forest; callers re-compile after
-/// deserializing (see `DomainSpecificModel::from_json` in `energy_model`).
-#[derive(Debug, Clone, PartialEq)]
+/// A [`RandomForest`] compiled to a contiguous struct-of-arrays layout:
+/// the served and persisted form of a fitted forest.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlatForest {
     n_features: usize,
     /// Arena index of each tree's root, in tree order.
@@ -54,15 +59,14 @@ pub struct FlatForest {
     child: Vec<u32>,
 }
 
-impl FlatForest {
-    /// Compiles a fitted forest into the flat arena.
+impl RandomForest {
+    /// Compiles this fitted forest into a [`FlatForest`].
     ///
     /// # Panics
-    /// Panics if the forest is unfitted, has ≥ `u16::MAX` features, or more
-    /// than `u32::MAX - 1` total nodes (far beyond any forest this repo
-    /// trains).
-    pub fn compile(forest: &RandomForest) -> Self {
-        let trees = forest.trees();
+    /// Panics before `fit`, with ≥ `u16::MAX` features, or with more than
+    /// `u32::MAX - 1` total nodes (far beyond any forest this repo trains).
+    pub fn flatten(&self) -> FlatForest {
+        let trees = self.trees();
         assert!(!trees.is_empty(), "flatten before fit");
         let n_features = trees[0].n_features();
         assert!(
@@ -85,7 +89,9 @@ impl FlatForest {
         }
         flat
     }
+}
 
+impl FlatForest {
     /// Emits one tree in BFS order, returning its root's arena index.
     /// A split's children are pushed together so `right == left + 1`.
     fn emit_tree(&mut self, root: &Node) -> u32 {
@@ -142,6 +148,48 @@ impl FlatForest {
     /// Feature width expected by `predict_row`/`predict_batch`.
     pub fn n_features(&self) -> usize {
         self.n_features
+    }
+
+    /// Checks what descent relies on, for an arena read from bytes: the
+    /// arrays have equal length, there is a tree and every root is in
+    /// bounds, and every split reads a feature inside the row width and
+    /// points forward, to a left child past its own index whose right
+    /// sibling is in bounds — so every descent ends at a leaf. Reports the
+    /// first violation.
+    pub fn check(&self) -> Result<(), String> {
+        let n = self.feature.len();
+        if self.threshold.len() != n || self.child.len() != n {
+            return Err(format!(
+                "ragged arena: {n} features, {} thresholds, {} children",
+                self.threshold.len(),
+                self.child.len()
+            ));
+        }
+        if self.roots.is_empty() {
+            return Err("arena has no trees".to_string());
+        }
+        if let Some(root) = self.roots.iter().find(|&&r| r as usize >= n) {
+            return Err(format!("root {root} out of bounds ({n} nodes)"));
+        }
+        for (i, (&c, &f)) in self.child.iter().zip(&self.feature).enumerate() {
+            let c = c as usize;
+            if c == LEAF as usize {
+                continue;
+            }
+            if c <= i {
+                return Err(format!("split {i} points back to child {c}"));
+            }
+            if c + 1 >= n {
+                return Err(format!("split {i} child {c} out of bounds ({n} nodes)"));
+            }
+            if usize::from(f) >= self.n_features {
+                return Err(format!(
+                    "split {i} reads feature {f} of {}",
+                    self.n_features
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Walks one tree for one row. The right-step predicate is the negation
@@ -392,34 +440,6 @@ impl SweepPlan {
     }
 }
 
-impl RandomForest {
-    /// Compiles this fitted forest into a [`FlatForest`].
-    ///
-    /// # Panics
-    /// Panics before `fit`.
-    pub fn flatten(&self) -> FlatForest {
-        FlatForest::compile(self)
-    }
-}
-
-/// The flat arena is a derived compile-on-load cache, never persisted:
-/// it serializes as `null`, so an `Option<FlatForest>` field reads back as
-/// `None` and holders recompile from the pointer forest after load.
-impl serde::Serialize for FlatForest {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for FlatForest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Err(serde::DeError::custom(format!(
-            "FlatForest is a compiled cache and is never serialized; \
-             recompile from the pointer forest (got {v:?})"
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,5 +610,53 @@ mod tests {
     fn wrong_width_panics() {
         let (forest, _) = fitted_forest(3, 1);
         let _ = forest.flatten().predict_row(&[1.0]);
+    }
+
+    /// Corrupts a compiled (and accepted) arena; `check` must refuse the
+    /// result with a message containing `expected`.
+    fn assert_refused(corrupt: impl FnOnce(&mut FlatForest), expected: &str) {
+        let (forest, _) = fitted_forest(4, 9);
+        let mut flat = forest.flatten();
+        assert_eq!(flat.check(), Ok(()));
+        corrupt(&mut flat);
+        let err = flat.check().unwrap_err();
+        assert!(err.contains(expected), "{err}");
+    }
+
+    #[test]
+    fn ragged_arrays_are_refused() {
+        assert_refused(
+            |f| {
+                f.threshold.pop();
+            },
+            "ragged arena",
+        );
+    }
+
+    #[test]
+    fn an_arena_without_trees_is_refused() {
+        assert_refused(|f| f.roots.clear(), "no trees");
+    }
+
+    #[test]
+    fn a_root_out_of_bounds_is_refused() {
+        assert_refused(|f| f.roots[1] = f.child.len() as u32, "root");
+    }
+
+    #[test]
+    fn a_child_out_of_bounds_is_refused() {
+        // The root's right child would sit one past the last slot.
+        assert_refused(|f| f.child[0] = (f.child.len() - 1) as u32, "split 0 child");
+    }
+
+    #[test]
+    fn a_backward_child_is_refused() {
+        // Slot 1 pointing at itself: a left step there would never end.
+        assert_refused(|f| f.child[1] = 1, "split 1 points back");
+    }
+
+    #[test]
+    fn a_feature_past_the_row_width_is_refused() {
+        assert_refused(|f| f.feature[0] = 3, "reads feature 3 of 3");
     }
 }

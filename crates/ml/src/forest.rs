@@ -9,18 +9,21 @@
 //! Trees are trained in parallel with rayon; each tree draws its bootstrap
 //! sample and split-feature subsets from its own ChaCha stream derived from
 //! the forest seed, so the fitted model is independent of thread schedule.
+//!
+//! A domain-specific model keeps no pointer trees: it serves and persists
+//! the forest's compiled [`crate::flat::FlatForest`] arena
+//! ([`RandomForest::flatten`]).
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, Matrix};
-use crate::tree::{DecisionTree, MaxFeatures, TreeParams};
+use crate::tree::{DecisionTree, TreeParams};
 use crate::Regressor;
 
 /// Random Forest hyper-parameters (the paper's grid-search space).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomForestParams {
     /// Number of trees (`n_estimators`; scikit-learn default 100).
     pub n_estimators: usize,
@@ -41,7 +44,7 @@ impl Default for RandomForestParams {
 }
 
 /// A fitted Random Forest regressor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     /// Hyper-parameters.
     pub params: RandomForestParams,
@@ -73,27 +76,6 @@ impl RandomForest {
     /// Number of fitted trees.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
-    }
-
-    /// Per-tree predictions for one row (useful for uncertainty probes).
-    ///
-    /// # Panics
-    /// Panics before `fit`.
-    pub fn tree_predictions(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.tree_predictions_into(row, &mut out);
-        out
-    }
-
-    /// [`RandomForest::tree_predictions`] into a caller-owned buffer
-    /// (cleared and refilled) — no allocation in steady state.
-    ///
-    /// # Panics
-    /// Panics before `fit`.
-    pub fn tree_predictions_into(&self, row: &[f64], out: &mut Vec<f64>) {
-        assert!(!self.trees.is_empty(), "predict before fit");
-        out.clear();
-        out.extend(self.trees.iter().map(|t| t.predict_row(row)));
     }
 
     /// Fitted trees (compile hook for [`crate::flat::FlatForest`]).
@@ -153,22 +135,6 @@ impl Regressor for RandomForest {
             *acc /= n;
         }
     }
-}
-
-/// Convenience: a forest whose trees see ⌈p/3⌉ features per split — the
-/// classic regression-forest setting, used by the ablation benches.
-pub fn regression_forest_third(n_estimators: usize, seed: u64) -> RandomForest {
-    RandomForest::new(
-        RandomForestParams {
-            n_estimators,
-            tree: TreeParams {
-                max_features: MaxFeatures::Third,
-                ..Default::default()
-            },
-            bootstrap: true,
-        },
-        seed,
-    )
 }
 
 #[cfg(test)]
@@ -250,7 +216,7 @@ mod tests {
         );
         f.fit(&x, &y);
         let row = x.row(5);
-        let per_tree = f.tree_predictions(row);
+        let per_tree: Vec<f64> = f.trees().iter().map(|t| t.predict_row(row)).collect();
         let mean = per_tree.iter().sum::<f64>() / per_tree.len() as f64;
         assert!((f.predict_row(row) - mean).abs() < 1e-12);
         assert_eq!(f.n_trees(), 7);

@@ -10,13 +10,12 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Matrix;
 use crate::Regressor;
 
 /// How many features to consider at each split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaxFeatures {
     /// All features (classic CART, the Random Forest regressor default in
     /// scikit-learn ≥1.0 — the paper reports default parameters win).
@@ -43,7 +42,7 @@ impl MaxFeatures {
 }
 
 /// Tree growth controls.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
     /// Maximum depth; `None` grows until purity/minimum-sample limits.
     pub max_depth: Option<usize>,
@@ -66,7 +65,7 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Node {
     Leaf {
         value: f64,
@@ -114,7 +113,7 @@ impl Node {
 }
 
 /// A fitted CART regression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     /// Growth controls.
     pub params: TreeParams,

@@ -24,7 +24,7 @@ use energy_model::telemetry::Telemetry;
 use energy_model::{fnv1a_64, ArtifactError, ModelArtifact};
 use governor::{
     run_governor, train_and_publish, FallbackReason, GovernorConfig, ModelFaults, ModelRegistry,
-    Policy, RegistryError,
+    Policy, RegistryError, RegistryEvent,
 };
 use gpu_sim::{FaultPlan, Schedule};
 
@@ -129,26 +129,32 @@ fn registry_rejects_corruption_version_skew_and_staleness() {
         }
     ));
 
-    // Version skew → typed Version error.
-    let skew_dir = test_dir("skew-registry");
-    std::fs::create_dir_all(skew_dir.join("cronos")).expect("skew registry dir");
+    // Version skew, to a future schema or back to schema 1 (pointer-tree
+    // payloads) → typed Version error.
     let artifact = ModelArtifact::load(&source).expect("load artifact envelope");
-    let skewed = text.replace(
-        &format!("\"schema_version\": {}", artifact.schema_version),
-        &format!("\"schema_version\": {}", artifact.schema_version + 1),
-    );
-    std::fs::write(skew_dir.join("cronos").join("v0001.json"), skewed)
-        .expect("write skewed artifact");
-    let err = ModelRegistry::open(&skew_dir)
-        .load("cronos", None)
-        .expect_err("version skew must be rejected");
-    assert!(matches!(
-        err,
-        RegistryError::Artifact {
-            source: ArtifactError::Version { .. },
-            ..
-        }
-    ));
+    for version in [artifact.schema_version + 1, artifact.schema_version - 1] {
+        let skew_dir = test_dir(&format!("skew-registry-v{version}"));
+        std::fs::create_dir_all(skew_dir.join("cronos")).expect("skew registry dir");
+        let skewed = text.replace(
+            &format!("\"schema_version\": {}", artifact.schema_version),
+            &format!("\"schema_version\": {version}"),
+        );
+        std::fs::write(skew_dir.join("cronos").join("v0001.json"), skewed)
+            .expect("write skewed artifact");
+        let err = ModelRegistry::open(&skew_dir)
+            .load("cronos", None)
+            .expect_err("version skew must be rejected");
+        assert!(
+            matches!(
+                err,
+                RegistryError::Artifact {
+                    source: ArtifactError::Version { .. },
+                    ..
+                }
+            ),
+            "schema {version}"
+        );
+    }
 
     // Missing model / missing version → typed not-found errors.
     assert!(matches!(
@@ -190,10 +196,22 @@ fn rot_payload(path: &Path) {
 /// verifies, but no core-clock serving path can use the model.
 fn reseal_as_three_columns(path: &Path) {
     let mut artifact = ModelArtifact::load(path).expect("load v2");
-    assert!(artifact.payload.contains("\"config_cols\":1,"));
+    assert!(artifact.payload.contains("\"config_cols\":1"));
     artifact.payload = artifact
         .payload
-        .replace("\"config_cols\":1,", "\"config_cols\":3,");
+        .replace("\"config_cols\":1", "\"config_cols\":3");
+    artifact.content_digest = fnv1a_64(artifact.payload.as_bytes());
+    artifact.save(path).expect("re-seal v2");
+}
+
+/// Re-seals an artifact whose first arena loops back (slot 1 points at
+/// itself): the digest verifies, but a descent through it would never end.
+fn reseal_with_backward_child(path: &Path) {
+    let mut artifact = ModelArtifact::load(path).expect("load v2");
+    let head = "\"child\":[1,";
+    let at = artifact.payload.find(head).expect("a root split") + head.len();
+    let end = at + artifact.payload[at..].find(',').expect("a second slot");
+    artifact.payload.replace_range(at..end, "1");
     artifact.content_digest = fnv1a_64(artifact.payload.as_bytes());
     artifact.save(path).expect("re-seal v2");
 }
@@ -204,6 +222,7 @@ fn a_corrupt_newest_version_serves_the_newest_healthy_one() {
     for (label, corrupt) in [
         ("rotted", rot_payload as fn(&Path)),
         ("three-column", reseal_as_three_columns),
+        ("backward-child", reseal_with_backward_child),
     ] {
         // A scratch registry holding each published model twice, with the
         // newer copy corrupted on disk.
@@ -213,6 +232,18 @@ fn a_corrupt_newest_version_serves_the_newest_healthy_one() {
             assert_eq!(scratch.publish(app, &model, *fingerprint).expect("v1"), 1);
             assert_eq!(scratch.publish(app, &model, *fingerprint).expect("v2"), 2);
             corrupt(&scratch.root().join(app).join("v0002.json"));
+            // The loader refuses v2 and reports it, rather than serving it.
+            let (_, _, version, events) = scratch
+                .load_latest_healthy(app, Some(*fingerprint))
+                .expect("v1 is healthy");
+            assert_eq!(version, 1, "{label}");
+            assert!(
+                matches!(
+                    events[..],
+                    [RegistryEvent::CorruptSkipped { version: 2, .. }]
+                ),
+                "{label}: {events:?}"
+            );
         }
 
         // The loader walks past the corrupt version to the healthy one: no
