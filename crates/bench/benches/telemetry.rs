@@ -18,8 +18,8 @@ const OVERHEAD_MAX_PCT: f64 = 10.0;
 const ROUNDS: usize = 16;
 
 /// Back-to-back sweeps timed as one round of the overhead guard. One
-/// sweep of the guard's shape takes ~7 ms on a 2-vCPU Xeon VM, so a round
-/// lasts ≥ 50 ms there: a scheduler hiccup is diluted across the round
+/// sweep of the guard's shape takes ~3 ms on a 2-vCPU Xeon VM, so a round
+/// lasts ~30 ms there: a scheduler hiccup is diluted across the round
 /// instead of deciding a single-sweep reading.
 const SWEEPS_PER_ROUND: usize = 10;
 

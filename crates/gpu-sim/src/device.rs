@@ -315,7 +315,10 @@ impl Device {
     /// `sink` observes every launch's `(time_s, energy_j)` in submission
     /// order. The skipped per-launch cost-model evaluations are where the
     /// batch path's speed comes from: one price lookup per batch, then the
-    /// noise draws.
+    /// noise draws. A kernel-trace replay on an inert device does not come
+    /// through here: it prices each distinct kernel once per replay and
+    /// runs [`InertDevice::launch_priced`] per segment. This batch is the
+    /// per-segment path of single submissions and of armed fault plans.
     ///
     /// Returns the number of *fault-throttled* launches in the batch —
     /// launches a fault-injected throttle window held below the request
@@ -324,8 +327,9 @@ impl Device {
     /// degradation. Under an active fault plan the batch runs launch by
     /// launch and stops at the first injected failure: `sink` has then
     /// observed every completed launch and the error is returned. With the
-    /// inert plan this is the bit-identical fast path, and no window can
-    /// fire, so the count is zero.
+    /// inert plan the batch is one price lookup plus
+    /// [`InertDevice::launch_priced`], the bit-identical fast path, and no
+    /// window can fire, so the count is zero.
     pub fn launch_batch(
         &mut self,
         kernel: &KernelProfile,
@@ -336,31 +340,38 @@ impl Device {
         if n == 0 {
             return Ok(0);
         }
-        if !self.faults.is_inert() {
-            let mut throttled = 0;
-            for _ in 0..n {
-                let rec = self.launch_at(kernel, core_mhz)?;
-                if rec.fault_throttled {
-                    throttled += 1;
-                }
-                sink(rec.time_s, rec.energy_j);
+        match self.inert() {
+            // Clock snapping and the cap resolution run inside the lookup,
+            // and only on a miss. With an inert fault plan no throttle
+            // *window* can fire, so the fault-throttle count is zero even
+            // when the TDP/cap resolver lowers the clock.
+            Some(mut dev) => {
+                let price = dev.price(kernel, core_mhz);
+                dev.launch_priced(price, n, sink);
+                Ok(0)
             }
-            return Ok(throttled);
+            None => {
+                let mut throttled = 0;
+                for _ in 0..n {
+                    let rec = self.launch_at(kernel, core_mhz)?;
+                    if rec.fault_throttled {
+                        throttled += 1;
+                    }
+                    sink(rec.time_s, rec.energy_j);
+                }
+                Ok(throttled)
+            }
         }
-        // One price lookup per batch; clock snapping and the cap resolution
-        // run inside the lookup, and only on a miss. With an inert fault
-        // plan no throttle *window* can fire, so the fault-throttle count
-        // is zero even when the TDP/cap resolver lowers the clock.
-        let (base_time_s, base_energy_j) = self.price(kernel, core_mhz);
-        for _ in 0..n {
-            let time_s = base_time_s * self.noise.time_factor();
-            let energy_j = base_energy_j * self.noise.energy_factor();
-            self.clock_s += time_s;
-            self.energy_counter_j += energy_j;
-            self.last_power_w = energy_j / time_s;
-            sink(time_s, energy_j);
+    }
+
+    /// The device as an [`InertDevice`], or `None` while a fault can fire
+    /// ([`FaultState::is_inert`] is false).
+    pub fn inert(&mut self) -> Option<InertDevice<'_>> {
+        if self.faults.is_inert() {
+            Some(InertDevice(self))
+        } else {
+            None
         }
-        Ok(0)
     }
 
     /// The device's price memo cache.
@@ -442,6 +453,42 @@ impl Device {
     /// analogue (which reports mW).
     pub fn power_usage_w(&self) -> f64 {
         self.last_power_w
+    }
+}
+
+/// A [`Device`] borrowed while its fault plan is inert, from
+/// [`Device::inert`]. No fault can fire, so a launch needs none of the
+/// per-launch fault hooks and runs from a memoized price; the exclusive
+/// borrow keeps the plan from changing while this lives.
+#[derive(Debug)]
+pub struct InertDevice<'a>(&'a mut Device);
+
+impl InertDevice<'_> {
+    /// [`Device::price`] on the borrowed device.
+    pub fn price(&self, kernel: &KernelProfile, core_mhz: f64) -> (f64, f64) {
+        self.0.price(kernel, core_mhz)
+    }
+
+    /// Runs `n` back-to-back launches of a kernel whose noiseless
+    /// `(time_s, energy_j)` is `price`, as [`InertDevice::price`] returns it
+    /// under the current memory clock and power cap. Each launch draws one
+    /// time factor, then one energy factor, advances the device clock and
+    /// energy counter, sets the power reading and reports its
+    /// `(time_s, energy_j)` to `sink` — exactly what `n` separate
+    /// [`Device::launch_at`] calls do, so every counter ends bit-identical.
+    /// This is the one launch loop of both [`Device::launch_batch`] and a
+    /// fused trace replay.
+    pub fn launch_priced(&mut self, price: (f64, f64), n: u64, mut sink: impl FnMut(f64, f64)) {
+        let dev = &mut *self.0;
+        let (base_time_s, base_energy_j) = price;
+        for _ in 0..n {
+            let time_s = base_time_s * dev.noise.time_factor();
+            let energy_j = base_energy_j * dev.noise.energy_factor();
+            dev.clock_s += time_s;
+            dev.energy_counter_j += energy_j;
+            dev.last_power_w = energy_j / time_s;
+            sink(time_s, energy_j);
+        }
     }
 }
 

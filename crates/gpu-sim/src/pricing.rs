@@ -7,8 +7,9 @@
 //! is pure: for a fixed device spec, `(kernel, core clock, memory clock)`
 //! fully determines the noiseless `(time, energy)` of a launch. A
 //! [`PriceTable`] caches exactly that mapping so a sweep pays for the model
-//! once per distinct `(kernel, frequency)` pair and re-prices every
-//! subsequent launch with a hash lookup.
+//! once per distinct `(kernel, frequency)` pair. After that a replayed
+//! trace costs one hash lookup per distinct kernel per replay, and a
+//! single launch batch one lookup per batch.
 //!
 //! ## Key and correctness
 //!
@@ -59,7 +60,8 @@ fn fnv_word(h: u64, word: u64) -> u64 {
 
 /// Stable 64-bit identity of a kernel's pricing inputs (FNV-1a over
 /// 64-bit words — this runs once per `price()` call, i.e. once per
-/// replayed launch, so the hash walks words, not bytes).
+/// distinct kernel of a replayed trace and once per launch batch, so the
+/// hash walks words, not bytes).
 ///
 /// Two kernels with equal [`KernelProfile`]s always hash equal; unequal
 /// profiles hash unequal up to 64-bit collisions, which [`PriceTable`]

@@ -16,6 +16,9 @@ use gpu_sim::nvml::{NvmlDevice, NvmlError};
 use gpu_sim::rocm::{PerfLevel, RocmDevice, RsmiError};
 use gpu_sim::Vendor;
 
+use crate::energy::Measurement;
+use crate::replay::FusedReplay;
+
 /// What "default frequency configuration" means on this device — the
 /// baseline every speedup/normalized-energy figure in the paper divides by.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -209,7 +212,8 @@ pub trait Backend: Send {
     /// delegate to [`gpu_sim::Device::launch_batch`] under a single device
     /// lock, which prices the kernel once for the whole batch; the
     /// observable measurements are bit-identical to `n` separate `launch`
-    /// calls either way.
+    /// calls either way. A kernel-trace replay uses this per segment only
+    /// when [`Backend::replay_trace`] declines.
     fn launch_batch(
         &mut self,
         kernel: &KernelProfile,
@@ -224,6 +228,22 @@ pub trait Backend: Send {
             sink(rec.time_s, rec.energy_j);
         }
         Ok(throttled)
+    }
+
+    /// Replays a whole kernel trace in one device call while the device's
+    /// fault plan is inert. The queue's running totals advance launch by
+    /// launch in submission order, and the returned measurement sums the
+    /// segments' batch sums; both are bit-identical to replaying segment by
+    /// segment through [`Backend::launch_batch`].
+    ///
+    /// Returns `None`, having run nothing, when a fault can fire or the
+    /// backend has no fused path (the default); the queue then replays
+    /// segment by segment with its retry machinery. The vendor backends
+    /// resolve the default clock before they lock the device and share
+    /// [`FusedReplay`]'s launch loop after that.
+    fn replay_trace(&mut self, replay: FusedReplay<'_>) -> Option<Measurement> {
+        let _ = replay;
+        None
     }
 }
 
@@ -352,6 +372,12 @@ impl Backend for NvmlBackend {
         dev.launch_batch(kernel, f, n, sink)
             .map_err(BackendError::from)
     }
+
+    fn replay_trace(&mut self, replay: FusedReplay<'_>) -> Option<Measurement> {
+        let mut dev = self.device.lock_device();
+        let default_mhz = Some(dev.spec().default_core_mhz);
+        replay.run(&mut dev, default_mhz)
+    }
 }
 
 /// ROCm-SMI-backed (AMD) implementation.
@@ -462,6 +488,14 @@ impl Backend for RocmBackend {
         let mut dev = self.device.lock_device();
         dev.launch_batch(kernel, f, n, sink)
             .map_err(BackendError::from)
+    }
+
+    fn replay_trace(&mut self, replay: FusedReplay<'_>) -> Option<Measurement> {
+        // `current_clk_freq` locks the device itself, so it runs first.
+        let default_mhz = replay
+            .needs_default_clock()
+            .then(|| self.device.current_clk_freq());
+        replay.run(&mut self.device.lock_device(), default_mhz)
     }
 }
 
@@ -576,6 +610,14 @@ impl Backend for LevelZeroBackend {
         let mut dev = self.device.lock_device();
         dev.launch_batch(kernel, f, n, sink)
             .map_err(BackendError::from)
+    }
+
+    fn replay_trace(&mut self, replay: FusedReplay<'_>) -> Option<Measurement> {
+        // `governor_frequency` locks the device itself, so it runs first.
+        let default_mhz = replay
+            .needs_default_clock()
+            .then(|| self.device.governor_frequency());
+        replay.run(&mut self.device.lock_device(), default_mhz)
     }
 }
 

@@ -13,7 +13,8 @@
 //!   policies (the SYCL `queue` analogue the applications submit to);
 //! * [`energy`] — scoped energy/time measurement around arbitrary work;
 //! * [`replay`] — record a workload's kernel sequence once, replay it
-//!   cheaply at every sweep frequency (`submit_batch` + price memoization);
+//!   cheaply at every sweep frequency (one device call per replay, each
+//!   distinct kernel priced once through the memo cache);
 //! * [`scaling`] — frequency-selection policies;
 //! * [`metrics`] — target-metric frequency selection (min-energy, EDP,
 //!   max-performance, bounded-slowdown), the hook the paper's future-work

@@ -18,6 +18,7 @@ use crate::backend::{
 };
 use crate::energy::Measurement;
 use crate::metrics::{DegradationMetrics, EnergyCounterHealer};
+use crate::replay::{FusedReplay, KernelSlot, KernelTrace};
 use crate::scaling::FrequencyPolicy;
 
 use std::sync::Arc;
@@ -138,6 +139,8 @@ pub struct SynergyQueue {
     transfer_time_s: f64,
     transfer_energy_j: f64,
     watchdog_deadline_s: Option<f64>,
+    /// Storage of the fused replay path, reused from replay to replay.
+    replay_kernels: Vec<KernelSlot>,
 }
 
 impl SynergyQueue {
@@ -157,6 +160,7 @@ impl SynergyQueue {
             transfer_time_s: 0.0,
             transfer_energy_j: 0.0,
             watchdog_deadline_s: None,
+            replay_kernels: Vec::new(),
         }
     }
 
@@ -421,8 +425,7 @@ impl SynergyQueue {
     /// order, so `submit_batch(k, n)` leaves every counter bit-identical to
     /// `n` separate `submit(k)` calls (floating-point addition is
     /// order-sensitive; the batch path keeps the order and drops only the
-    /// per-launch cost-model evaluations). This is the fast path the
-    /// trace-replay sweep engine drives.
+    /// per-launch cost-model evaluations).
     ///
     /// # Panics
     /// Panics if the retry policy gives up — use
@@ -437,7 +440,9 @@ impl SynergyQueue {
     /// re-run), falling back to the default clock when the requested one
     /// keeps failing. The retry budget resets whenever an attempt makes
     /// progress, so the loop is bounded by
-    /// `(n + 1) × max_attempts_per_launch` backend calls.
+    /// `(n + 1) × max_attempts_per_launch` backend calls. A kernel-trace
+    /// replay submits through here segment by segment when its fused path
+    /// is unavailable (see [`KernelTrace::try_replay_on`]).
     pub fn try_submit_batch(
         &mut self,
         kernel: &KernelProfile,
@@ -507,6 +512,35 @@ impl SynergyQueue {
                 }
             }
         }
+    }
+
+    /// The fused path of [`KernelTrace::try_replay_on`]: the whole trace in
+    /// one [`Backend::replay_trace`] call, at the clocks the active policy
+    /// assigns its distinct kernels. Leaves the queue's totals and
+    /// submission count as segment-by-segment submission does. `None` when
+    /// the backend declines; nothing has run then.
+    pub(crate) fn replay_fused(&mut self, trace: &KernelTrace) -> Option<Measurement> {
+        let launches = trace.total_launches();
+        if launches == 0 {
+            return Some(Measurement {
+                time_s: 0.0,
+                energy_j: 0.0,
+            });
+        }
+        let mut totals = Measurement {
+            time_s: self.total_time_s,
+            energy_j: self.total_energy_j,
+        };
+        let replay = FusedReplay::new(trace, &self.policy, &mut self.replay_kernels, &mut totals);
+        let m = self.backend.replay_trace(replay)?;
+        self.total_time_s = totals.time_s;
+        self.total_energy_j = totals.energy_j;
+        self.submissions += launches;
+        // With an inert fault plan and positive noise factors the raw
+        // counter only grows, so one reading after the replay leaves the
+        // healer where a reading after every segment would.
+        self.observe_counter();
+        Some(m)
     }
 
     fn try_submit_inner(

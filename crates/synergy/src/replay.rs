@@ -6,17 +6,24 @@
 //! re-executing the submission machinery launch by launch. A
 //! [`KernelTrace`] separates the two: the workload is **recorded** once
 //! into a run-length-encoded kernel sequence, and every sweep point then
-//! **replays** that sequence through [`SynergyQueue::submit_batch`], which
-//! prices each distinct `(kernel, frequency)` pair once and re-uses it.
+//! **replays** that sequence.
+//!
+//! On a device whose fault plan is inert, a replay is one device call
+//! ([`Backend::replay_trace`]): the backend resolves each distinct kernel's
+//! clock, takes the device lock once, looks each distinct kernel's price up
+//! once and runs every launch through the device's priced-launch loop.
+//! Under an armed fault plan, or on a backend without that path, the trace
+//! goes segment by segment through [`SynergyQueue::try_submit_batch`] and
+//! its retry and fallback machinery.
 //!
 //! Replay preserves the exact submission order of the original workload
 //! (run-length segments only group launches that were already
 //! consecutive), so the queue's floating-point accumulators see the same
 //! additions in the same order and the replayed measurements are
 //! bit-identical to the directly-run workload — noiseless and under seeded
-//! measurement noise alike.
+//! measurement noise alike, on either path.
 
-use gpu_sim::device::LaunchRecord;
+use gpu_sim::device::{Device, LaunchRecord};
 use gpu_sim::kernel::KernelProfile;
 use gpu_sim::{DeviceSpec, Vendor};
 
@@ -25,6 +32,7 @@ use std::sync::{Arc, Mutex};
 use crate::backend::{Backend, BackendError, DefaultConfig};
 use crate::energy::Measurement;
 use crate::queue::{SubmitError, SynergyQueue};
+use crate::scaling::FrequencyPolicy;
 
 /// One run-length segment of a trace period: `count` consecutive launches
 /// of the kernel at `kernel_index` (into [`KernelTrace::kernels`]).
@@ -147,23 +155,27 @@ impl KernelTrace {
     /// Replays the trace on `queue` under its active policy, returning the
     /// aggregate measurement of everything replayed — the drop-in
     /// equivalent of running the recorded workload directly.
+    ///
+    /// # Panics
+    /// Panics if the retry policy gives up — use
+    /// [`KernelTrace::try_replay_on`] to handle permanent failure.
     pub fn replay_on(&self, queue: &mut SynergyQueue) -> Measurement {
-        let mut time_s = 0.0;
-        let mut energy_j = 0.0;
-        for _ in 0..self.repeats {
-            for seg in &self.period {
-                let m = queue.submit_batch(&self.kernels[seg.kernel_index], seg.count);
-                time_s += m.time_s;
-                energy_j += m.energy_j;
-            }
-        }
-        Measurement { time_s, energy_j }
+        self.try_replay_on(queue)
+            .unwrap_or_else(|e| panic!("{e} (use try_replay_on to handle this)"))
     }
 
     /// Fallible [`KernelTrace::replay_on`]: returns the first permanent
     /// failure the queue's retry policy could not ride out. Everything
     /// submitted before the failure stays in the queue's totals.
+    ///
+    /// The whole trace goes to the backend in one call when the device's
+    /// fault plan is inert (nothing can fail then); otherwise it is
+    /// submitted segment by segment through
+    /// [`SynergyQueue::try_submit_batch`].
     pub fn try_replay_on(&self, queue: &mut SynergyQueue) -> Result<Measurement, SubmitError> {
+        if let Some(m) = queue.replay_fused(self) {
+            return Ok(m);
+        }
         let mut time_s = 0.0;
         let mut energy_j = 0.0;
         for _ in 0..self.repeats {
@@ -174,6 +186,102 @@ impl KernelTrace {
             }
         }
         Ok(Measurement { time_s, energy_j })
+    }
+}
+
+/// One fused replay of a [`KernelTrace`], prepared by the queue for
+/// [`Backend::replay_trace`]: the trace, each distinct kernel's clock
+/// under the queue's policy, and the queue's running totals. Only the
+/// queue can build one, and only this crate's backends can run it.
+#[derive(Debug)]
+pub struct FusedReplay<'a> {
+    trace: &'a KernelTrace,
+    kernels: &'a mut Vec<KernelSlot>,
+    totals: &'a mut Measurement,
+}
+
+/// One distinct kernel of a fused replay. The queue keeps a `Vec` of these
+/// and reuses it from replay to replay, so a replay allocates nothing.
+#[derive(Debug)]
+pub(crate) struct KernelSlot {
+    /// The policy's clock for the kernel; `None` = the device default.
+    requested_mhz: Option<f64>,
+    /// Noiseless `(time_s, energy_j)`, looked up at the kernel's first
+    /// launch of the replay.
+    price: Option<(f64, f64)>,
+}
+
+impl<'a> FusedReplay<'a> {
+    /// Prepares a replay of `trace` under `policy`, in `kernels`' storage,
+    /// advancing `totals` as it runs.
+    pub(crate) fn new(
+        trace: &'a KernelTrace,
+        policy: &FrequencyPolicy,
+        kernels: &'a mut Vec<KernelSlot>,
+        totals: &'a mut Measurement,
+    ) -> Self {
+        kernels.clear();
+        kernels.extend(trace.kernels.iter().map(|k| KernelSlot {
+            requested_mhz: policy.frequency_for(&k.name),
+            price: None,
+        }));
+        FusedReplay {
+            trace,
+            kernels,
+            totals,
+        }
+    }
+
+    /// Whether some kernel runs at the device default configuration, whose
+    /// clock the backend then resolves before it locks the device.
+    pub(crate) fn needs_default_clock(&self) -> bool {
+        self.kernels.iter().any(|k| k.requested_mhz.is_none())
+    }
+
+    /// Runs the replay on `dev` if its fault plan is inert: prices each
+    /// distinct kernel once, at its requested clock or at `default_mhz`
+    /// (`Some` whenever [`FusedReplay::needs_default_clock`]), and runs
+    /// every launch through
+    /// [`gpu_sim::device::InertDevice::launch_priced`] in submission order.
+    /// The totals advance launch by launch, and the returned measurement
+    /// sums the segments' batch sums, as the per-segment path accumulates
+    /// both. Returns `None`, having run nothing, when a fault can fire.
+    pub(crate) fn run(self, dev: &mut Device, default_mhz: Option<f64>) -> Option<Measurement> {
+        let mut dev = dev.inert()?;
+        let FusedReplay {
+            trace,
+            kernels,
+            totals,
+        } = self;
+        let mut replay = Measurement {
+            time_s: 0.0,
+            energy_j: 0.0,
+        };
+        for _ in 0..trace.repeats {
+            for seg in &trace.period {
+                let slot = &mut kernels[seg.kernel_index];
+                let requested_mhz = slot.requested_mhz;
+                let price = *slot.price.get_or_insert_with(|| {
+                    let mhz = requested_mhz
+                        .or(default_mhz)
+                        .expect("the default clock is resolved whenever a kernel runs at it");
+                    dev.price(&trace.kernels[seg.kernel_index], mhz)
+                });
+                let mut batch = Measurement {
+                    time_s: 0.0,
+                    energy_j: 0.0,
+                };
+                dev.launch_priced(price, seg.count, |time_s, energy_j| {
+                    totals.time_s += time_s;
+                    totals.energy_j += energy_j;
+                    batch.time_s += time_s;
+                    batch.energy_j += energy_j;
+                });
+                replay.time_s += batch.time_s;
+                replay.energy_j += batch.energy_j;
+            }
+        }
+        Some(replay)
     }
 }
 
