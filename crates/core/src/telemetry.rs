@@ -417,7 +417,7 @@ pub enum SpanLevel {
     Workload,
     /// One frequency point (baseline included).
     Point,
-    /// One replayed run / launch batch.
+    /// One replayed run of a kernel trace.
     Launch,
 }
 

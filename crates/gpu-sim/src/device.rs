@@ -304,66 +304,6 @@ impl Device {
             })
     }
 
-    /// Executes `n` back-to-back launches of `kernel` at an explicit core
-    /// clock, pricing the kernel **once** (via [`Device::price`]) and then
-    /// applying per-launch measurement noise and counter accumulation in
-    /// exactly the order `n` separate [`Device::launch_at`] calls would:
-    /// each launch draws one time factor then one energy factor, and the
-    /// device clock / energy counter advance launch by launch, so the final
-    /// counter values are bit-identical to the unbatched path.
-    ///
-    /// `sink` observes every launch's `(time_s, energy_j)` in submission
-    /// order. The skipped per-launch cost-model evaluations are where the
-    /// batch path's speed comes from: one price lookup per batch, then the
-    /// noise draws. A kernel-trace replay on an inert device does not come
-    /// through here: it prices each distinct kernel once per replay and
-    /// runs [`InertDevice::launch_priced`] per segment. This batch is the
-    /// per-segment path of single submissions and of armed fault plans.
-    ///
-    /// Returns the number of *fault-throttled* launches in the batch —
-    /// launches a fault-injected throttle window held below the request
-    /// (see [`LaunchRecord::fault_throttled`]). Deterministic TDP/cap
-    /// throttling is not counted: it is physics of the configuration, not
-    /// degradation. Under an active fault plan the batch runs launch by
-    /// launch and stops at the first injected failure: `sink` has then
-    /// observed every completed launch and the error is returned. With the
-    /// inert plan the batch is one price lookup plus
-    /// [`InertDevice::launch_priced`], the bit-identical fast path, and no
-    /// window can fire, so the count is zero.
-    pub fn launch_batch(
-        &mut self,
-        kernel: &KernelProfile,
-        core_mhz: f64,
-        n: u64,
-        sink: &mut dyn FnMut(f64, f64),
-    ) -> Result<u64, FaultError> {
-        if n == 0 {
-            return Ok(0);
-        }
-        match self.inert() {
-            // Clock snapping and the cap resolution run inside the lookup,
-            // and only on a miss. With an inert fault plan no throttle
-            // *window* can fire, so the fault-throttle count is zero even
-            // when the TDP/cap resolver lowers the clock.
-            Some(mut dev) => {
-                let price = dev.price(kernel, core_mhz);
-                dev.launch_priced(price, n, sink);
-                Ok(0)
-            }
-            None => {
-                let mut throttled = 0;
-                for _ in 0..n {
-                    let rec = self.launch_at(kernel, core_mhz)?;
-                    if rec.fault_throttled {
-                        throttled += 1;
-                    }
-                    sink(rec.time_s, rec.energy_j);
-                }
-                Ok(throttled)
-            }
-        }
-    }
-
     /// The device as an [`InertDevice`], or `None` while a fault can fire
     /// ([`FaultState::is_inert`] is false).
     pub fn inert(&mut self) -> Option<InertDevice<'_>> {
@@ -476,8 +416,8 @@ impl InertDevice<'_> {
     /// energy counter, sets the power reading and reports its
     /// `(time_s, energy_j)` to `sink` — exactly what `n` separate
     /// [`Device::launch_at`] calls do, so every counter ends bit-identical.
-    /// This is the one launch loop of both [`Device::launch_batch`] and a
-    /// fused trace replay.
+    /// A fused trace replay runs every launch through here; a launch that a
+    /// fault could touch goes through [`Device::launch_at`].
     pub fn launch_priced(&mut self, price: (f64, f64), n: u64, mut sink: impl FnMut(f64, f64)) {
         let dev = &mut *self.0;
         let (base_time_s, base_energy_j) = price;
@@ -580,8 +520,23 @@ mod tests {
         assert_eq!(d.price_table().len(), 4);
     }
 
+    /// `n` launches of `kernel` at `core_mhz` on an inert device, priced
+    /// once: the `(time_s, energy_j)` of each, in order.
+    fn launch_priced(
+        d: &mut Device,
+        kernel: &KernelProfile,
+        core_mhz: f64,
+        n: u64,
+    ) -> Vec<(f64, f64)> {
+        let mut dev = d.inert().expect("no fault plan is installed");
+        let price = dev.price(kernel, core_mhz);
+        let mut seen = Vec::new();
+        dev.launch_priced(price, n, |t, e| seen.push((t, e)));
+        seen
+    }
+
     #[test]
-    fn launch_batch_matches_serial_launches_noiseless() {
+    fn launch_priced_matches_serial_launches_noiseless() {
         let spec = DeviceSpec::v100();
         let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
         let mut serial = Device::new(spec.clone());
@@ -591,10 +546,7 @@ mod tests {
             let rec = serial.launch_at(&k, 900.0).unwrap();
             expected.push((rec.time_s, rec.energy_j));
         }
-        let mut seen = Vec::new();
-        batched
-            .launch_batch(&k, 900.0, 7, &mut |t, e| seen.push((t, e)))
-            .unwrap();
+        let seen = launch_priced(&mut batched, &k, 900.0, 7);
         assert_eq!(seen, expected);
         assert_eq!(batched.clock_s(), serial.clock_s());
         assert_eq!(batched.energy_counter_j(), serial.energy_counter_j());
@@ -602,12 +554,12 @@ mod tests {
     }
 
     #[test]
-    fn launch_batch_matches_serial_launches_with_noise() {
+    fn launch_priced_matches_serial_launches_with_noise() {
         let spec = DeviceSpec::v100();
         // (kernel, clock, noise seed, launches, TDP-throttled). The second
         // is the kernel of `tdp_throttles_saturating_kernel_at_top_clock`:
         // at 1597 MHz its demand exceeds the 300 W TDP, so the firmware
-        // loop lowers the clock the batch's one price lookup must match.
+        // loop lowers the clock the one price lookup must match.
         let streaming = KernelProfile::memory_bound("k", 4_000_000, 64.0);
         let saturating = KernelProfile::compute_bound("k", 100_000_000, 200.0);
         let cases = [
@@ -626,10 +578,7 @@ mod tests {
                 assert_eq!(rec.throttled, tdp_throttled, "{f} MHz");
                 expected.push((rec.time_s, rec.energy_j));
             }
-            let mut seen = Vec::new();
-            batched
-                .launch_batch(k, f, n, &mut |t, e| seen.push((t, e)))
-                .unwrap();
+            let seen = launch_priced(&mut batched, k, f, n);
             assert_eq!(
                 bits(&seen),
                 bits(&expected),
@@ -652,8 +601,8 @@ mod tests {
         a.set_price_table(Arc::clone(&table));
         let mut b = Device::new(spec);
         b.set_price_table(Arc::clone(&table));
-        a.launch_batch(&k, 900.0, 2, &mut |_, _| {}).unwrap();
-        b.launch_batch(&k, 900.0, 2, &mut |_, _| {}).unwrap();
+        launch_priced(&mut a, &k, 900.0, 2);
+        launch_priced(&mut b, &k, 900.0, 2);
         assert_eq!(table.len(), 1, "both replicas share one cached price");
     }
 
@@ -794,16 +743,12 @@ mod tests {
             n_fault_throttled += u64::from(rec.fault_throttled);
             expected.push((rec.time_s, rec.energy_j));
         }
-        let mut seen = Vec::new();
-        let throttled = batched
-            .launch_batch(&k, 1400.0, 3, &mut |t, e| seen.push((t, e)))
-            .unwrap();
-        assert_eq!(seen, expected);
-        assert_eq!(throttled, n_fault_throttled);
         assert_eq!(
-            throttled, 0,
+            n_fault_throttled, 0,
             "cap throttling is configuration physics, not a fault count"
         );
+        let seen = launch_priced(&mut batched, &k, 1400.0, 3);
+        assert_eq!(seen, expected);
         assert_eq!(batched.energy_counter_j(), serial.energy_counter_j());
     }
 
@@ -842,6 +787,7 @@ mod tests {
     fn transient_launch_failure_moves_nothing() {
         let plan = FaultPlan::none().fail_launches(Schedule::once(0));
         let mut d = Device::with_faults(DeviceSpec::v100(), plan);
+        assert!(d.inert().is_none(), "an armed plan has no priced launches");
         let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
         let err = d.launch(&k).unwrap_err();
         assert!(matches!(err, FaultError::LaunchFailed { .. }));
@@ -849,32 +795,6 @@ mod tests {
         assert_eq!(d.clock_s(), 0.0);
         // Retry (attempt index 1) succeeds.
         assert!(d.launch(&k).is_ok());
-    }
-
-    #[test]
-    fn faulty_batch_matches_serial_faulty_launches() {
-        let plan = FaultPlan::none().throttle(
-            Schedule::once(1),
-            ThrottleWindow {
-                cap_mhz: 900.0,
-                launches: 2,
-            },
-        );
-        let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
-        let mut serial = Device::with_faults(DeviceSpec::v100(), plan.clone());
-        let mut batched = Device::with_faults(DeviceSpec::v100(), plan);
-        let mut expected = Vec::new();
-        for _ in 0..4 {
-            let rec = serial.launch_at(&k, 1400.0).unwrap();
-            expected.push((rec.time_s, rec.energy_j));
-        }
-        let mut seen = Vec::new();
-        let throttled = batched
-            .launch_batch(&k, 1400.0, 4, &mut |t, e| seen.push((t, e)))
-            .unwrap();
-        assert_eq!(seen, expected);
-        assert_eq!(throttled, 2);
-        assert_eq!(batched.energy_counter_j(), serial.energy_counter_j());
     }
 
     #[test]
@@ -926,18 +846,5 @@ mod tests {
             before,
             "a lost link moves no counter"
         );
-    }
-
-    #[test]
-    fn faulty_batch_stops_at_first_failure() {
-        let plan = FaultPlan::none().fail_launches(Schedule::once(2));
-        let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
-        let mut d = Device::with_faults(DeviceSpec::v100(), plan);
-        let mut seen = 0;
-        let err = d
-            .launch_batch(&k, 900.0, 5, &mut |_, _| seen += 1)
-            .unwrap_err();
-        assert!(matches!(err, FaultError::LaunchFailed { .. }));
-        assert_eq!(seen, 2, "sink observed the completed launches");
     }
 }

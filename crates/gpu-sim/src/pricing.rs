@@ -8,8 +8,7 @@
 //! fully determines the noiseless `(time, energy)` of a launch. A
 //! [`PriceTable`] caches exactly that mapping so a sweep pays for the model
 //! once per distinct `(kernel, frequency)` pair. After that a replayed
-//! trace costs one hash lookup per distinct kernel per replay, and a
-//! single launch batch one lookup per batch.
+//! trace costs one hash lookup per distinct kernel per replay.
 //!
 //! ## Key and correctness
 //!
@@ -60,8 +59,8 @@ fn fnv_word(h: u64, word: u64) -> u64 {
 
 /// Stable 64-bit identity of a kernel's pricing inputs (FNV-1a over
 /// 64-bit words — this runs once per `price()` call, i.e. once per
-/// distinct kernel of a replayed trace and once per launch batch, so the
-/// hash walks words, not bytes).
+/// distinct kernel of a replayed trace, so the hash walks words, not
+/// bytes).
 ///
 /// Two kernels with equal [`KernelProfile`]s always hash equal; unequal
 /// profiles hash unequal up to 64-bit collisions, which [`PriceTable`]

@@ -157,7 +157,7 @@ impl RocmDevice {
     }
 
     /// Locks the underlying device without cloning the shared handle (the
-    /// batch-launch hot path takes this once per batch).
+    /// hot paths take this: once per launch, or once per fused replay).
     pub fn lock_device(&self) -> parking_lot::MutexGuard<'_, Device> {
         self.inner.lock()
     }

@@ -201,40 +201,11 @@ pub trait Backend: Send {
         ))
     }
 
-    /// Runs `n` back-to-back launches of `kernel` at `freq` (`None` = the
-    /// vendor default configuration), reporting each launch's
-    /// `(time_s, energy_j)` to `sink` in submission order. Returns the
-    /// number of launches whose clock was throttled below the request. On
-    /// error, `sink` has seen every launch that completed before the fault.
-    ///
-    /// The default implementation just loops [`Backend::launch`]. The
-    /// vendor backends override it to resolve the effective clock once and
-    /// delegate to [`gpu_sim::Device::launch_batch`] under a single device
-    /// lock, which prices the kernel once for the whole batch; the
-    /// observable measurements are bit-identical to `n` separate `launch`
-    /// calls either way. A kernel-trace replay uses this per segment only
-    /// when [`Backend::replay_trace`] declines.
-    fn launch_batch(
-        &mut self,
-        kernel: &KernelProfile,
-        freq_mhz: Option<f64>,
-        n: u64,
-        sink: &mut dyn FnMut(f64, f64),
-    ) -> Result<u64, BackendError> {
-        let mut throttled = 0;
-        for _ in 0..n {
-            let rec = self.launch(kernel, freq_mhz)?;
-            throttled += u64::from(rec.fault_throttled);
-            sink(rec.time_s, rec.energy_j);
-        }
-        Ok(throttled)
-    }
-
     /// Replays a whole kernel trace in one device call while the device's
     /// fault plan is inert. The queue's running totals advance launch by
     /// launch in submission order, and the returned measurement sums the
-    /// segments' batch sums; both are bit-identical to replaying segment by
-    /// segment through [`Backend::launch_batch`].
+    /// segments' sums; both are bit-identical to replaying segment by
+    /// segment, one [`Backend::launch`] per launch.
     ///
     /// Returns `None`, having run nothing, when a fault can fire or the
     /// backend has no fused path (the default); the queue then replays
@@ -283,9 +254,7 @@ impl Backend for NvmlBackend {
     }
 
     fn default_config(&self) -> DefaultConfig {
-        let shared = self.device.shared();
-        let mhz = shared.lock().spec().default_core_mhz;
-        DefaultConfig::FixedMhz(mhz)
+        DefaultConfig::FixedMhz(self.device.lock_device().spec().default_core_mhz)
     }
 
     fn energy_counter_j(&self) -> f64 {
@@ -297,8 +266,7 @@ impl Backend for NvmlBackend {
         kernel: &KernelProfile,
         freq_mhz: Option<f64>,
     ) -> Result<LaunchRecord, BackendError> {
-        let shared = self.device.shared();
-        let mut dev = shared.lock();
+        let mut dev = self.device.lock_device();
         let f = freq_mhz.unwrap_or(dev.spec().default_core_mhz);
         dev.launch_at(kernel, f).map_err(BackendError::from)
     }
@@ -333,9 +301,10 @@ impl Backend for NvmlBackend {
                 .last()
                 .expect("non-empty memory clock table")
         });
-        let shared = self.device.shared();
-        let mut dev = shared.lock();
-        dev.set_mem_mhz(target).map_err(BackendError::from)
+        self.device
+            .lock_device()
+            .set_mem_mhz(target)
+            .map_err(BackendError::from)
     }
 
     fn set_power_cap(&mut self, cap_w: Option<f64>) -> Result<Option<f64>, BackendError> {
@@ -356,20 +325,6 @@ impl Backend for NvmlBackend {
         self.device
             .lock_device()
             .transfer(bytes)
-            .map_err(BackendError::from)
-    }
-
-    fn launch_batch(
-        &mut self,
-        kernel: &KernelProfile,
-        freq_mhz: Option<f64>,
-        n: u64,
-        sink: &mut dyn FnMut(f64, f64),
-    ) -> Result<u64, BackendError> {
-        let mut dev = self.device.lock_device();
-        // NVIDIA's default configuration is the fixed application clock.
-        let f = freq_mhz.unwrap_or(dev.spec().default_core_mhz);
-        dev.launch_batch(kernel, f, n, sink)
             .map_err(BackendError::from)
     }
 
@@ -420,11 +375,11 @@ impl Backend for RocmBackend {
         freq_mhz: Option<f64>,
     ) -> Result<LaunchRecord, BackendError> {
         match freq_mhz {
-            Some(f) => {
-                let shared = self.device.shared();
-                let mut dev = shared.lock();
-                dev.launch_at(kernel, f).map_err(BackendError::from)
-            }
+            Some(f) => self
+                .device
+                .lock_device()
+                .launch_at(kernel, f)
+                .map_err(BackendError::from),
             // Default on AMD = the auto governor decides.
             None => self.device.launch(kernel).map_err(BackendError::from),
         }
@@ -471,22 +426,6 @@ impl Backend for RocmBackend {
         self.device
             .lock_device()
             .transfer(bytes)
-            .map_err(BackendError::from)
-    }
-
-    fn launch_batch(
-        &mut self,
-        kernel: &KernelProfile,
-        freq_mhz: Option<f64>,
-        n: u64,
-        sink: &mut dyn FnMut(f64, f64),
-    ) -> Result<u64, BackendError> {
-        // `current_clk_freq` resolves the active performance level exactly
-        // like `RocmDevice::launch` does (auto governor → default clock,
-        // pinned levels → the pinned clock).
-        let f = freq_mhz.unwrap_or_else(|| self.device.current_clk_freq());
-        let mut dev = self.device.lock_device();
-        dev.launch_batch(kernel, f, n, sink)
             .map_err(BackendError::from)
     }
 
@@ -541,11 +480,11 @@ impl Backend for LevelZeroBackend {
     ) -> Result<LaunchRecord, BackendError> {
         match freq_mhz {
             // Per-kernel pinning = collapse the range around the request.
-            Some(f) => {
-                let shared = self.device.shared();
-                let mut dev = shared.lock();
-                dev.launch_at(kernel, f).map_err(BackendError::from)
-            }
+            Some(f) => self
+                .device
+                .lock_device()
+                .launch_at(kernel, f)
+                .map_err(BackendError::from),
             None => self.device.launch(kernel).map_err(BackendError::from),
         }
     }
@@ -594,21 +533,6 @@ impl Backend for LevelZeroBackend {
         self.device
             .lock_device()
             .transfer(bytes)
-            .map_err(BackendError::from)
-    }
-
-    fn launch_batch(
-        &mut self,
-        kernel: &KernelProfile,
-        freq_mhz: Option<f64>,
-        n: u64,
-        sink: &mut dyn FnMut(f64, f64),
-    ) -> Result<u64, BackendError> {
-        // The sysman governor runs the clock the range midpoint allows —
-        // the same resolution `ZeDevice::launch` applies per launch.
-        let f = freq_mhz.unwrap_or_else(|| self.device.governor_frequency());
-        let mut dev = self.device.lock_device();
-        dev.launch_batch(kernel, f, n, sink)
             .map_err(BackendError::from)
     }
 
