@@ -28,16 +28,8 @@ type ExperimentResult = Result<(), Box<dyn std::error::Error>>;
 fn fig1() {
     println!("\n## Figure 1 — LiGen and Cronos multi-objective characterization (V100)");
     let spec = DeviceSpec::v100();
-    print_characterization(
-        "Fig 1a",
-        &spec,
-        &ligen_workload(&LigenInput::new(1024, 63, 8)),
-    );
-    print_characterization(
-        "Fig 1b",
-        &spec,
-        &cronos_workload(&CronosInput::new(40, 16, 16)),
-    );
+    print_characterization("Fig 1a", &spec, &LigenInput::new(1024, 63, 8).workload());
+    print_characterization("Fig 1b", &spec, &CronosInput::new(40, 16, 16).workload());
 }
 
 fn fig2() {
@@ -46,12 +38,12 @@ fn fig2() {
     print_characterization(
         "Fig 2a (small: 2 lig × 89 at × 8 frag)",
         &spec,
-        &ligen_workload(&LigenInput::new(2, 89, 8)),
+        &LigenInput::new(2, 89, 8).workload(),
     );
     print_characterization(
         "Fig 2b (large: 10000 lig × 89 at × 20 frag)",
         &spec,
-        &ligen_workload(&LigenInput::new(10_000, 89, 20)),
+        &LigenInput::new(10_000, 89, 20).workload(),
     );
 }
 
@@ -61,12 +53,12 @@ fn fig3() {
     print_characterization(
         "Fig 3a (20x8x8)",
         &spec,
-        &cronos_workload(&CronosInput::new(20, 8, 8)),
+        &CronosInput::new(20, 8, 8).workload(),
     );
     print_characterization(
         "Fig 3b (160x64x64)",
         &spec,
-        &cronos_workload(&CronosInput::new(160, 64, 64)),
+        &CronosInput::new(160, 64, 64).workload(),
     );
 }
 
@@ -76,12 +68,12 @@ fn fig4() {
     print_characterization(
         "Fig 4a (10x4x4)",
         &spec,
-        &cronos_workload(&CronosInput::new(10, 4, 4)),
+        &CronosInput::new(10, 4, 4).workload(),
     );
     print_characterization(
         "Fig 4b (160x64x64)",
         &spec,
-        &cronos_workload(&CronosInput::new(160, 64, 64)),
+        &CronosInput::new(160, 64, 64).workload(),
     );
 }
 
@@ -91,12 +83,12 @@ fn fig5() {
     print_characterization(
         "Fig 5a (10x4x4)",
         &spec,
-        &cronos_workload(&CronosInput::new(10, 4, 4)),
+        &CronosInput::new(10, 4, 4).workload(),
     );
     print_characterization(
         "Fig 5b (160x64x64)",
         &spec,
-        &cronos_workload(&CronosInput::new(160, 64, 64)),
+        &CronosInput::new(160, 64, 64).workload(),
     );
 }
 
@@ -105,7 +97,7 @@ fn raw_ligen_panel(spec: &DeviceSpec, atoms: usize, frag_sweep: &[usize], ligand
     for &f in frag_sweep {
         let ch = energy_model::characterize::characterize(
             spec,
-            &ligen_workload(&LigenInput::new(ligands, atoms, f)),
+            &LigenInput::new(ligands, atoms, f).workload(),
             &freqs,
             REPS,
             Some(SEED),
@@ -140,7 +132,7 @@ fn raw_ligen_atom_panel(spec: &DeviceSpec, fragments: usize, atom_sweep: &[usize
     for &a in atom_sweep {
         let ch = energy_model::characterize::characterize(
             spec,
-            &ligen_workload(&LigenInput::new(ligands, a, fragments)),
+            &LigenInput::new(ligands, a, fragments).workload(),
             &freqs,
             REPS,
             Some(SEED),
@@ -178,12 +170,12 @@ fn fig10() {
         print_characterization(
             &format!("small input ({})", small.label()),
             &spec,
-            &ligen_workload(&small),
+            &small.workload(),
         );
         print_characterization(
             &format!("large input ({})", large.label()),
             &spec,
-            &ligen_workload(&large),
+            &large.workload(),
         );
     }
 }
@@ -334,7 +326,7 @@ fn portability() {
         print_characterization(
             &format!("Cronos 160x64x64 on {}", spec.name),
             &spec,
-            &cronos_workload(&CronosInput::new(160, 64, 64)),
+            &CronosInput::new(160, 64, 64).workload(),
         );
     }
 }
@@ -356,8 +348,8 @@ fn campaign_cmd(resume: bool) -> ExperimentResult {
     println!("\n## Campaign — journaled multi-device characterization (V100)");
     let spec = DeviceSpec::v100();
     let freqs = sweep_freqs(&spec);
-    let cronos = cronos_workload(&CronosInput::new(40, 16, 16));
-    let ligen = ligen_workload(&LigenInput::new(1024, 63, 8));
+    let cronos = CronosInput::new(40, 16, 16).workload();
+    let ligen = LigenInput::new(1024, 63, 8).workload();
     let workloads: Vec<&dyn Workload> = vec![&cronos, &ligen];
 
     // gpu1 models a degrading unit: rejected clock requests, throttling
@@ -1045,19 +1037,19 @@ fn lattice_cmd() -> ExperimentResult {
     let workloads: Vec<(String, Box<dyn Workload>)> = vec![
         (
             "cronos 40x16x16".to_string(),
-            Box::new(cronos_workload(&CronosInput::new(40, 16, 16))),
+            Box::new(CronosInput::new(40, 16, 16).workload()),
         ),
         (
             "cronos 160x64x64".to_string(),
-            Box::new(cronos_workload(&CronosInput::new(160, 64, 64))),
+            Box::new(CronosInput::new(160, 64, 64).workload()),
         ),
         (
             "ligen 1024x63x8".to_string(),
-            Box::new(ligen_workload(&LigenInput::new(1024, 63, 8))),
+            Box::new(LigenInput::new(1024, 63, 8).workload()),
         ),
         (
             "ligen 10000x89x20".to_string(),
-            Box::new(ligen_workload(&LigenInput::new(10_000, 89, 20))),
+            Box::new(LigenInput::new(10_000, 89, 20).workload()),
         ),
     ];
     let opts = SweepOptions {
@@ -1619,8 +1611,8 @@ fn telemetry_cmd() -> ExperimentResult {
     println!("\n## Telemetry — instrumented characterization sweeps (V100)");
     let spec = DeviceSpec::v100();
     let freqs = sweep_freqs(&spec);
-    let cronos = cronos_workload(&CronosInput::new(40, 16, 16));
-    let ligen = ligen_workload(&LigenInput::new(1024, 63, 8));
+    let cronos = CronosInput::new(40, 16, 16).workload();
+    let ligen = LigenInput::new(1024, 63, 8).workload();
     let workloads: Vec<(&str, &dyn Workload)> = vec![("cronos", &cronos), ("ligen", &ligen)];
 
     let tel = Telemetry::new();

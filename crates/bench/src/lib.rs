@@ -15,7 +15,6 @@ use energy_model::gp_model::GeneralPurposeModel;
 use energy_model::pareto::pareto_front_indices;
 use energy_model::workflow::{
     characterize_cronos, characterize_ligen, experiment_frequencies, CharacterizedInput,
-    CRONOS_STEPS,
 };
 use gpu_sim::DeviceSpec;
 use ml::forest::RandomForestParams;
@@ -261,19 +260,6 @@ pub fn print_pareto_eval(title: &str, eval: &ParetoEval) {
             cmp.mean_distance
         );
     }
-}
-
-/// Builds the Cronos workload for an input tuple.
-pub fn cronos_workload(cfg: &CronosInput) -> cronos::GpuCronos {
-    cronos::GpuCronos::new(
-        cronos::Grid::cubic(cfg.grid_x, cfg.grid_y, cfg.grid_z),
-        CRONOS_STEPS,
-    )
-}
-
-/// Builds the LiGen workload for an input tuple.
-pub fn ligen_workload(cfg: &LigenInput) -> ligen::GpuLigen {
-    ligen::GpuLigen::new(cfg.ligands as u64, cfg.atoms as u64, cfg.fragments as u64)
 }
 
 /// Aggregate headline: mean and minimum GP/DS improvement factors.

@@ -47,7 +47,7 @@ use synergy::KernelTrace;
 
 use crate::artifact::fnv1a_64;
 use crate::characterize::{
-    char_point, replay_queue, try_measure_attempts, Characterization, PointDiagnostics,
+    char_point, measure_attempts, replay_queue, Characterization, PointDiagnostics,
     SweepDiagnostics, SweepOptions, Workload,
 };
 use crate::persist::{atomic_write_str, heal_torn_tail, read_journal, Journal, PersistError};
@@ -1013,7 +1013,7 @@ fn measure_item(
         telemetry: None,
     };
     let seed_off = item.seed_off();
-    let result = try_measure_attempts(
+    let result = measure_attempts(
         &sweep,
         |attempt| {
             let mut q = replay_queue(&cfg.spec, &sweep, prices, seed_off, attempt);
@@ -1031,7 +1031,7 @@ fn measure_item(
                     busy_s: q.total_time_s(),
                 });
             }
-            Ok(())
+            Ok(false)
         },
     );
     match result {

@@ -13,6 +13,8 @@
 use gpu_sim::kernel::KernelProfile;
 use serde::{Deserialize, Serialize};
 
+use crate::workflow::CRONOS_STEPS;
+
 /// Number of static code features (Table 1).
 pub const N_STATIC_FEATURES: usize = 10;
 
@@ -87,6 +89,15 @@ impl CronosInput {
     pub fn n_cells(&self) -> usize {
         self.grid_x * self.grid_y * self.grid_z
     }
+
+    /// The Cronos run this input stands for: a cubic grid of these extents,
+    /// [`CRONOS_STEPS`] time steps.
+    pub fn workload(&self) -> cronos::GpuCronos {
+        cronos::GpuCronos::new(
+            cronos::Grid::cubic(self.grid_x, self.grid_y, self.grid_z),
+            CRONOS_STEPS,
+        )
+    }
 }
 
 /// A LiGen input configuration — Table 2 row 2:
@@ -157,6 +168,15 @@ impl LigenInput {
     /// e.g. `"89x20x10000"`.
     pub fn label(&self) -> String {
         format!("{}x{}x{}", self.atoms, self.fragments, self.ligands)
+    }
+
+    /// The LiGen batch this input stands for.
+    pub fn workload(&self) -> ligen::GpuLigen {
+        ligen::GpuLigen::new(
+            self.ligands as u64,
+            self.atoms as u64,
+            self.fragments as u64,
+        )
     }
 }
 

@@ -83,16 +83,10 @@ pub fn characterize_cronos(
 ) -> Vec<CharacterizedInput> {
     configs
         .par_iter()
-        .map(|cfg| {
-            let workload = cronos::GpuCronos::new(
-                cronos::Grid::cubic(cfg.grid_x, cfg.grid_y, cfg.grid_z),
-                CRONOS_STEPS,
-            );
-            CharacterizedInput {
-                features: Arc::new(cfg.features()),
-                label: cfg.label(),
-                characterization: characterize(spec, &workload, freqs, reps, noise_seed),
-            }
+        .map(|cfg| CharacterizedInput {
+            features: Arc::new(cfg.features()),
+            label: cfg.label(),
+            characterization: characterize(spec, &cfg.workload(), freqs, reps, noise_seed),
         })
         .collect()
 }
@@ -108,14 +102,10 @@ pub fn characterize_ligen(
 ) -> Vec<CharacterizedInput> {
     configs
         .par_iter()
-        .map(|cfg| {
-            let workload =
-                ligen::GpuLigen::new(cfg.ligands as u64, cfg.atoms as u64, cfg.fragments as u64);
-            CharacterizedInput {
-                features: Arc::new(cfg.features()),
-                label: cfg.label(),
-                characterization: characterize(spec, &workload, freqs, reps, noise_seed),
-            }
+        .map(|cfg| CharacterizedInput {
+            features: Arc::new(cfg.features()),
+            label: cfg.label(),
+            characterization: characterize(spec, &cfg.workload(), freqs, reps, noise_seed),
         })
         .collect()
 }

@@ -87,7 +87,7 @@ use energy_model::characterize::Workload;
 use energy_model::persist::{heal_torn_tail, read_journal, Journal, PersistError};
 use energy_model::quarantine::{quarantine_results, QuarantinePolicy};
 use energy_model::telemetry::Telemetry;
-use energy_model::workflow::{experiment_frequencies, CharacterizedInput, CRONOS_STEPS};
+use energy_model::workflow::{experiment_frequencies, CharacterizedInput};
 use energy_model::{training_fingerprint, DomainSpecificModel};
 use gpu_sim::{DeviceSpec, Schedule};
 use ml::dataset::{Dataset, Matrix};
@@ -941,12 +941,7 @@ fn retrain_app(
             let set = cronos_job_set();
             (
                 set.iter()
-                    .map(|c| {
-                        Box::new(cronos::GpuCronos::new(
-                            cronos::Grid::cubic(c.grid_x, c.grid_y, c.grid_z),
-                            CRONOS_STEPS,
-                        )) as Box<dyn Workload>
-                    })
+                    .map(|c| Box::new(c.workload()) as Box<dyn Workload>)
                     .collect(),
                 set.iter().map(|c| c.features()).collect(),
                 set.iter().map(|c| c.label()).collect(),
@@ -956,13 +951,7 @@ fn retrain_app(
             let set = ligen_job_set();
             (
                 set.iter()
-                    .map(|c| {
-                        Box::new(ligen::GpuLigen::new(
-                            c.ligands as u64,
-                            c.atoms as u64,
-                            c.fragments as u64,
-                        )) as Box<dyn Workload>
-                    })
+                    .map(|c| Box::new(c.workload()) as Box<dyn Workload>)
                     .collect(),
                 set.iter().map(|c| c.features()).collect(),
                 set.iter().map(|c| c.label()).collect(),

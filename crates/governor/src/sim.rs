@@ -51,7 +51,7 @@ use energy_model::characterize::Workload;
 use energy_model::telemetry::Telemetry;
 use energy_model::workflow::{
     characterize_cronos, characterize_ligen, experiment_frequencies, training_set,
-    CharacterizedInput, CRONOS_STEPS,
+    CharacterizedInput,
 };
 use energy_model::{BreakerConfig, CronosInput, DomainSpecificModel, LigenInput};
 use gpu_sim::{Device, DeviceSpec, FaultPlan, Schedule};
@@ -376,26 +376,20 @@ pub(crate) struct Job {
 pub(crate) fn build_templates(spec: &DeviceSpec) -> Vec<JobTemplate> {
     let mut templates = Vec::new();
     for cfg in cronos_job_set() {
-        let workload = cronos::GpuCronos::new(
-            cronos::Grid::cubic(cfg.grid_x, cfg.grid_y, cfg.grid_z),
-            CRONOS_STEPS,
-        );
         templates.push(JobTemplate {
             app: "cronos",
             label: cfg.label(),
             features: cfg.features(),
-            trace: Workload::record(&workload, spec),
+            trace: cfg.workload().record(spec),
             base_time_s: 0.0,
         });
     }
     for cfg in ligen_job_set() {
-        let workload =
-            ligen::GpuLigen::new(cfg.ligands as u64, cfg.atoms as u64, cfg.fragments as u64);
         templates.push(JobTemplate {
             app: "ligen",
             label: cfg.label(),
             features: cfg.features(),
-            trace: Workload::record(&workload, spec),
+            trace: cfg.workload().record(spec),
             base_time_s: 0.0,
         });
     }

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use synergy::backend::{Backend, BackendError, DefaultConfig};
 use synergy::metrics::EnergyCounterHealer;
 use synergy::queue::{RetryPolicy, SynergyQueue};
+use synergy::{FrequencyPolicy, KernelTrace, TraceSegment};
 
 /// A backend whose launches always fail — the worst case the retry loop
 /// can meet. Counts how many times it was called.
@@ -132,7 +133,9 @@ proptest! {
 
     /// Against a permanently failing backend, the retry loop always gives
     /// up within `max_attempts_per_launch` backend calls — it terminates,
-    /// and the bound it reports is exact.
+    /// and the bound it reports is exact. Both retry loops are checked: a
+    /// single submission, and the per-segment step of a trace replay (the
+    /// backend has no fused path, so a one-segment trace runs it).
     #[test]
     fn retry_policy_terminates_within_bound(
         max_retries in 0u32..5,
@@ -160,6 +163,21 @@ proptest! {
             policy.max_attempts_per_launch()
         );
         // The degradation log saw every failure.
+        prop_assert_eq!(q.degradation().launch_failures, err.attempts as u64);
+
+        let mut q = SynergyQueue::new(Box::new(AlwaysFailing { calls: 0 }));
+        q.set_retry_policy(policy);
+        q.set_policy(freq.map_or(FrequencyPolicy::DeviceDefault, FrequencyPolicy::Fixed));
+        let segment = TraceSegment { kernel_index: 0, count: 3 };
+        let trace = KernelTrace::new(vec![k], vec![segment], 1);
+        let err = trace.try_replay_on(&mut q).expect_err("backend always fails");
+        prop_assert!(err.attempts >= 1);
+        prop_assert!(
+            err.attempts <= policy.max_attempts_per_launch(),
+            "segment: {} attempts exceeds bound {}",
+            err.attempts,
+            policy.max_attempts_per_launch()
+        );
         prop_assert_eq!(q.degradation().launch_failures, err.attempts as u64);
     }
 }
