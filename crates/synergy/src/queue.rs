@@ -348,7 +348,9 @@ impl SynergyQueue {
     /// backoff while its failures are transient and the budget lasts, then,
     /// when the policy allows fallback and `request` is not already the
     /// default, `set(None)` restores the vendor default and bumps the
-    /// `fallbacks` counter.
+    /// `fallbacks` counter. A rejected fallback is noted like any other
+    /// failure, and the caller gets the request's error, not the
+    /// fallback's.
     fn set_with_fallback<V: Copy, T>(
         &mut self,
         request: Option<V>,
@@ -367,9 +369,16 @@ impl SynergyQueue {
                 failures += 1;
                 self.degradation.retries += 1;
             } else if self.retry.fallback_to_default && request.is_some() {
-                let v = set(&mut *self.backend, None)?;
-                *fallbacks(&mut self.degradation) += 1;
-                return Ok(v);
+                return match set(&mut *self.backend, None) {
+                    Ok(v) => {
+                        *fallbacks(&mut self.degradation) += 1;
+                        Ok(v)
+                    }
+                    Err(fallback) => {
+                        self.note_error(&fallback);
+                        Err(e)
+                    }
+                };
             } else {
                 return Err(e);
             }
@@ -928,6 +937,29 @@ mod tests {
         assert_eq!(q.set_power_cap(Some(150.0)).unwrap(), None);
         assert_eq!(q.degradation().power_cap_fallbacks, 1);
         assert_eq!(q.power_cap_w(), None);
+    }
+
+    #[test]
+    fn a_rejected_fallback_is_counted_and_reports_the_request() {
+        use gpu_sim::{FaultPlan, Schedule};
+        // Management op 0 (the 150 W cap) goes through; every later one is
+        // rejected, the fallback that clears the cap included.
+        let plan = FaultPlan::none().reject_set_frequency(Schedule::at(1..100));
+        let mut q = SynergyQueue::nvidia(Device::with_faults(DeviceSpec::v100(), plan));
+        assert_eq!(q.set_power_cap(Some(150.0)).unwrap(), Some(150.0));
+        let err = q.set_power_cap(Some(100.0)).unwrap_err();
+        assert!(
+            matches!(err, BackendError::FrequencyRejected { requested_mhz } if requested_mhz == 100.0),
+            "the caller sees the rejected request, not the fallback: {err:?}"
+        );
+        let d = q.degradation();
+        assert_eq!(
+            d.frequency_rejections, 5,
+            "four tries of the request + the fallback"
+        );
+        assert_eq!(d.retries, 3);
+        assert_eq!(d.power_cap_fallbacks, 0, "the fallback did not happen");
+        assert_eq!(q.power_cap_w(), Some(150.0));
     }
 
     #[test]
