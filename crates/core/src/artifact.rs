@@ -320,6 +320,22 @@ mod tests {
         );
     }
 
+    #[test]
+    fn saved_artifact_bytes_are_pinned() {
+        // The exact file a save writes: any change to how the payload or
+        // the pretty envelope is rendered (float format, escaping,
+        // layout) moves these numbers, and with them every published
+        // digest.
+        let dir = scratch("golden");
+        let path = dir.join("toy.json");
+        let art = ModelArtifact::seal("toy", &tiny_model(), 42);
+        art.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 62_944);
+        assert_eq!(fnv1a_64(&bytes), 0x7dc4_4de7_266e_29e7);
+        assert_eq!(art.content_digest, 0x7c25_ec93_71db_cdbb);
+    }
+
     /// FNV-1a over the little-endian bits of the flat-path predictions on a
     /// fixed grid — a stable fingerprint of model behaviour.
     fn prediction_fingerprint(model: &DomainSpecificModel) -> u64 {
