@@ -316,43 +316,36 @@ impl Registry {
 }
 
 impl Serialize for MetricsSnapshot {
-    fn to_value(&self) -> Value {
-        let entries = self
-            .metrics
-            .iter()
-            .map(|(name, v)| {
-                let value = match v {
-                    MetricValue::Counter(n) => Value::Map(vec![
-                        ("type".into(), Value::Str("counter".into())),
-                        ("value".into(), Value::U64(*n)),
-                    ]),
-                    MetricValue::Gauge(x) => Value::Map(vec![
-                        ("type".into(), Value::Str("gauge".into())),
-                        ("value".into(), Value::F64(*x)),
-                    ]),
-                    MetricValue::Histogram {
-                        bounds,
-                        counts,
-                        sum,
-                        count,
-                    } => Value::Map(vec![
-                        ("type".into(), Value::Str("histogram".into())),
-                        (
-                            "bounds".into(),
-                            Value::Seq(bounds.iter().map(|b| Value::F64(*b)).collect()),
-                        ),
-                        (
-                            "counts".into(),
-                            Value::Seq(counts.iter().map(|c| Value::U64(*c)).collect()),
-                        ),
-                        ("sum".into(), Value::F64(*sum)),
-                        ("count".into(), Value::U64(*count)),
-                    ]),
-                };
-                (name.clone(), value)
-            })
-            .collect();
-        Value::Map(entries)
+    fn serialize(&self, w: &mut serde::json::Writer) {
+        w.begin_map();
+        for (name, v) in &self.metrics {
+            w.key(name);
+            w.begin_map();
+            match v {
+                MetricValue::Counter(n) => {
+                    w.entry("type", "counter");
+                    w.entry("value", n);
+                }
+                MetricValue::Gauge(x) => {
+                    w.entry("type", "gauge");
+                    w.entry("value", x);
+                }
+                MetricValue::Histogram {
+                    bounds,
+                    counts,
+                    sum,
+                    count,
+                } => {
+                    w.entry("type", "histogram");
+                    w.entry("bounds", bounds);
+                    w.entry("counts", counts);
+                    w.entry("sum", sum);
+                    w.entry("count", count);
+                }
+            }
+            w.end_map();
+        }
+        w.end_map();
     }
 }
 

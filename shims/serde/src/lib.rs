@@ -1,8 +1,12 @@
-//! Offline shim for `serde`: `Serialize`/`Deserialize` defined over a
-//! small self-describing [`Value`] data model instead of serde's
-//! visitor machinery. `serde_json` (the shim) renders and parses
-//! `Value`; the `serde_derive` shim generates these impls for plain
-//! structs and simple enums.
+//! Offline shim for `serde`: `Serialize`/`Deserialize` stream a type
+//! straight to and from JSON text through the [`json`] module's
+//! [`json::Writer`] and [`json::Reader`], instead of serde's
+//! visitor machinery. No intermediate tree is built: a type reads and
+//! writes its own fields. [`Value`] is the type for dynamic JSON
+//! documents and implements both traits like any other type.
+//! `serde_json` (the shim) wraps the two entry points; the
+//! `serde_derive` shim generates these impls for plain structs and
+//! simple enums.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -10,7 +14,11 @@ use std::fmt;
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Self-describing tree a type serializes into.
+pub mod json;
+
+use json::{Reader, Writer};
+
+/// A dynamic JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
@@ -58,12 +66,14 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
+/// A type that writes itself as JSON.
 pub trait Serialize {
-    fn to_value(&self) -> Value;
+    fn serialize(&self, w: &mut Writer);
 }
 
+/// A type that reads itself from JSON.
 pub trait Deserialize: Sized {
-    fn from_value(v: &Value) -> Result<Self, DeError>;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError>;
 }
 
 fn expected(what: &str, got: &Value) -> DeError {
@@ -71,18 +81,22 @@ fn expected(what: &str, got: &Value) -> DeError {
 }
 
 // ---- primitives ----
+//
+// A scalar is read as a `Value` (no allocation but a string's own) and
+// converted, so every scalar type accepts and refuses exactly the tokens
+// its conversion below names.
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.bool(*self)
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(expected("bool", other)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        match r.value()? {
+            Value::Bool(b) => Ok(b),
+            other => Err(expected("bool", &other)),
         }
     }
 }
@@ -90,16 +104,17 @@ impl Deserialize for bool {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(*self as u64)
+            fn serialize(&self, w: &mut Writer) {
+                w.u64(*self as u64)
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::U64(n) => <$t>::try_from(*n).map_err(DeError::custom),
-                    Value::I64(n) => <$t>::try_from(*n).map_err(DeError::custom),
-                    other => Err(expected("unsigned integer", other)),
+            #[inline]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                match r.number("unsigned integer")? {
+                    Value::U64(n) => <$t>::try_from(n).map_err(DeError::custom),
+                    Value::I64(n) => <$t>::try_from(n).map_err(DeError::custom),
+                    other => Err(expected("unsigned integer", &other)),
                 }
             }
         }
@@ -111,17 +126,17 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n >= 0 { Value::U64(n as u64) } else { Value::I64(n) }
+            fn serialize(&self, w: &mut Writer) {
+                w.i64(*self as i64)
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::U64(n) => <$t>::try_from(*n).map_err(DeError::custom),
-                    Value::I64(n) => <$t>::try_from(*n).map_err(DeError::custom),
-                    other => Err(expected("integer", other)),
+            #[inline]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                match r.number("integer")? {
+                    Value::U64(n) => <$t>::try_from(n).map_err(DeError::custom),
+                    Value::I64(n) => <$t>::try_from(n).map_err(DeError::custom),
+                    other => Err(expected("integer", &other)),
                 }
             }
         }
@@ -133,17 +148,18 @@ impl_signed!(i8, i16, i32, i64, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::F64(*self as f64)
+            fn serialize(&self, w: &mut Writer) {
+                w.f64(*self as f64)
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::F64(x) => Ok(*x as $t),
-                    Value::U64(n) => Ok(*n as $t),
-                    Value::I64(n) => Ok(*n as $t),
-                    other => Err(expected("number", other)),
+            #[inline]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                match r.number("number")? {
+                    Value::F64(x) => Ok(x as $t),
+                    Value::U64(n) => Ok(n as $t),
+                    Value::I64(n) => Ok(n as $t),
+                    other => Err(expected("number", &other)),
                 }
             }
         }
@@ -153,37 +169,37 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self)
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(expected("string", other)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        match r.value()? {
+            Value::Str(s) => Ok(s),
+            other => Err(expected("string", &other)),
         }
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self)
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self.encode_utf8(&mut [0; 4]))
     }
 }
 
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        match r.value()? {
             Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(expected("single-char string", other)),
+            other => Err(expected("single-char string", &other)),
         }
     }
 }
@@ -191,178 +207,201 @@ impl Deserialize for char {
 // ---- forwarding / containers ----
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w)
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w)
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        T::deserialize(r).map(Box::new)
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w)
     }
 }
 
 impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(std::sync::Arc::new)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        T::deserialize(r).map(std::sync::Arc::new)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            None => Value::Null,
-            Some(t) => t.to_value(),
+            None => w.null(),
+            Some(t) => t.serialize(w),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
-            other => Err(expected("sequence", other)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_seq();
+        for item in self {
+            w.elem(item);
+        }
+        w.end_seq();
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, w: &mut Writer) {
+        self.as_slice().serialize(w)
+    }
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut items = Vec::new();
+        r.seq("sequence", |r| {
+            items.push(T::deserialize(r)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        self.as_slice().serialize(w)
     }
 }
 
-impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let items: Vec<T> = Vec::from_value(v)?;
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let items: Vec<T> = Vec::deserialize(r)?;
         let len = items.len();
         <[T; N]>::try_from(items)
             .map_err(|_| DeError(format!("expected array of length {N}, got {len}")))
     }
 }
 
+/// A tuple reads its leading elements in order; elements past its arity
+/// are parsed and ignored.
 macro_rules! impl_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
+    ($(($($name:ident $var:ident $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, w: &mut Writer) {
+                w.begin_seq();
+                $(w.elem(&self.$idx);)+
+                w.end_seq();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Seq(items) => {
-                        let mut it = items.iter();
-                        Ok(($(
-                            $name::from_value(
-                                it.next().ok_or_else(|| DeError::custom("tuple too short"))?
-                            )?,
-                        )+))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                $(let mut $var: Option<$name> = None;)+
+                let mut i = 0usize;
+                r.seq("tuple sequence", |r| {
+                    match i {
+                        $($idx => $var = Some($name::deserialize(r)?),)+
+                        _ => r.skip()?,
                     }
-                    other => Err(expected("tuple sequence", other)),
-                }
+                    i += 1;
+                    Ok(())
+                })?;
+                Ok(($($var.ok_or_else(|| DeError::custom("tuple too short"))?,)+))
             }
         }
     )*};
 }
 
 impl_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
+    (A a 0)
+    (A a 0, B b 1)
+    (A a 0, B b 1, C c 2)
+    (A a 0, B b 1, C c 2, D d 3)
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_map();
+        for (k, v) in self {
+            w.entry(k, v);
+        }
+        w.end_map();
     }
 }
 
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Map(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(expected("map", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut map = BTreeMap::new();
+        r.map("map", |r, k| {
+            map.insert(k.to_string(), V::deserialize(r)?);
+            Ok(())
+        })?;
+        Ok(map)
     }
 }
 
 impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         // Sort for stable output.
         let mut entries: Vec<_> = self.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
-        Value::Map(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+        w.begin_map();
+        for (k, v) in entries {
+            w.entry(k, v);
+        }
+        w.end_map();
     }
 }
 
 impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Map(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(expected("map", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut map = HashMap::new();
+        r.map("map", |r, k| {
+            map.insert(k.to_string(), V::deserialize(r)?);
+            Ok(())
+        })?;
+        Ok(map)
     }
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::U64(n) => w.u64(*n),
+            Value::I64(n) => w.i64(*n),
+            Value::F64(x) => w.f64(*x),
+            Value::Str(s) => w.str(s),
+            Value::Seq(items) => items.serialize(w),
+            Value::Map(entries) => {
+                w.begin_map();
+                for (k, v) in entries {
+                    w.entry(k, v);
+                }
+                w.end_map();
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.value()
     }
 }
 
@@ -370,31 +409,38 @@ impl Deserialize for Value {
 mod tests {
     use super::*;
 
+    fn round_trip<T: Serialize + Deserialize>(v: &T) -> T {
+        let mut w = Writer::new(false);
+        v.serialize(&mut w);
+        let text = w.into_string();
+        let mut r = Reader::new(&text);
+        let back = T::deserialize(&mut r).unwrap();
+        r.finish().unwrap();
+        back
+    }
+
     #[test]
     fn round_trip_primitives() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i32::from_value(&(-7i32).to_value()).unwrap(), -7);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
-        assert_eq!(Option::<f64>::from_value(&Value::Null).unwrap(), None);
+        assert_eq!(round_trip(&42u64), 42);
+        assert_eq!(round_trip(&-7i32), -7);
+        assert_eq!(round_trip(&1.5f64), 1.5);
+        assert_eq!(round_trip(&"hi".to_string()), "hi");
+        assert_eq!(round_trip(&None::<f64>), None);
     }
 
     #[test]
     fn round_trip_containers() {
         let v = vec![1.0f64, 2.0, 3.0];
-        assert_eq!(Vec::<f64>::from_value(&v.to_value()).unwrap(), v);
+        assert_eq!(round_trip(&v), v);
         let a = [1u32, 2, 3];
-        assert_eq!(<[u32; 3]>::from_value(&a.to_value()).unwrap(), a);
+        assert_eq!(round_trip(&a), a);
         let t = (1u64, 2.5f64);
-        assert_eq!(<(u64, f64)>::from_value(&t.to_value()).unwrap(), t);
+        assert_eq!(round_trip(&t), t);
     }
 
     #[test]
     fn type_mismatch_is_error() {
-        assert!(bool::from_value(&Value::F64(1.0)).is_err());
-        assert!(u32::from_value(&Value::I64(-1)).is_err());
+        assert!(bool::deserialize(&mut Reader::new("1.0")).is_err());
+        assert!(u32::deserialize(&mut Reader::new("-1")).is_err());
     }
 }

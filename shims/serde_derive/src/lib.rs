@@ -1,11 +1,16 @@
 //! Offline shim for `serde_derive`: generates impls of the `serde`
-//! shim's `Serialize`/`Deserialize` traits (which are defined over a
-//! self-describing `Value` tree, not serde's visitor API).
+//! shim's `Serialize`/`Deserialize` traits, which stream a value to and
+//! from JSON text (`serde::json::Writer` / `serde::json::Reader`), not
+//! serde's visitor API. A derived struct writes its fields in
+//! declaration order and reads a map in one pass: each key is matched to
+//! its field (the first of duplicate keys wins), and unknown keys are
+//! parsed and skipped.
 //!
 //! Supported shapes — exactly what this workspace derives on:
 //!
 //! - structs with named fields (no generics),
-//! - enums whose variants are unit or single-field tuples,
+//! - enums whose variants are unit, single-field tuples or have named
+//!   fields,
 //! - `#[serde(default)]` / `#[serde(default = "path")]` on named fields
 //!   (missing keys deserialize to `Default::default()` / `path()` instead
 //!   of erroring — schema-evolution support for persisted artifacts).
@@ -23,9 +28,10 @@ enum Shape {
     Enum(String, Vec<Variant>),
 }
 
-/// One named struct field and its missing-key behaviour.
+/// One named struct field, its type and its missing-key behaviour.
 struct Field {
     name: String,
+    ty: String,
     /// `None` — required; `Some(None)` — `Default::default()`;
     /// `Some(Some(path))` — call `path()`.
     default: Option<Option<String>>,
@@ -167,18 +173,21 @@ fn parse_struct_fields(body: TokenStream) -> Result<Vec<Field>, String> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             other => return Err(format!("expected `:` after field `{field}`, got {other:?}")),
         }
-        // Skip the type up to a comma at angle-bracket depth 0.
+        // The type runs up to a comma at angle-bracket depth 0.
         let mut angle_depth = 0i32;
+        let mut ty = Vec::new();
         for tok in iter.by_ref() {
-            match tok {
+            match &tok {
                 TokenTree::Punct(p) if p.as_char() == '<' => angle_depth += 1,
                 TokenTree::Punct(p) if p.as_char() == '>' => angle_depth -= 1,
                 TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => break,
                 _ => {}
             }
+            ty.push(tok);
         }
         fields.push(Field {
             name: field,
+            ty: TokenStream::from_iter(ty).to_string(),
             default,
         });
     }
@@ -188,12 +197,10 @@ fn parse_enum_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
     let mut variants = Vec::new();
     let mut iter = body.into_iter().peekable();
     loop {
-        let name = loop {
-            match next_skipping_attrs(&mut iter) {
-                None => return Ok(variants),
-                Some(TokenTree::Ident(id)) => break id.to_string(),
-                Some(tok) => return Err(format!("expected variant name, got `{tok}`")),
-            }
+        let name = match next_skipping_attrs(&mut iter) {
+            None => return Ok(variants),
+            Some(TokenTree::Ident(id)) => id.to_string(),
+            Some(tok) => return Err(format!("expected variant name, got `{tok}`")),
         };
         let mut kind = VariantKind::Unit;
         match iter.peek() {
@@ -237,28 +244,29 @@ fn parse_enum_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
     }
 }
 
+/// Writes `fields` (bound to locals of the same names, or `self.`-paths
+/// via `access`) as one map.
+fn write_fields(fields: &[Field], access: &str) -> String {
+    let entries: String = fields
+        .iter()
+        .map(|f| {
+            let n = &f.name;
+            format!("__w.entry({n:?}, {access}{n});")
+        })
+        .collect();
+    format!("__w.begin_map(); {entries} __w.end_map();")
+}
+
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = match parse_input(input) {
         Ok(s) => s,
         Err(e) => return compile_error(&e),
     };
-    let code = match shape {
+    let (name, body) = match shape {
         Shape::Struct(name, fields) => {
-            let entries: String = fields
-                .iter()
-                .map(|f| {
-                    let f = &f.name;
-                    format!("(String::from({f:?}), serde::Serialize::to_value(&self.{f})),")
-                })
-                .collect();
-            format!(
-                "impl serde::Serialize for {name} {{
-                     fn to_value(&self) -> serde::Value {{
-                         serde::Value::Map(vec![{entries}])
-                     }}
-                 }}"
-            )
+            let body = write_fields(&fields, "&self.");
+            (name, body)
         }
         Shape::Enum(name, variants) => {
             let arms: String = variants
@@ -266,11 +274,11 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                 .map(|v| {
                     let vn = &v.name;
                     match &v.kind {
-                        VariantKind::Unit => {
-                            format!("{name}::{vn} => serde::Value::Str(String::from({vn:?})),")
-                        }
+                        VariantKind::Unit => format!("{name}::{vn} => __w.str({vn:?}),"),
                         VariantKind::Tuple1 => format!(
-                            "{name}::{vn}(inner) => serde::Value::Map(vec![(String::from({vn:?}), serde::Serialize::to_value(inner))]),"
+                            "{name}::{vn}(__v) => {{
+                                 __w.begin_map(); __w.entry({vn:?}, __v); __w.end_map();
+                             }}"
                         ),
                         VariantKind::Struct(fields) => {
                             let bindings = fields
@@ -278,55 +286,74 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                                 .map(|f| f.name.as_str())
                                 .collect::<Vec<_>>()
                                 .join(", ");
-                            let entries: String = fields
-                                .iter()
-                                .map(|f| {
-                                    let f = &f.name;
-                                    format!("(String::from({f:?}), serde::Serialize::to_value({f})),")
-                                })
-                                .collect();
+                            let inner = write_fields(fields, "");
                             format!(
-                                "{name}::{vn} {{ {bindings} }} => serde::Value::Map(vec![(String::from({vn:?}), serde::Value::Map(vec![{entries}]))]),"
+                                "{name}::{vn} {{ {bindings} }} => {{
+                                     __w.begin_map(); __w.key({vn:?}); {inner} __w.end_map();
+                                 }}"
                             )
                         }
                     }
                 })
                 .collect();
-            format!(
-                "impl serde::Serialize for {name} {{
-                     fn to_value(&self) -> serde::Value {{
-                         match self {{ {arms} }}
-                     }}
-                 }}"
-            )
+            (name, format!("match self {{ {arms} }}"))
         }
     };
-    code.parse().unwrap()
+    format!(
+        "impl serde::Serialize for {name} {{
+             fn serialize(&self, __w: &mut serde::json::Writer) {{ {body} }}
+         }}"
+    )
+    .parse()
+    .unwrap()
 }
 
-/// Generates one struct-field initializer for deserialization, honouring
-/// the field's `#[serde(default)]` behaviour when the key is missing.
-fn field_init(owner: &str, source: &str, f: &Field) -> String {
-    let name = &f.name;
-    match &f.default {
-        None => format!(
-            "{name}: serde::Deserialize::from_value(
-                 {source}.get({name:?}).ok_or_else(|| serde::DeError::custom(
-                     concat!(\"missing field `\", {name:?}, \"` in {owner}\")))?)?,"
-        ),
-        Some(None) => format!(
-            "{name}: match {source}.get({name:?}) {{
-                 Some(val) => serde::Deserialize::from_value(val)?,
-                 None => std::default::Default::default(),
-             }},"
-        ),
-        Some(Some(path)) => format!(
-            "{name}: match {source}.get({name:?}) {{
-                 Some(val) => serde::Deserialize::from_value(val)?,
-                 None => {path}(),
-             }},"
-        ),
-    }
+/// An expression reading a map into `owner { fields }` in one pass: each
+/// key fills its field's slot once, unknown and repeated keys are
+/// skipped, and a missing field takes its `#[serde(default)]` or is an
+/// error.
+fn read_fields(owner: &str, fields: &[Field]) -> String {
+    let slots: String = fields
+        .iter()
+        .map(|f| format!("let mut __f_{}: Option<{}> = None;", f.name, f.ty))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .map(|f| {
+            let n = &f.name;
+            format!(
+                "{n:?} if __f_{n}.is_none() => {{
+                     __f_{n} = Some(serde::Deserialize::deserialize(__r)?);
+                     Ok(())
+                 }}"
+            )
+        })
+        .collect();
+    let inits: String = fields
+        .iter()
+        .map(|f| {
+            let n = &f.name;
+            let value = match &f.default {
+                None => {
+                    let msg = format!("missing field `{n}` in {owner}");
+                    format!("__f_{n}.ok_or_else(|| serde::DeError::custom({msg:?}))?")
+                }
+                Some(None) => format!("__f_{n}.unwrap_or_default()"),
+                Some(Some(path)) => format!("__f_{n}.unwrap_or_else({path})"),
+            };
+            format!("{n}: {value},")
+        })
+        .collect();
+    format!(
+        "{{
+             {slots}
+             __r.map(\"map for {owner}\", |__r, __k| match __k {{
+                 {arms}
+                 _ => __r.skip(),
+             }})?;
+             Ok({owner} {{ {inits} }})
+         }}"
+    )
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]
@@ -335,73 +362,44 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         Ok(s) => s,
         Err(e) => return compile_error(&e),
     };
-    let code = match shape {
+    let (name, body) = match shape {
         Shape::Struct(name, fields) => {
-            let inits: String = fields.iter().map(|f| field_init(&name, "v", f)).collect();
-            format!(
-                "impl serde::Deserialize for {name} {{
-                     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {{
-                         if v.as_map().is_none() {{
-                             return Err(serde::DeError::custom(\"expected map for {name}\"));
-                         }}
-                         Ok({name} {{ {inits} }})
-                     }}
-                 }}"
-            )
+            let body = read_fields(&name, &fields);
+            (name, body)
         }
         Shape::Enum(name, variants) => {
-            let str_arms: String = variants
+            let arms: String = variants
                 .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
                 .map(|v| {
                     let vn = &v.name;
-                    format!("{vn:?} => Ok({name}::{vn}),")
-                })
-                .collect();
-            let map_arms: String = variants
-                .iter()
-                .filter_map(|v| {
-                    let vn = &v.name;
                     match &v.kind {
-                        VariantKind::Unit => None,
-                        VariantKind::Tuple1 => Some(format!(
-                            "{vn:?} => Ok({name}::{vn}(serde::Deserialize::from_value(_inner)?)),"
-                        )),
+                        VariantKind::Unit => format!("({vn:?}, true) => Ok({name}::{vn}),"),
+                        VariantKind::Tuple1 => format!(
+                            "({vn:?}, false) => Ok({name}::{vn}(serde::Deserialize::deserialize(__r)?)),"
+                        ),
                         VariantKind::Struct(fields) => {
-                            let owner = format!("{name}::{vn}");
-                            let inits: String = fields
-                                .iter()
-                                .map(|f| field_init(&owner, "_inner", f))
-                                .collect();
-                            Some(format!("{vn:?} => Ok({name}::{vn} {{ {inits} }}),"))
+                            let body = read_fields(&format!("{name}::{vn}"), fields);
+                            format!("({vn:?}, false) => {body}")
                         }
                     }
                 })
                 .collect();
-            format!(
-                "impl serde::Deserialize for {name} {{
-                     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {{
-                         match v {{
-                             serde::Value::Str(s) => match s.as_str() {{
-                                 {str_arms}
-                                 other => Err(serde::DeError::custom(
-                                     format!(\"unknown {name} variant {{other:?}}\"))),
-                             }},
-                             serde::Value::Map(entries) if entries.len() == 1 => {{
-                                 let (tag, _inner) = &entries[0];
-                                 match tag.as_str() {{
-                                     {map_arms}
-                                     other => Err(serde::DeError::custom(
-                                         format!(\"unknown {name} variant {{other:?}}\"))),
-                                 }}
-                             }}
-                             other => Err(serde::DeError::custom(
-                                 format!(\"expected {name} variant, got {{other:?}}\"))),
-                         }}
-                     }}
-                 }}"
-            )
+            let body = format!(
+                "__r.variant({name:?}, |__r, __tag, __unit| match (__tag, __unit) {{
+                     {arms}
+                     (other, _) => Err(serde::DeError::custom(
+                         format!(\"unknown {name} variant {{other:?}}\"))),
+                 }})"
+            );
+            (name, body)
         }
     };
-    code.parse().unwrap()
+    format!(
+        "impl serde::Deserialize for {name} {{
+             fn deserialize(__r: &mut serde::json::Reader<'_>)
+                 -> Result<Self, serde::DeError> {{ {body} }}
+         }}"
+    )
+    .parse()
+    .unwrap()
 }
