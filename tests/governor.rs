@@ -261,6 +261,31 @@ fn a_corrupt_newest_version_serves_the_newest_healthy_one() {
     }
 }
 
+#[test]
+fn a_deeply_nested_newest_version_is_skipped_not_a_crash() {
+    // A 100 KB newest version of 100 000 `[`: the reader's nesting limit
+    // refuses it as malformed instead of recursing off the stack.
+    let (registry, fingerprint) = shared_registry();
+    let scratch = ModelRegistry::open(&test_dir("deep-newest-registry"));
+    let (model, _, _) = registry.load("cronos", None).expect("load published model");
+    assert_eq!(
+        scratch.publish("cronos", &model, *fingerprint).expect("v1"),
+        1
+    );
+    let v2 = scratch.root().join("cronos").join("v0002.json");
+    std::fs::write(&v2, "[".repeat(100_000)).expect("write v2");
+    let (_, _, version, events) = scratch
+        .load_latest_healthy("cronos", Some(*fingerprint))
+        .expect("v1 is healthy");
+    assert_eq!(version, 1);
+    match &events[..] {
+        [RegistryEvent::CorruptSkipped {
+            version: 2, reason, ..
+        }] => assert!(reason.contains("nesting deeper than 128"), "{reason}"),
+        other => panic!("expected v2 skipped as corrupt, got {other:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Golden determinism and telemetry inertness
 // ---------------------------------------------------------------------
