@@ -25,6 +25,16 @@ use gpu_sim::DeviceSpec;
 /// error instead of panicking; `main` turns it into a message + exit 1.
 type ExperimentResult = Result<(), Box<dyn std::error::Error>>;
 
+/// Opens `dir` as an empty registry. Publishing into a previous run's
+/// registry would append another, byte-identical version on every rerun;
+/// starting empty republishes v0001.
+fn fresh_registry(dir: &std::path::Path) -> std::io::Result<governor::ModelRegistry> {
+    match std::fs::remove_dir_all(dir) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+        _ => Ok(governor::ModelRegistry::open(dir)),
+    }
+}
+
 fn fig1() {
     println!("\n## Figure 1 — LiGen and Cronos multi-objective characterization (V100)");
     let spec = DeviceSpec::v100();
@@ -454,12 +464,12 @@ fn campaign_cmd(resume: bool) -> ExperimentResult {
 /// saved vs the baseline, deadline miss rate, prediction-cache hit rate)
 /// in `results/governor/summary.json`.
 fn govern_cmd(policies: &[governor::Policy]) -> ExperimentResult {
-    use governor::{run_governor, train_and_publish, GovernorConfig, ModelRegistry, Policy};
+    use governor::{run_governor, train_and_publish, GovernorConfig, Policy};
     use serde::Serialize;
 
     println!("\n## Govern — deadline-aware closed-loop DVFS (V100)");
     let dir = std::path::Path::new("results/governor");
-    let registry = ModelRegistry::open(&dir.join("registry"));
+    let registry = fresh_registry(&dir.join("registry"))?;
     let base_cfg = GovernorConfig::pinned(Policy::DefaultClock);
     let fingerprint = train_and_publish(&base_cfg, &registry)?;
     println!(
@@ -559,13 +569,13 @@ fn govern_cmd(policies: &[governor::Policy]) -> ExperimentResult {
 fn fleet_cmd() -> ExperimentResult {
     use governor::{
         run_fleet, run_governor, train_and_publish, train_and_publish_fleet, FleetConfig,
-        GovernorConfig, ModelRegistry, Policy,
+        GovernorConfig, Policy,
     };
     use serde::Serialize;
 
     println!("\n## Fleet — heterogeneous multi-device scheduling (2×V100 + 2×MI100)");
     let dir = std::path::Path::new("results/fleet");
-    let registry = ModelRegistry::open(&dir.join("registry"));
+    let registry = fresh_registry(&dir.join("registry"))?;
     train_and_publish(&GovernorConfig::pinned(Policy::DefaultClock), &registry)?;
     let fingerprints = train_and_publish_fleet(&FleetConfig::pinned(), &registry)?;
     for (class, fingerprint) in &fingerprints {
