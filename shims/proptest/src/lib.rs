@@ -386,7 +386,7 @@ mod tests {
         #[test]
         fn oneof_and_assume(pick in prop_oneof![Just(1u32), Just(2), Just(3)], n in 0u32..10) {
             prop_assume!(n != 5);
-            prop_assert!(pick >= 1 && pick <= 3);
+            prop_assert!((1..=3).contains(&pick));
             prop_assert_ne!(n, 5);
         }
     }

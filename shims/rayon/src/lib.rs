@@ -151,7 +151,7 @@ impl<T: Send> ParIter<T> {
     }
 }
 
-impl<'a, T: Copy + Send + Sync> ParIter<&'a T> {
+impl<T: Copy + Send + Sync> ParIter<&T> {
     pub fn copied(self) -> ParIter<T> {
         ParIter {
             items: self.items.into_iter().copied().collect(),
@@ -159,7 +159,7 @@ impl<'a, T: Copy + Send + Sync> ParIter<&'a T> {
     }
 }
 
-impl<'a, T: Clone + Send + Sync> ParIter<&'a T> {
+impl<T: Clone + Send + Sync> ParIter<&T> {
     pub fn cloned(self) -> ParIter<T> {
         ParIter {
             items: self.items.into_iter().cloned().collect(),
