@@ -70,7 +70,7 @@ use serde::Serialize;
 use synergy::{DegradationMetrics, FrequencyPolicy, SynergyQueue};
 
 use crate::lifecycle::DriftScenario;
-use crate::policy::{choose_frequency, Policy};
+use crate::policy::Policy;
 use crate::registry::{ModelRegistry, RegistryError, RegistryEvent};
 use crate::serving::{
     CacheStats, EngineConfig, PredictedProfile, PredictionEngine, PredictionRequest, ServeError,
@@ -604,21 +604,19 @@ struct ClockChoice {
 }
 
 /// Picks the clock `policy` requests from `profile` against the
-/// `planned` deadline.
+/// `planned` deadline, read with its prediction from the profile's clock
+/// table.
 fn resolve_clock(
     policy: Policy,
     profile: &PredictedProfile,
     planned_deadline_s: f64,
 ) -> ClockChoice {
-    match choose_frequency(policy, profile, planned_deadline_s) {
-        Some(freq) => {
-            let point = profile.pareto.iter().find(|p| p.freq_mhz == freq);
-            ClockChoice {
-                requested_mhz: Some(freq),
-                predicted_time_s: point.map(|p| profile.default_time_s / p.speedup),
-                predicted_energy_j: point.map(|p| p.norm_energy * profile.default_energy_j),
-            }
-        }
+    match profile.clocks.choose(policy, planned_deadline_s) {
+        Some(clock) => ClockChoice {
+            requested_mhz: Some(clock.freq_mhz),
+            predicted_time_s: Some(clock.time_s),
+            predicted_energy_j: Some(clock.energy_j),
+        },
         None => ClockChoice {
             requested_mhz: None,
             predicted_time_s: Some(profile.default_time_s),
@@ -1473,5 +1471,119 @@ fn empty_report(cfg: &FleetConfig) -> FleetReport {
         degradation: DegradationMetrics::default(),
         decisions: Vec::new(),
         journal: Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use energy_model::ds_model::PredictedPoint;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::policy::tests::scan_frequency;
+
+    /// `resolve_clock` on the linear-scan oracle: the scan's clock, then
+    /// the first point at that clock for the prediction.
+    fn scan_clock(policy: Policy, profile: &PredictedProfile, deadline_s: f64) -> ClockChoice {
+        match scan_frequency(policy, profile, deadline_s) {
+            Some(freq) => {
+                let point = profile.pareto.iter().find(|p| p.freq_mhz == freq);
+                ClockChoice {
+                    requested_mhz: Some(freq),
+                    predicted_time_s: point.map(|p| profile.default_time_s / p.speedup),
+                    predicted_energy_j: point.map(|p| p.norm_energy * profile.default_energy_j),
+                }
+            }
+            None => ClockChoice {
+                requested_mhz: None,
+                predicted_time_s: Some(profile.default_time_s),
+                predicted_energy_j: Some(profile.default_energy_j),
+            },
+        }
+    }
+
+    fn bits(choice: ClockChoice) -> [Option<u64>; 3] {
+        [
+            choice.requested_mhz,
+            choice.predicted_time_s,
+            choice.predicted_energy_j,
+        ]
+        .map(|v| v.map(f64::to_bits))
+    }
+
+    /// A speedup or normalized energy: the values a policy must skip or
+    /// order with care (NaN of either sign, infinities, signed zeros,
+    /// negatives, and magnitudes whose predicted time overflows or
+    /// underflows), a few repeated values so that keys tie, and ordinary
+    /// draws.
+    fn value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            prop_oneof![
+                Just(f64::NAN),
+                Just(-f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(0.0),
+                Just(-0.0),
+                Just(-1.0),
+                Just(1e-300),
+                Just(1e300),
+            ],
+            prop_oneof![Just(0.5), Just(0.75), Just(1.0), Just(2.0)],
+            0.05..4.0f64,
+            0.05..4.0f64,
+        ]
+    }
+
+    fn default_time() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.01..100.0f64,
+            0.01..100.0f64,
+            prop_oneof![
+                Just(f64::NAN),
+                Just(-f64::NAN),
+                Just(f64::INFINITY),
+                Just(0.0),
+                Just(-0.0),
+            ],
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn the_clock_table_decides_as_the_linear_scan(
+            points in proptest::collection::vec((0u32..10_000, value(), value()), 0..81),
+            default_time_s in default_time(),
+            default_energy_j in prop_oneof![1.0..500.0f64, 1.0..500.0f64, Just(f64::NAN)],
+        ) {
+            // Distinct clocks, in drawn order.
+            let mut clocks = BTreeSet::new();
+            let pareto: Vec<PredictedPoint> = points
+                .into_iter()
+                .filter(|&(clock, _, _)| clocks.insert(clock))
+                .map(|(clock, speedup, norm_energy)| PredictedPoint {
+                    freq_mhz: 300.0 + 7.5 * f64::from(clock),
+                    speedup,
+                    norm_energy,
+                })
+                .collect();
+            let mut deadlines = vec![f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+            for p in &pareto {
+                let t = default_time_s / p.speedup;
+                deadlines.extend([t.next_down(), t, t.next_up()]);
+            }
+            let profile = PredictedProfile::new(default_time_s, default_energy_j, 1500.0, pareto);
+            for policy in Policy::all() {
+                for &deadline_s in &deadlines {
+                    prop_assert_eq!(
+                        bits(resolve_clock(policy, &profile, deadline_s)),
+                        bits(scan_clock(policy, &profile, deadline_s)),
+                        "{policy:?} at {deadline_s} over {profile:?}"
+                    );
+                }
+            }
+        }
     }
 }
