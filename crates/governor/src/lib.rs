@@ -16,7 +16,8 @@
 //! * [`policy`] — what to do with a predicted Pareto set: minimize energy
 //!   under a per-job deadline, minimize energy-delay product, or hold the
 //!   vendor default clock (the baseline every other policy is judged
-//!   against);
+//!   against), each answered from a clock table built once per served
+//!   profile;
 //! * [`fleet`] — the crate's one job loop: a seeded, deterministic
 //!   arrival stream of LiGen ligand-batch and Cronos grid jobs with
 //!   per-job deadlines, admitted and served in bursts, placed on
