@@ -206,12 +206,29 @@ fn reseal_as_three_columns(path: &Path) {
 
 /// Re-seals an artifact whose first arena loops back (slot 1 points at
 /// itself): the digest verifies, but a descent through it would never end.
+/// The first 12 base64 characters of the arena's `child` array (bytes
+/// 0–8: slots 0 and 1 and a byte of slot 2) are decoded, slot 1 set to 1
+/// and the characters encoded again.
 fn reseal_with_backward_child(path: &Path) {
+    const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
     let mut artifact = ModelArtifact::load(path).expect("load v2");
-    let head = "\"child\":[1,";
-    let at = artifact.payload.find(head).expect("a root split") + head.len();
-    let end = at + artifact.payload[at..].find(',').expect("a second slot");
-    artifact.payload.replace_range(at..end, "1");
+    let head = "\"child\":\"";
+    let at = artifact.payload.find(head).expect("a child array") + head.len();
+    let bits = artifact.payload.as_bytes()[at..at + 12]
+        .iter()
+        .fold(0u128, |acc, c| {
+            let sextet = ALPHABET.iter().position(|a| a == c).expect("base64");
+            acc << 6 | sextet as u128
+        });
+    // The 9 decoded bytes are the last 9 of the 16.
+    let mut bytes = bits.to_be_bytes();
+    bytes[11..15].copy_from_slice(&1u32.to_le_bytes());
+    let bits = u128::from_be_bytes(bytes);
+    let encoded: String = (0..12)
+        .rev()
+        .map(|i| char::from(ALPHABET[(bits >> (6 * i)) as usize & 63]))
+        .collect();
+    artifact.payload.replace_range(at..at + 12, &encoded);
     artifact.content_digest = fnv1a_64(artifact.payload.as_bytes());
     artifact.save(path).expect("re-seal v2");
 }
