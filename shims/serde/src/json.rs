@@ -89,27 +89,27 @@ impl Writer {
     /// else is written verbatim, in runs.
     pub fn str(&mut self, s: &str) {
         self.out.push('"');
+        let bytes = s.as_bytes();
         let mut run = 0;
-        for (i, b) in s.bytes().enumerate() {
-            let escape = match b {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                b'\n' => "\\n",
-                b'\r' => "\\r",
-                b'\t' => "\\t",
-                0..=0x1f => "",
-                _ => continue,
-            };
+        loop {
+            let i = run_end::<true>(bytes, run);
             // Every byte escaped is ASCII, so both cuts are char boundaries.
             self.out.push_str(&s[run..i]);
-            if escape.is_empty() {
-                let _ = write!(self.out, "\\u{b:04x}");
-            } else {
-                self.out.push_str(escape);
+            let Some(&b) = bytes.get(i) else {
+                break;
+            };
+            match b {
+                b'"' => self.out.push_str("\\\""),
+                b'\\' => self.out.push_str("\\\\"),
+                b'\n' => self.out.push_str("\\n"),
+                b'\r' => self.out.push_str("\\r"),
+                b'\t' => self.out.push_str("\\t"),
+                _ => {
+                    let _ = write!(self.out, "\\u{b:04x}");
+                }
             }
             run = i + 1;
         }
-        self.out.push_str(&s[run..]);
         self.out.push('"');
     }
 
@@ -185,22 +185,29 @@ impl Writer {
     }
 }
 
-/// The index of the first `"` or `\` in `bytes` at or after `from`, or
-/// `bytes.len()`. Scans eight bytes a word: a byte of `w ^ pattern` is
-/// zero where `w` holds the pattern's byte, and `(x - 0x01…) & !x & 0x80…`
-/// flags the lowest zero byte of `x` exactly (flags above it may be
-/// spurious), so the lowest flag of the two is the first match.
-fn quote_or_escape(bytes: &[u8], from: usize) -> usize {
+/// The index of the first byte at or after `from` that ends a run of
+/// string text, or `bytes.len()`: a `"` or `\`, and with `CONTROL` any
+/// byte below 0x20 as well (the writer escapes those; the reader takes
+/// them verbatim). Scans eight bytes a word: `(x - n·0x01…) & !x & 0x80…`
+/// flags the lowest byte of `x` below `n` exactly (flags above it may be
+/// spurious). A byte of `w ^ pattern` is zero where `w` holds the
+/// pattern's byte, so `n = 1` finds `"` and `\`, and `n = 0x20` on `w`
+/// itself finds a control byte; the lowest flag of the tests is the first
+/// match.
+fn run_end<const CONTROL: bool>(bytes: &[u8], from: usize) -> usize {
     const ONES: u64 = u64::from_le_bytes([0x01; 8]);
     const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
-    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
+    let below = |x: u64, n: u8| x.wrapping_sub(ONES * u64::from(n)) & !x & HIGHS;
     let mut i = from;
     while let Some(word) = bytes.get(i..i + 8) {
         let mut le = [0u8; 8];
         le.copy_from_slice(word);
         let w = u64::from_le_bytes(le);
-        let hits =
-            zero_bytes(w ^ (ONES * u64::from(b'"'))) | zero_bytes(w ^ (ONES * u64::from(b'\\')));
+        let mut hits =
+            below(w ^ (ONES * u64::from(b'"')), 1) | below(w ^ (ONES * u64::from(b'\\')), 1);
+        if CONTROL {
+            hits |= below(w, 0x20);
+        }
         if hits != 0 {
             return i + hits.trailing_zeros() as usize / 8;
         }
@@ -208,7 +215,10 @@ fn quote_or_escape(bytes: &[u8], from: usize) -> usize {
     }
     bytes
         .get(i..)
-        .and_then(|rest| rest.iter().position(|&b| b == b'"' || b == b'\\'))
+        .and_then(|rest| {
+            rest.iter()
+                .position(|&b| b == b'"' || b == b'\\' || (CONTROL && b < 0x20))
+        })
         .map_or(bytes.len(), |k| i + k)
 }
 
@@ -367,7 +377,7 @@ impl<'a> Reader<'a> {
         let mut owned: Option<String> = None;
         loop {
             let start = self.pos;
-            self.pos = quote_or_escape(bytes, self.pos);
+            self.pos = run_end::<false>(bytes, self.pos);
             // Runs start and end next to ASCII bytes: char boundaries.
             let run = text
                 .get(start..self.pos)

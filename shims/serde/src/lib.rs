@@ -467,6 +467,39 @@ mod tests {
     }
 
     #[test]
+    fn every_escape_is_written_in_every_lane_of_a_word() {
+        // Each byte the writer escapes, twice, after runs of every length
+        // up to three words of ASCII and multi-byte text, so it falls in
+        // every lane of a word and in the byte-wise tail.
+        let escaped = |c: char| match c {
+            '"' => "\\\"".to_string(),
+            '\\' => "\\\\".to_string(),
+            '\n' => "\\n".to_string(),
+            '\r' => "\\r".to_string(),
+            '\t' => "\\t".to_string(),
+            _ => format!("\\u{:04x}", u32::from(c)),
+        };
+        let written = |s: &str| {
+            let mut w = Writer::new(false);
+            w.str(s);
+            w.into_string()
+        };
+        for filler in ["a", " ", "\u{7f}", "\u{e9}", "\u{20ac}", "\u{1f600}"] {
+            for n in 0..24 {
+                let run = filler.repeat(n);
+                assert_eq!(written(&run), format!("\"{run}\""));
+                for c in ['"', '\\'].into_iter().chain((0u8..0x20).map(char::from)) {
+                    let e = escaped(c);
+                    assert_eq!(
+                        written(&format!("{run}{c}{run}{c}")),
+                        format!("\"{run}{e}{run}{e}\"")
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn type_mismatch_is_error() {
         assert!(bool::deserialize(&mut Reader::new("1.0")).is_err());
         assert!(u32::deserialize(&mut Reader::new("-1")).is_err());
