@@ -114,6 +114,13 @@ impl Matrix {
     }
 }
 
+/// The row indices of a bootstrap resample of `n` rows: `n` uniform draws
+/// with replacement, in draw order.
+pub(crate) fn bootstrap_rows(n: usize, rng: &mut ChaCha8Rng) -> Vec<usize> {
+    use rand::Rng;
+    (0..n).map(|_| rng.gen_range(0..n)).collect()
+}
+
 /// A supervised dataset: features plus scalar targets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
@@ -173,11 +180,7 @@ impl Dataset {
 
     /// A bootstrap resample (with replacement) of the same size.
     pub fn bootstrap(&self, rng: &mut ChaCha8Rng) -> Dataset {
-        use rand::Rng;
-        let idx: Vec<usize> = (0..self.len())
-            .map(|_| rng.gen_range(0..self.len()))
-            .collect();
-        self.subset(&idx)
+        self.subset(&bootstrap_rows(self.len(), rng))
     }
 
     /// Checks every feature and target for NaN/infinity. Returns the first
