@@ -150,7 +150,10 @@ impl Characterization {
 /// *index*, not execution order, so the parallel path draws identical noise.
 pub(crate) fn sweep_device(spec: &DeviceSpec, noise_seed: Option<u64>, seed_off: u64) -> Device {
     match noise_seed {
-        Some(seed) => Device::with_noise(spec.clone(), NoiseModel::realistic(seed + seed_off)),
+        Some(seed) => Device::with_noise(
+            spec.clone(),
+            NoiseModel::realistic(seed.wrapping_add(seed_off)),
+        ),
         None => Device::new(spec.clone()),
     }
 }
@@ -1242,6 +1245,21 @@ mod tests {
         );
         assert_identical(&plain, &faulted);
         assert!(diag.is_clean());
+    }
+
+    #[test]
+    fn noise_seed_at_u64_max_wraps_on_both_paths() {
+        // A point's noise seed is `seed + seed_off`, wrapping past
+        // `u64::MAX` in every build profile, so the top of the seed range
+        // sweeps like any other seed and both engines agree on it.
+        let spec = v100();
+        let freqs = [900.0, 1200.0];
+        let opts = inert_opts(1, Some(u64::MAX));
+        let (fast, fast_diag) = characterize_with_options(&spec, &small_cronos(), &freqs, &opts);
+        let (slow, slow_diag) =
+            characterize_serial_with_options(&spec, &small_cronos(), &freqs, &opts);
+        assert_identical(&fast, &slow);
+        assert_eq!(fast_diag, slow_diag);
     }
 
     // ---- Telemetry inertness ----
