@@ -7,6 +7,8 @@
 //! testbed absolutely — the substrate is a simulator — but the shape
 //! (who wins, by what factor, where the Pareto knees fall) reproduces.
 
+#![forbid(unsafe_code)]
+
 use energy_model::characterize::{characterize, Characterization, Workload};
 use energy_model::ds_model::DomainSpecificModel;
 use energy_model::eval::{evaluate_loocv, evaluate_pareto, MapeRow, ParetoEval};

@@ -53,6 +53,8 @@
 //!   domain-specific models and per-kernel frequency plans that drop into
 //!   SYnergy's per-kernel scaling.
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod campaign;
 pub mod characterize;

@@ -29,6 +29,8 @@
 //! through a [`synergy::SynergyQueue`] exactly where the SYCL port of
 //! CRONOS submits its kernels.
 
+#![forbid(unsafe_code)]
+
 pub mod boundary;
 pub mod decomp;
 pub mod diagnostics;

@@ -47,6 +47,8 @@
 //! armed `governor.*` telemetry leaves measured results bit-identical —
 //! the same contracts the sweep engine and campaign layers already hold.
 
+#![forbid(unsafe_code)]
+
 pub mod fleet;
 pub mod gang;
 pub mod lifecycle;

@@ -39,6 +39,8 @@
 //! assert!(rec.time_s > 0.0 && rec.energy_j > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod faults;
 pub mod freq;

@@ -33,6 +33,8 @@
 //! [`kernelize`]/[`screen::GpuLigen`] (GPU kernel profiles and the
 //! SYnergy-queue driver for the energy experiments).
 
+#![forbid(unsafe_code)]
+
 pub mod dock;
 pub mod io;
 pub mod kernelize;

@@ -24,6 +24,8 @@
 //! draws from caller-seeded ChaCha RNGs, so model training is
 //! deterministic and the paper's experiments reproduce bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 pub mod cv;
 pub mod dataset;
 pub mod flat;

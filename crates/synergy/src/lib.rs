@@ -30,6 +30,8 @@
 //! println!("{} ran in {:.3} ms using {:.1} J", k.name, ev.time_s * 1e3, ev.energy_j);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod energy;
 pub mod metrics;

@@ -16,6 +16,8 @@
 //!   registry, batched prediction serving, and deadline-aware closed-loop
 //!   DVFS over the trained models
 
+#![forbid(unsafe_code)]
+
 pub use cronos;
 pub use energy_model;
 pub use governor;
