@@ -129,8 +129,8 @@ fn registry_rejects_corruption_version_skew_and_staleness() {
         }
     ));
 
-    // Version skew, to a future schema or back to schema 1 (pointer-tree
-    // payloads) → typed Version error.
+    // Version skew, to a future schema or back to schema 2 (arena arrays
+    // as decimal numbers) → typed Version error.
     let artifact = ModelArtifact::load(&source).expect("load artifact envelope");
     for version in [artifact.schema_version + 1, artifact.schema_version - 1] {
         let skew_dir = test_dir(&format!("skew-registry-v{version}"));
