@@ -11,7 +11,7 @@
 //! the forest seed, so the fitted model is independent of thread schedule.
 //! A bootstrap sample is a list of row indices: each tree grows on those
 //! rows of the training matrix itself, with the feature ranks the fit
-//! computed once for all its trees ([`crate::tree::Ranks`]), and no tree
+//! computed once for all its trees (`tree::Ranks`), and no tree
 //! copies the data.
 //!
 //! A domain-specific model keeps no pointer trees: it serves and persists

@@ -5,7 +5,7 @@
 //! feature subsampling (`max_features`) — the knobs the paper grid-searches
 //! for its Random Forest (§5.2.1).
 //!
-//! A fit ranks every feature once ([`Ranks`]: each row's dense rank in
+//! A fit ranks every feature once (`Ranks`: each row's dense rank in
 //! `total_cmp` order; a forest shares one ranking across its trees). A
 //! split puts each candidate feature's rows in value order with one pass
 //! over the node's rows to find their rank range — a feature whose extreme
