@@ -23,9 +23,9 @@
 //! [`crate::distributed::characterize_distributed`]), where the lattice
 //! and gang headlines pick from measured points.
 //!
-//! A Random Forest pair keeps one form from fit to serve: training fits
-//! the pointer trees, compiles each forest to its [`FlatForest`] arena and
-//! drops the trees. Serving walks the arena, [`DomainSpecificModel::to_json`]
+//! A Random Forest pair keeps one form from fit to serve: each forest
+//! grows straight into its [`FlatForest`] arena, which the model takes by
+//! value. Serving walks the arena, [`DomainSpecificModel::to_json`]
 //! persists its arrays, and [`DomainSpecificModel::from_json`] checks every
 //! arena it reads before the model can serve.
 
@@ -84,8 +84,8 @@ impl Algorithm {
         ]
     }
 
-    /// Fits this algorithm on `(x, y)`. A forest is compiled to its flat
-    /// arena, and its pointer trees are dropped.
+    /// Fits this algorithm on `(x, y)`. A forest is kept as the arena it
+    /// grew into.
     fn fit(&self, x: &Matrix, y: &[f64], seed: u64) -> AnyModel {
         fn fitted<M: Regressor>(mut model: M, x: &Matrix, y: &[f64]) -> M {
             model.fit(x, y);
@@ -100,14 +100,14 @@ impl Algorithm {
                     n_estimators: 60,
                     ..Default::default()
                 };
-                AnyModel::Forest(fitted(RandomForest::new(params, seed), x, y).flatten())
+                AnyModel::Forest(fitted(RandomForest::new(params, seed), x, y).into_flat())
             }
         }
     }
 }
 
 /// A fitted model of one of the four candidate algorithms; a forest is
-/// held as its compiled arena.
+/// held as its arena.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum AnyModel {
     Linear(LinearRegression),
@@ -139,8 +139,8 @@ impl AnyModel {
 
 /// A trained domain-specific model pair (time + energy).
 ///
-/// A Random Forest pair holds each forest as its compiled [`FlatForest`]
-/// arena: the form it is trained into, served from and persisted as.
+/// A Random Forest pair holds each forest as its [`FlatForest`] arena: the
+/// form it grows into, serves from and persists as.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DomainSpecificModel {
     time_model: AnyModel,
@@ -350,8 +350,8 @@ impl DomainSpecificModel {
     ///
     /// Forest models (the production pair) take the **sweep-aware flat
     /// path**: every `(input, frequency)` row of a curve differs from its
-    /// siblings only in the frequency column, so each flattened tree is
-    /// descended once per input via `FlatForest::predict_sweep_into` —
+    /// siblings only in the frequency column, so each arena tree is
+    /// descended once per input via `FlatForest::predict_sweep_batch_into` —
     /// frequency splits partition the sweep range instead of re-walking
     /// the tree per frequency. Non-forest models expand the templates into
     /// one row per `(input, frequency)` and evaluate both matrices in

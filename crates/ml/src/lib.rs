@@ -14,7 +14,9 @@
 //! * [`svr`] — ε-insensitive support-vector regression with an RBF kernel,
 //!   trained by SMO;
 //! * [`tree`] / [`forest`] — CART regression trees and bagged random
-//!   forests with feature subsampling (the model the paper selects);
+//!   forests with feature subsampling (the model the paper selects),
+//!   grown straight into [`flat`]'s node arena, the one form they fit,
+//!   predict, serve and persist in;
 //! * [`cv`] — K-fold and leave-one-group-out cross-validation (the paper's
 //!   LOOCV over input configurations);
 //! * [`grid_search`] — exhaustive hyper-parameter search;
@@ -63,8 +65,9 @@ pub trait Regressor: Send + Sync {
     /// (cleared and refilled). One virtual dispatch serves the whole batch,
     /// and steady-state callers reuse `out` across calls instead of
     /// allocating per batch. Implementations may override with a layout
-    /// better than row-at-a-time (the forest walks tree-major) but must
-    /// stay bit-identical to `predict_row` per row.
+    /// better than row-at-a-time (a forest walks its arena tree-major,
+    /// [`FlatForest::predict_batch_into`]) but must stay bit-identical to
+    /// `predict_row` per row.
     fn predict_batch(&self, x: &Matrix, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(x.rows());
