@@ -833,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_matches_serial_submits_bitwise() {
+    fn try_submit_segment_matches_serial_submits_bitwise() {
         for spec in [
             DeviceSpec::v100(),
             DeviceSpec::mi100(),
@@ -858,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_default_policy_matches_vendor_baseline() {
+    fn try_submit_segment_default_policy_matches_vendor_baseline() {
         for spec in [
             DeviceSpec::v100(),
             DeviceSpec::mi100(),
@@ -877,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_of_zero_is_a_noop() {
+    fn try_submit_segment_of_zero_is_a_noop() {
         let mut q = v100_queue();
         let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
         let m = q.try_submit_segment(&k, 0).unwrap();
