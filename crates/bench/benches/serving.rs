@@ -1,7 +1,7 @@
-//! Flat-forest serving guard: batched sweep inference through the compiled
-//! struct-of-arrays layout (`ml::flat`) must reproduce the row-at-a-time
-//! walk of the same arena bit for bit, and stay at least [`SPEEDUP_MIN`]×
-//! ahead of it in throughput.
+//! Flat-forest serving guard: batched sweep inference through the forest
+//! arena's struct-of-arrays layout (`ml::flat`) must reproduce the
+//! row-at-a-time walk of the same arena bit for bit, and stay at least
+//! [`SPEEDUP_MIN`]× ahead of it in throughput.
 //!
 //! Both are asserted on two models: a synthetic Cronos-shaped forest, and
 //! the production-shape model (Cronos paper configs characterized on the
