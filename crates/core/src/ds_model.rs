@@ -14,7 +14,7 @@
 //!
 //! [`DomainSpecificModel::train_selecting`] reproduces the paper's model
 //! selection (§5.2.1): Linear, Lasso, SVR-RBF, and Random Forest compete
-//! under K-fold cross-validation; Random Forest wins.
+//! under leave-one-input-out cross-validation; Random Forest wins.
 //!
 //! The core clock is the model's one configuration column: it is what
 //! the governor, the fleet and the lifecycle serve. The memory-clock,

@@ -12,8 +12,8 @@
 //! curve per application regardless of workload — the inaccuracy the
 //! domain-specific models remove.
 
-use gpu_sim::{Device, DeviceSpec, KernelProfile};
-use ml::dataset::{Dataset, Matrix};
+use gpu_sim::{Device, DeviceSpec};
+use ml::dataset::Matrix;
 use ml::forest::{RandomForest, RandomForestParams};
 use ml::Regressor;
 use rayon::prelude::*;
@@ -120,22 +120,6 @@ impl GeneralPurposeModel {
         }
     }
 
-    /// The training set the model was built from, exposed for diagnostics.
-    pub fn training_dataset(spec: &DeviceSpec, freqs: &[f64]) -> (Dataset, Dataset) {
-        let (x, y_speedup, y_energy) = microbench_design(spec, freqs);
-        (
-            Dataset::new(x.clone(), y_speedup),
-            Dataset::new(x, y_energy),
-        )
-    }
-
-    /// Extracts the static feature vector of an application from its
-    /// kernel profiles (the "static code features … extracted from a new
-    /// input code" of the prediction phase).
-    pub fn application_features(kernels: &[KernelProfile]) -> [f64; N_STATIC_FEATURES] {
-        static_features(kernels)
-    }
-
     /// Predicts (speedup, normalized energy) at one frequency.
     pub fn predict(&self, app_features: &[f64; N_STATIC_FEATURES], freq_mhz: f64) -> (f64, f64) {
         let mut row = app_features.to_vec();
@@ -188,6 +172,7 @@ impl GeneralPurposeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::KernelProfile;
     use ml::tree::TreeParams;
 
     fn quick_params() -> RandomForestParams {
@@ -209,7 +194,7 @@ mod tests {
         let model = quick_model(&spec);
         // A compute-heavy mix the suite covers well.
         let k = KernelProfile::compute_bound("app", 4_000_000, 2000.0);
-        let sf = GeneralPurposeModel::application_features(&[k]);
+        let sf = static_features(&[k]);
         let (s, e) = model.predict(&sf, spec.default_core_mhz);
         assert!((s - 1.0).abs() < 0.05, "speedup at default ≈ 1, got {s}");
         assert!((e - 1.0).abs() < 0.05, "energy at default ≈ 1, got {e}");
@@ -220,7 +205,7 @@ mod tests {
         let spec = DeviceSpec::v100();
         let model = quick_model(&spec);
         let k = KernelProfile::compute_bound("app", 4_000_000, 2000.0);
-        let sf = GeneralPurposeModel::application_features(&[k]);
+        let sf = static_features(&[k]);
         let (s_low, _) = model.predict(&sf, 700.0);
         let (s_high, _) = model.predict(&sf, spec.max_core_mhz());
         assert!(s_low < 0.75, "700 MHz speedup {s_low}");
@@ -232,7 +217,7 @@ mod tests {
         let spec = DeviceSpec::v100();
         let model = quick_model(&spec);
         let k = KernelProfile::memory_bound("app", 4_000_000, 64.0);
-        let sf = GeneralPurposeModel::application_features(&[k]);
+        let sf = static_features(&[k]);
         let (s_low, e_low) = model.predict(&sf, 950.0);
         assert!(s_low > 0.9, "memory-bound down-clock speedup {s_low}");
         assert!(e_low < 0.95, "memory-bound down-clock energy {e_low}");
@@ -246,8 +231,8 @@ mod tests {
         let model = quick_model(&spec);
         let small = KernelProfile::compute_bound("app", 1_000, 2000.0);
         let big = KernelProfile::compute_bound("app", 100_000_000, 2000.0);
-        let sf_small = GeneralPurposeModel::application_features(&[small]);
-        let sf_big = GeneralPurposeModel::application_features(&[big]);
+        let sf_small = static_features(&[small]);
+        let sf_big = static_features(&[big]);
         assert_eq!(
             model.predict(&sf_small, 800.0),
             model.predict(&sf_big, 800.0)
@@ -259,7 +244,7 @@ mod tests {
         let spec = DeviceSpec::v100();
         let model = quick_model(&spec);
         let k = KernelProfile::compute_bound("app", 4_000_000, 2000.0);
-        let sf = GeneralPurposeModel::application_features(&[k]);
+        let sf = static_features(&[k]);
         let freqs = [500.0, 1000.0, 1500.0];
         let curve = model.predict_curve(&sf, &freqs);
         assert_eq!(curve.len(), 3);
@@ -271,7 +256,7 @@ mod tests {
         let spec = DeviceSpec::v100();
         let model = quick_model(&spec);
         let k = KernelProfile::compute_bound("app", 4_000_000, 2000.0);
-        let sf = GeneralPurposeModel::application_features(&[k]);
+        let sf = static_features(&[k]);
         let freqs = [500.0, 900.0, 1100.0, 1380.0];
         let curve = model.predict_curve(&sf, &freqs);
         for p in &curve {
@@ -279,15 +264,5 @@ mod tests {
             assert_eq!(p.speedup.to_bits(), s.to_bits());
             assert_eq!(p.norm_energy.to_bits(), e.to_bits());
         }
-    }
-
-    #[test]
-    fn training_dataset_shape() {
-        let spec = DeviceSpec::v100();
-        let freqs = spec.core_freqs.strided(40);
-        let (ds_s, ds_e) = GeneralPurposeModel::training_dataset(&spec, &freqs);
-        assert_eq!(ds_s.len(), 106 * freqs.len());
-        assert_eq!(ds_s.x.cols(), 11);
-        assert_eq!(ds_e.len(), ds_s.len());
     }
 }

@@ -127,11 +127,6 @@ impl PerKernelModel {
         self.models.keys().map(String::as_str).collect()
     }
 
-    /// The model pair for one kernel.
-    pub fn model_for(&self, kernel: &str) -> Option<&DomainSpecificModel> {
-        self.models.get(kernel)
-    }
-
     /// Plans a per-kernel frequency assignment for `features`: for each
     /// kernel, the predicted-minimum-energy frequency whose predicted
     /// slowdown vs the default clock stays within `max_slowdown`.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use gpu_sim::DeviceSpec;
 use rayon::prelude::*;
 
-use crate::characterize::{characterize, Characterization, Workload};
+use crate::characterize::{characterize, Characterization};
 use crate::ds_model::{DsSample, PredictedPoint};
 use crate::features::{CronosInput, LigenInput};
 use crate::pareto::pareto_front_indices;
@@ -160,20 +160,6 @@ pub fn true_pareto_frequencies(ch: &Characterization) -> Vec<f64> {
     pareto_front_indices(&pts)
         .into_iter()
         .map(|i| ch.points[i].freq_mhz)
-        .collect()
-}
-
-/// A generic workload characterization helper used by benches: sweeps
-/// raw time/energy (not normalized), as in Figures 6–9.
-pub fn raw_sweep(
-    spec: &DeviceSpec,
-    workload: &dyn Workload,
-    freqs: &[f64],
-) -> Vec<(f64, f64, f64)> {
-    let ch = characterize(spec, workload, freqs, 1, None);
-    ch.points
-        .iter()
-        .map(|p| (p.freq_mhz, p.time_s, p.energy_j))
         .collect()
 }
 

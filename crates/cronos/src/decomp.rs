@@ -480,35 +480,27 @@ pub struct DistributedRunReport {
 /// loop on N [`SynergyQueue`]s in lockstep. With one device the submitted
 /// stream is identical to [`crate::sim::GpuCronos::run`] — no barriers, no
 /// transfers — so the measurement is bit-identical.
+///
+/// The slabs always form a periodic ring (the Orszag–Tang-style
+/// workload): with more than one device, every cut crosses a link, the
+/// wrap between the last slab and the first included. The CPU
+/// [`DistributedSimulation`] runs every [`BoundaryKind`].
 #[derive(Debug, Clone, Copy)]
 pub struct DistributedGpuCronos {
     /// Parent grid the slabs are cut from.
     pub grid: Grid,
     /// Timesteps per measured run.
     pub steps: u64,
-    /// Boundary kind (decides whether the ring wraps).
-    pub boundary: BoundaryKind,
 }
 
 impl DistributedGpuCronos {
-    /// A distributed GPU workload of `steps` timesteps on `grid` with
-    /// periodic boundaries (the Orszag–Tang-style default).
+    /// A distributed GPU workload of `steps` timesteps on `grid`.
     ///
     /// # Panics
     /// Panics if `steps == 0`.
     pub fn new(grid: Grid, steps: u64) -> Self {
         assert!(steps > 0, "need at least one timestep");
-        DistributedGpuCronos {
-            grid,
-            steps,
-            boundary: BoundaryKind::Periodic,
-        }
-    }
-
-    /// Same workload under a different boundary kind.
-    pub fn with_boundary(mut self, boundary: BoundaryKind) -> Self {
-        self.boundary = boundary;
-        self
+        DistributedGpuCronos { grid, steps }
     }
 
     /// The largest device count this grid supports.
@@ -542,28 +534,19 @@ impl DistributedGpuCronos {
             self.grid.nx
         );
         let decomp = Decomposition::slabs(&self.grid, n);
-        let plane_bytes = Decomposition::plane_bytes(&self.grid);
-        let periodic = self.boundary == BoundaryKind::Periodic;
 
         // Per-device kernel sets: the four substep kernels for the slab,
-        // plus halo pack/unpack sized by the device's remote sends.
+        // plus halo pack/unpack sized by the device's remote sends. The
+        // ring wraps, so in a ring of more than one every slab sends to
+        // both neighbours; a ring of one sends nothing.
+        let sends: usize = if n > 1 { 2 } else { 0 };
+        let send_bytes = sends as u64 * Decomposition::plane_bytes(&self.grid);
         let mut sub_kernels = Vec::with_capacity(n);
         let mut halo = Vec::with_capacity(n);
-        let mut send_bytes = Vec::with_capacity(n);
         for i in 0..n {
             let lg = decomp.slab_grid(&self.grid, i);
             sub_kernels.push(substep_kernels(&lg));
-            // Remote neighbours: in a ring of one, none; otherwise the
-            // interior cuts always, the wrap only when periodic.
-            let remote_low = n > 1 && (i > 0 || periodic);
-            let remote_high = n > 1 && (i + 1 < n || periodic);
-            let sends = usize::from(remote_low) + usize::from(remote_high);
-            halo.push(if sends > 0 {
-                Some(halo_kernels(&lg, sends))
-            } else {
-                None
-            });
-            send_bytes.push(sends as u64 * plane_bytes);
+            halo.push((sends > 0).then(|| halo_kernels(&lg, sends)));
         }
 
         let t0: Vec<f64> = queues.iter().map(|q| q.total_time_s()).collect();
@@ -623,11 +606,11 @@ impl DistributedGpuCronos {
                         let te0 = q.total_time_s();
                         let ee0 = q.total_energy_j();
                         q.try_submit(pack).map(drop)?;
-                        q.try_submit_transfer(send_bytes[i])?;
+                        q.try_submit_transfer(send_bytes)?;
                         q.try_submit(unpack).map(drop)?;
                         exchange_time_s += q.total_time_s() - te0;
                         exchange_energy_j += q.total_energy_j() - ee0;
-                        halo_bytes += send_bytes[i];
+                        halo_bytes += send_bytes;
                     }
                     q.try_submit(&sub_kernels[i][3]).map(drop)?;
                 }

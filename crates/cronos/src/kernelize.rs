@@ -37,8 +37,6 @@ pub mod names {
     pub const APPLY_BOUNDARY: &str = "cronos::apply_boundary";
     /// The halo pack kernel (stages outgoing x-face planes).
     pub const PACK_HALO: &str = "cronos::pack_halo";
-    /// The halo exchange transfer (the link-transfer label, not a kernel).
-    pub const EXCHANGE_HALO: &str = "cronos::exchange_halo";
     /// The halo unpack kernel (scatters received planes into ghosts).
     pub const UNPACK_HALO: &str = "cronos::unpack_halo";
 }

@@ -33,7 +33,6 @@
 
 pub mod boundary;
 pub mod decomp;
-pub mod diagnostics;
 pub mod eos;
 pub mod flux;
 pub mod grid;

@@ -1,4 +1,5 @@
-//! Parallel reductions (the `reduce(cfl, cflBuf, max)` of Algorithm 1).
+//! The parallel max-reduction of the CFL buffer (the `reduce(cfl, cflBuf,
+//! max)` of Algorithm 1).
 
 use rayon::prelude::*;
 
@@ -29,11 +30,6 @@ pub fn max_reduce(values: &[f64]) -> f64 {
     m
 }
 
-/// Parallel sum (used by conservation diagnostics on large grids).
-pub fn sum_reduce(values: &[f64]) -> f64 {
-    values.par_iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,13 +48,6 @@ mod tests {
             .collect();
         let seq = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(max_reduce(&v), seq);
-    }
-
-    #[test]
-    fn sum_matches_sequential() {
-        let v: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-        let expect = (9_999.0 * 10_000.0) / 2.0;
-        assert!((sum_reduce(&v) - expect).abs() < 1e-6);
     }
 
     #[test]

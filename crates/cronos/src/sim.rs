@@ -190,7 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn blast_conserves_mass_with_periodic_bc() {
+    fn orszag_tang_conserves_mass_and_energy() {
         // Use the Orszag–Tang problem (periodic) for a conservation check.
         let mut sim = Simulation::new(problems::orszag_tang(Grid::cubic(16, 16, 4)), GAMMA, 0.4);
         let mass0 = sim.state.total(comp::RHO);

@@ -200,7 +200,8 @@ pub struct EngineConfig {
     pub freqs: Vec<f64>,
     /// Admission queue capacity; `try_enqueue` rejects beyond this.
     pub queue_capacity: usize,
-    /// Maximum requests served per [`PredictionEngine::drain_batch`] call.
+    /// Maximum requests served per [`PredictionEngine::drain_batch`] call;
+    /// 0 serves one, like 1.
     pub max_batch: usize,
 }
 
@@ -228,8 +229,6 @@ pub struct PredictionEngine {
     models: HashMap<String, InstalledModel>,
     queue: VecDeque<PredictionRequest>,
     stats: CacheStats,
-    admitted: u64,
-    rejected: u64,
     /// The memo key of the request being served, refilled for each one:
     /// a hit probes with it and allocates nothing, a miss copies it out.
     probe_key: Vec<u64>,
@@ -243,8 +242,6 @@ impl PredictionEngine {
             models: HashMap::new(),
             queue: VecDeque::new(),
             stats: CacheStats::default(),
-            admitted: 0,
-            rejected: 0,
             probe_key: Vec::new(),
         }
     }
@@ -285,11 +282,6 @@ impl PredictionEngine {
         self.models.get(app).map_or(0, |m| m.memo.len())
     }
 
-    /// Requests admitted / rejected at the queue boundary so far.
-    pub fn admission_counts(&self) -> (u64, u64) {
-        (self.admitted, self.rejected)
-    }
-
     /// Current queue depth.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
@@ -299,19 +291,19 @@ impl PredictionEngine {
     /// queue is at capacity.
     pub fn try_enqueue(&mut self, request: PredictionRequest) -> Result<(), AdmissionError> {
         if self.queue.len() >= self.config.queue_capacity {
-            self.rejected += 1;
             return Err(AdmissionError::QueueFull {
                 capacity: self.config.queue_capacity,
             });
         }
-        self.admitted += 1;
         self.queue.push_back(request);
         Ok(())
     }
 
-    /// Serves up to `max_batch` queued requests in FIFO order. Each
-    /// response pairs the request with its profile or a typed serve error;
-    /// a failed request consumes its queue slot like a served one.
+    /// Serves up to `max_batch` queued requests in FIFO order, and at
+    /// least one while any is queued (a `max_batch` of 0 serves one, so a
+    /// loop that drains to empty always ends). Each response pairs the
+    /// request with its profile or a typed serve error; a failed request
+    /// consumes its queue slot like a served one.
     ///
     /// Cache misses in the drained batch are grouped per app and evaluated
     /// as **one** `predict_curves_batch` call through the flattened forest
@@ -324,7 +316,7 @@ impl PredictionEngine {
     pub fn drain_batch(
         &mut self,
     ) -> Vec<(PredictionRequest, Result<Arc<PredictedProfile>, ServeError>)> {
-        let n = self.config.max_batch.min(self.queue.len());
+        let n = self.config.max_batch.max(1).min(self.queue.len());
         let requests: Vec<PredictionRequest> = self.queue.drain(..n).collect();
         let results = self.serve_batch(&requests);
         requests.into_iter().zip(results).collect()
@@ -535,7 +527,6 @@ pub(crate) mod tests {
             engine.try_enqueue(request(4, 2.0)),
             Err(AdmissionError::QueueFull { capacity: 4 })
         );
-        assert_eq!(engine.admission_counts(), (4, 1));
     }
 
     #[test]
@@ -556,6 +547,21 @@ pub(crate) mod tests {
             vec![2, 3]
         );
         assert!(engine.drain_batch().is_empty());
+    }
+
+    #[test]
+    fn a_zero_max_batch_drain_serves_one_request() {
+        let mut engine = engine_with_model();
+        engine.config.max_batch = 0;
+        for i in 0..3 {
+            engine.try_enqueue(request(i, 2.0)).ok();
+        }
+        let served = engine.drain_batch();
+        assert_eq!(
+            served.iter().map(|(r, _)| r.job_id).collect::<Vec<_>>(),
+            vec![0]
+        );
+        assert_eq!(engine.queue_len(), 2);
     }
 
     #[test]

@@ -60,8 +60,6 @@ pub struct Device {
     energy_counter_j: f64,
     /// Device-side clock, seconds since creation.
     clock_s: f64,
-    /// Power reading of the most recent activity (W).
-    last_power_w: f64,
     noise: NoiseModel,
     /// Memo cache of noiseless launch prices; shareable across devices.
     prices: Arc<PriceTable>,
@@ -75,7 +73,6 @@ impl Device {
     pub fn new(spec: DeviceSpec) -> Self {
         let core = spec.default_core_mhz;
         let mem = spec.mem_freqs.max();
-        let idle = spec.idle_power_w;
         Device {
             spec,
             core_mhz: core,
@@ -83,7 +80,6 @@ impl Device {
             power_cap_w: None,
             energy_counter_j: 0.0,
             clock_s: 0.0,
-            last_power_w: idle,
             noise: NoiseModel::disabled(),
             prices: Arc::new(PriceTable::new()),
             faults: FaultState::inert(),
@@ -254,7 +250,6 @@ impl Device {
         };
         self.clock_s += time_s;
         self.energy_counter_j += energy_j;
-        self.last_power_w = avg_power_w;
         if self.faults.on_launch_complete() {
             // Counter wrap/reset: readings restart from zero, exactly like
             // a wrapped `rsmi_dev_energy_count_get` accumulator.
@@ -339,7 +334,6 @@ impl Device {
         assert!(dt_s >= 0.0, "time cannot run backwards");
         self.clock_s += dt_s;
         self.energy_counter_j += self.spec.idle_power_w * dt_s;
-        self.last_power_w = self.spec.idle_power_w;
     }
 
     /// Moves `bytes` over the device's peer-to-peer interconnect port,
@@ -369,7 +363,6 @@ impl Device {
         let energy_j = power_w * time_base_s * self.noise.energy_factor();
         self.clock_s += time_s;
         self.energy_counter_j += energy_j;
-        self.last_power_w = energy_j / time_s;
         Ok(TransferRecord {
             bytes,
             time_s,
@@ -387,12 +380,6 @@ impl Device {
     /// Device clock (s since creation).
     pub fn clock_s(&self) -> f64 {
         self.clock_s
-    }
-
-    /// Most recent power reading (W) — the `nvmlDeviceGetPowerUsage`
-    /// analogue (which reports mW).
-    pub fn power_usage_w(&self) -> f64 {
-        self.last_power_w
     }
 }
 
@@ -413,11 +400,11 @@ impl InertDevice<'_> {
     /// `(time_s, energy_j)` is `price`, as [`InertDevice::price`] returns it
     /// under the current memory clock and power cap. Each launch draws one
     /// time factor, then one energy factor, advances the device clock and
-    /// energy counter, sets the power reading and reports its
-    /// `(time_s, energy_j)` to `sink` — exactly what `n` separate
-    /// [`Device::launch_at`] calls do, so every counter ends bit-identical.
-    /// A fused trace replay runs every launch through here; a launch that a
-    /// fault could touch goes through [`Device::launch_at`].
+    /// energy counter and reports its `(time_s, energy_j)` to `sink` —
+    /// exactly what `n` separate [`Device::launch_at`] calls do, so every
+    /// counter ends bit-identical. A fused trace replay runs every launch
+    /// through here; a launch that a fault could touch goes through
+    /// [`Device::launch_at`].
     pub fn launch_priced(&mut self, price: (f64, f64), n: u64, mut sink: impl FnMut(f64, f64)) {
         let dev = &mut *self.0;
         let (base_time_s, base_energy_j) = price;
@@ -426,7 +413,6 @@ impl InertDevice<'_> {
             let energy_j = base_energy_j * dev.noise.energy_factor();
             dev.clock_s += time_s;
             dev.energy_counter_j += energy_j;
-            dev.last_power_w = energy_j / time_s;
             sink(time_s, energy_j);
         }
     }
@@ -550,7 +536,6 @@ mod tests {
         assert_eq!(seen, expected);
         assert_eq!(batched.clock_s(), serial.clock_s());
         assert_eq!(batched.energy_counter_j(), serial.energy_counter_j());
-        assert_eq!(batched.power_usage_w(), serial.power_usage_w());
     }
 
     #[test]

@@ -422,11 +422,6 @@ impl FaultState {
     pub fn transfer_ops(&self) -> u64 {
         self.transfer_ops
     }
-
-    /// Set-frequency operations consumed so far (including rejected ones).
-    pub fn set_frequency_ops(&self) -> u64 {
-        self.set_freq_ops
-    }
 }
 
 impl Default for FaultState {

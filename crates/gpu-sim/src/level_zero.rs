@@ -3,7 +3,7 @@
 //! Mirrors the subset of the Level Zero Sysman interface SYnergy's Intel
 //! backend uses: frequency-domain enumeration and range control
 //! (`zesFrequencySetRange`), the energy counter (`zesPowerGetEnergyCounter`,
-//! microjoules), and power sampling. Intel GPUs, like AMD ones, have no
+//! microjoules), and the power limit. Intel GPUs, like AMD ones, have no
 //! fixed default clock: the stock configuration is the full frequency range
 //! with a firmware governor choosing within it; pinning means collapsing
 //! the range to a single bin.
@@ -90,11 +90,6 @@ impl ZeDriver {
                 .map(|d| Arc::new(Mutex::new(d)))
                 .collect(),
         }
-    }
-
-    /// Initializes over shared device handles.
-    pub fn init_shared(devices: Vec<Arc<Mutex<Device>>>) -> Self {
-        ZeDriver { devices }
     }
 
     /// `zesDeviceGet` count.
@@ -245,12 +240,6 @@ impl ZeDevice {
         (self.inner.lock().energy_counter_j() * 1e6).round() as u64
     }
 
-    /// Last power sample in **milliwatts** (`zesPowerGetProperties` +
-    /// sampling analogue).
-    pub fn power_mw(&self) -> u64 {
-        (self.inner.lock().power_usage_w() * 1e3).round() as u64
-    }
-
     /// Executes a kernel at the governor-selected clock within the active
     /// range (the simulator stand-in for a SYCL launch on this device).
     pub fn launch(&self, kernel: &KernelProfile) -> Result<LaunchRecord, ZeError> {
@@ -342,7 +331,6 @@ mod tests {
         let rec = dev.launch(&k).unwrap();
         let uj = dev.energy_counter_uj();
         assert!((uj as f64 - rec.energy_j * 1e6).abs() <= 1.0);
-        assert!(dev.power_mw() > 0);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl NoiseModel {
         NoiseModel::new(seed, 0.01, 0.015)
     }
 
-    /// Whether this model perturbs measurements at all.
-    pub fn is_enabled(&self) -> bool {
-        self.sigma_time > 0.0 || self.sigma_energy > 0.0
-    }
-
     fn standard_normal(&mut self) -> f64 {
         // Irwin–Hall sum of 12 uniforms: mean 6, variance 1.
         let s: f64 = (0..12).map(|_| self.rng.gen::<f64>()).sum();
@@ -91,7 +86,6 @@ mod tests {
             assert_eq!(n.time_factor(), 1.0);
             assert_eq!(n.energy_factor(), 1.0);
         }
-        assert!(!n.is_enabled());
     }
 
     #[test]

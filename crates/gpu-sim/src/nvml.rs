@@ -1,10 +1,10 @@
 //! NVML-like management API.
 //!
 //! Mirrors the subset of the NVIDIA Management Library the paper's pipeline
-//! needs — supported-clock enumeration, application-clock control, the power
-//! sampler, and the total-energy counter — with Rust naming and `Result`
-//! error handling instead of `nvmlReturn_t` codes. Units follow NVML: power
-//! in milliwatts, energy in millijoules, clocks in MHz.
+//! needs — supported-clock enumeration, application-clock control, the
+//! power limit, and the total-energy counter — with Rust naming and
+//! `Result` error handling instead of `nvmlReturn_t` codes. Units follow
+//! NVML: energy in millijoules, clocks in MHz.
 
 use std::sync::Arc;
 
@@ -90,12 +90,6 @@ impl Nvml {
                 .map(|d| Arc::new(Mutex::new(d)))
                 .collect(),
         }
-    }
-
-    /// Initializes NVML over shared device handles (for co-management with
-    /// other layers, e.g. the `synergy` queue).
-    pub fn init_shared(devices: Vec<Arc<Mutex<Device>>>) -> Self {
-        Nvml { devices }
     }
 
     /// `nvmlDeviceGetCount`.
@@ -218,11 +212,6 @@ impl NvmlDevice {
         self.inner.lock().mem_mhz()
     }
 
-    /// `nvmlDeviceGetPowerUsage` — last power sample in **milliwatts**.
-    pub fn power_usage_mw(&self) -> u64 {
-        (self.inner.lock().power_usage_w() * 1e3).round() as u64
-    }
-
     /// `nvmlDeviceGetTotalEnergyConsumption` — cumulative energy in
     /// **millijoules**.
     pub fn total_energy_consumption_mj(&self) -> u64 {
@@ -306,15 +295,6 @@ mod tests {
         let rec = dev.launch(&k).unwrap();
         let mj = dev.total_energy_consumption_mj();
         assert!((mj as f64 - rec.energy_j * 1e3).abs() <= 1.0);
-    }
-
-    #[test]
-    fn power_usage_in_milliwatts() {
-        let dev = NvmlDevice::v100();
-        let k = KernelProfile::memory_bound("k", 10_000_000, 64.0);
-        let rec = dev.launch(&k).unwrap();
-        let mw = dev.power_usage_mw();
-        assert!((mw as f64 - rec.avg_power_w * 1e3).abs() <= 1.0);
     }
 
     #[test]

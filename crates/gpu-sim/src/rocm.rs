@@ -98,11 +98,6 @@ impl RocmSmi {
         }
     }
 
-    /// Initializes over shared device handles.
-    pub fn init_shared(devices: Vec<Arc<Mutex<Device>>>) -> Self {
-        RocmSmi { devices }
-    }
-
     /// `rsmi_num_monitor_devices`.
     pub fn device_count(&self) -> usize {
         self.devices.len()
@@ -253,11 +248,6 @@ impl RocmDevice {
             PerfLevel::Auto => dev.spec().default_core_mhz,
             _ => dev.core_mhz(),
         }
-    }
-
-    /// `rsmi_dev_power_ave_get` — average power in **microwatts**.
-    pub fn power_ave_uw(&self) -> u64 {
-        (self.inner.lock().power_usage_w() * 1e6).round() as u64
     }
 
     /// Cumulative energy counter in **microjoules**

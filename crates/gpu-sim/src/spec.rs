@@ -262,11 +262,6 @@ impl DeviceSpec {
         f64::from(self.num_sms) * f64::from(self.lanes_per_sm)
     }
 
-    /// Total resident-thread capacity (the latency-hiding pool).
-    pub fn total_resident_threads(&self) -> f64 {
-        f64::from(self.num_sms) * f64::from(self.max_threads_per_sm)
-    }
-
     /// Device-wide thread count at which throughput saturates — the
     /// occupancy reference the timing model divides by.
     pub fn saturation_threads(&self) -> f64 {

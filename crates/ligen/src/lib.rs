@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dock;
-pub mod io;
 pub mod kernelize;
 pub mod library;
 pub mod molecule;

@@ -1,50 +1,13 @@
-//! Cross-validation.
+//! Cross-validation: the paper's validation protocol (§5.2).
 //!
-//! Two protocols:
-//!
-//! * [`kfold_indices`] — classic shuffled K-fold, used by the grid search;
-//! * [`leave_one_group_out`] — the paper's validation protocol (§5.2): for
-//!   each distinct *input configuration* (feature vector), hold out every
-//!   sample of that configuration (all its frequency points) and train on
-//!   the rest. This is "leave-one-out cross-validation over the
-//!   domain-specific features dataset": `D_v = {s ∈ D : s has input
-//!   features f}`, `D_t = D \ D_v`.
+//! [`leave_one_group_out`]: for each distinct *input configuration*
+//! (feature vector), hold out every sample of that configuration (all its
+//! frequency points) and train on the rest. This is "leave-one-out
+//! cross-validation over the domain-specific features dataset":
+//! `D_v = {s ∈ D : s has input features f}`, `D_t = D \ D_v`.
+//! [`groups_from_columns`] derives the groups from the feature rows.
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
-use crate::dataset::{Dataset, Matrix};
-use crate::Regressor;
-
-/// Shuffled K-fold index sets: returns `k` `(train, validation)` pairs
-/// partitioning `0..n`.
-///
-/// # Panics
-/// Panics unless `2 ≤ k ≤ n`.
-pub fn kfold_indices(n: usize, k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    assert!(k >= 2, "k-fold needs k ≥ 2");
-    assert!(k <= n, "more folds than samples");
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
-    let base = n / k;
-    let extra = n % k;
-    let mut folds = Vec::with_capacity(k);
-    let mut start = 0;
-    for f in 0..k {
-        let size = base + usize::from(f < extra);
-        let val: Vec<usize> = idx[start..start + size].to_vec();
-        let train: Vec<usize> = idx[..start]
-            .iter()
-            .chain(&idx[start + size..])
-            .copied()
-            .collect();
-        folds.push((train, val));
-        start += size;
-    }
-    folds
-}
+use crate::dataset::Matrix;
 
 /// Group labels → leave-one-group-out `(train, validation)` index pairs,
 /// one per distinct group, in first-appearance order.
@@ -81,31 +44,6 @@ pub fn leave_one_group_out(groups: &[u64]) -> Vec<(Vec<usize>, Vec<usize>)> {
         .collect()
 }
 
-/// Fits a fresh model per fold and returns the per-fold validation scores
-/// computed by `score(y_true, y_pred)` (e.g. [`crate::metrics::mape`]).
-pub fn cross_val_scores<M, F>(
-    make_model: impl Fn() -> M,
-    data: &Dataset,
-    folds: &[(Vec<usize>, Vec<usize>)],
-    score: F,
-) -> Vec<f64>
-where
-    M: Regressor,
-    F: Fn(&[f64], &[f64]) -> f64,
-{
-    folds
-        .iter()
-        .map(|(train_idx, val_idx)| {
-            let train = data.subset(train_idx);
-            let val = data.subset(val_idx);
-            let mut model = make_model();
-            model.fit(&train.x, &train.y);
-            let pred = model.predict(&val.x);
-            score(&val.y, &pred)
-        })
-        .collect()
-}
-
 /// Derives group labels from the feature rows themselves: samples with
 /// bit-identical values in `group_cols` share a group. This is exactly the
 /// paper's grouping ("each different input feature f"): for the energy
@@ -127,29 +65,6 @@ pub fn groups_from_columns(x: &Matrix, group_cols: &[usize]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::LinearRegression;
-
-    #[test]
-    fn kfold_partitions_everything_once() {
-        let folds = kfold_indices(10, 3, 0);
-        assert_eq!(folds.len(), 3);
-        let mut seen = [0usize; 10];
-        for (train, val) in &folds {
-            assert_eq!(train.len() + val.len(), 10);
-            for &i in val {
-                seen[i] += 1;
-            }
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "each sample in exactly one val fold"
-        );
-    }
-
-    #[test]
-    fn kfold_deterministic() {
-        assert_eq!(kfold_indices(20, 4, 9), kfold_indices(20, 4, 9));
-    }
 
     #[test]
     fn logo_holds_out_whole_groups() {
@@ -184,18 +99,5 @@ mod tests {
         assert_eq!(g[0], g[1]);
         assert_eq!(g[1], g[3]);
         assert_ne!(g[0], g[2]);
-    }
-
-    #[test]
-    fn cross_val_perfect_on_linear_data() {
-        let x = Matrix::from_rows(&(0..12).map(|i| vec![i as f64]).collect::<Vec<_>>());
-        let y: Vec<f64> = (0..12).map(|i| 2.0 * i as f64 + 1.0).collect();
-        let data = Dataset::new(x, y);
-        let folds = kfold_indices(12, 3, 0);
-        let scores = cross_val_scores(LinearRegression::new, &data, &folds, crate::metrics::mae);
-        assert_eq!(scores.len(), 3);
-        for s in scores {
-            assert!(s < 1e-6, "linear model should nail linear data, MAE={s}");
-        }
     }
 }

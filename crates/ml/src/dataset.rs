@@ -20,15 +20,6 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Builds a matrix from a flat row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_flat(data: Vec<f64>, rows: usize, cols: usize) -> Self {
-        assert_eq!(data.len(), rows * cols, "flat buffer size mismatch");
-        Matrix { data, rows, cols }
-    }
-
     /// Builds a matrix from row vectors.
     ///
     /// # Panics
@@ -278,11 +269,6 @@ impl SanitizeReport {
         rows.sort_unstable();
         rows.dedup();
         rows
-    }
-
-    /// How many distinct rows were dropped.
-    pub fn dropped_count(&self) -> usize {
-        self.dropped_rows().len()
     }
 }
 

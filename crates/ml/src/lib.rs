@@ -2,10 +2,11 @@
 //!
 //! The paper trains its energy/time models with scikit-learn (§5.2.1:
 //! Linear, Lasso, SVR-RBF, and Random Forest regression, selected by
-//! accuracy, with grid-search hyper-parameter tuning and leave-one-out
-//! cross-validation). Rust has no equivalent batteries-included stack —
-//! that gap is the main reason this paper sits at repro-band 2 — so this
-//! crate implements the needed subset from scratch:
+//! accuracy under leave-one-out cross-validation; a grid search over the
+//! forest's hyper-parameters found the defaults best, so the forest here
+//! trains with those defaults). Rust has no equivalent batteries-included
+//! stack — that gap is the main reason this paper sits at repro-band 2 —
+//! so this crate implements the needed subset from scratch:
 //!
 //! * [`dataset`] — a row-major matrix and dataset container;
 //! * [`scaler`] — feature standardization;
@@ -17,9 +18,8 @@
 //!   forests with feature subsampling (the model the paper selects),
 //!   grown straight into [`flat`]'s node arena, the one form they fit,
 //!   predict, serve and persist in;
-//! * [`cv`] — K-fold and leave-one-group-out cross-validation (the paper's
-//!   LOOCV over input configurations);
-//! * [`grid_search`] — exhaustive hyper-parameter search;
+//! * [`cv`] — leave-one-group-out cross-validation (the paper's LOOCV
+//!   over input configurations);
 //! * [`metrics`] — MAPE (the paper's headline metric), MAE, MSE, RMSE, R².
 //!
 //! Every stochastic component (bootstrap, feature subsampling, splits)
@@ -32,7 +32,6 @@ pub mod cv;
 pub mod dataset;
 pub mod flat;
 pub mod forest;
-pub mod grid_search;
 pub mod importance;
 pub mod lasso;
 pub mod linear;

@@ -104,18 +104,4 @@ proptest! {
         prop_assert!(!train.is_empty());
         prop_assert!(!test.is_empty());
     }
-
-    /// K-fold covers every sample exactly once, for any k.
-    #[test]
-    fn kfold_covers_once(n in 4usize..80, k in 2usize..6, seed in 0u64..100) {
-        prop_assume!(k <= n);
-        let folds = ml::cv::kfold_indices(n, k, seed);
-        let mut count = vec![0; n];
-        for (_, val) in &folds {
-            for &i in val {
-                count[i] += 1;
-            }
-        }
-        prop_assert!(count.iter().all(|&c| c == 1));
-    }
 }

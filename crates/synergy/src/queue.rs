@@ -300,11 +300,6 @@ impl SynergyQueue {
         self.backend.vendor()
     }
 
-    /// Supported core frequencies, ascending (MHz).
-    pub fn supported_frequencies(&self) -> Vec<f64> {
-        self.backend.supported_core_frequencies()
-    }
-
     /// The device's default frequency configuration.
     pub fn default_config(&self) -> DefaultConfig {
         self.backend.default_config()
@@ -680,17 +675,6 @@ impl SynergyQueue {
         }
     }
 
-    /// Infallible [`SynergyQueue::try_submit_transfer`].
-    ///
-    /// # Panics
-    /// Panics when the transfer fails (lost link / no interconnect) — use
-    /// [`SynergyQueue::try_submit_transfer`] to handle that without
-    /// unwinding.
-    pub fn submit_transfer(&mut self, bytes: u64) -> Measurement {
-        self.try_submit_transfer(bytes)
-            .unwrap_or_else(|e| panic!("{e} (use try_submit_transfer to handle this)"))
-    }
-
     /// Interconnect transfers completed so far.
     pub fn transfer_count(&self) -> u64 {
         self.transfer_count
@@ -726,17 +710,6 @@ impl SynergyQueue {
     /// Sum of kernel energies (J) over the queue's lifetime.
     pub fn total_energy_j(&self) -> f64 {
         self.total_energy_j
-    }
-
-    /// Resets the queue's aggregate counters (device counters keep running).
-    pub fn reset_counters(&mut self) {
-        self.submissions = 0;
-        self.total_time_s = 0.0;
-        self.total_energy_j = 0.0;
-        self.transfer_count = 0;
-        self.transfer_bytes = 0;
-        self.transfer_time_s = 0.0;
-        self.transfer_energy_j = 0.0;
     }
 }
 
@@ -886,16 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_counters_clears_aggregates() {
-        let mut q = v100_queue();
-        let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
-        q.submit(&k);
-        q.reset_counters();
-        assert_eq!(q.submission_count(), 0);
-        assert_eq!(q.total_energy_j(), 0.0);
-    }
-
-    #[test]
     fn mem_clock_and_power_cap_actuators_round_trip() {
         let mut q = v100_queue();
         assert_eq!(
@@ -965,7 +928,7 @@ mod tests {
     #[test]
     fn transfer_accumulates_totals_and_telemetry() {
         let mut q = v100_queue();
-        let m = q.submit_transfer(150_000_000);
+        let m = q.try_submit_transfer(150_000_000).unwrap();
         assert!(m.time_s > 0.0 && m.energy_j > 0.0);
         assert_eq!(q.transfer_count(), 1);
         assert_eq!(q.transfer_bytes(), 150_000_000);
@@ -975,9 +938,6 @@ mod tests {
         assert_eq!(q.total_energy_j(), m.energy_j);
         assert_eq!(q.submission_count(), 0, "a transfer is not a kernel");
         assert!(q.degradation().is_clean());
-        q.reset_counters();
-        assert_eq!(q.transfer_count(), 0);
-        assert_eq!(q.transfer_bytes(), 0);
     }
 
     #[test]

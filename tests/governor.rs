@@ -475,6 +475,16 @@ fn admission_overflow_sheds_load_visibly() {
     assert!(report.decisions.iter().all(|d| d.completed));
 }
 
+#[test]
+fn a_zero_max_batch_runs_like_a_batch_of_one() {
+    let (registry, _) = shared_registry();
+    let mut cfg = quick(Policy::MinEnergyUnderDeadline);
+    cfg.max_batch = 1;
+    let one = run_governor(&cfg, registry);
+    cfg.max_batch = 0;
+    assert_eq!(run_governor(&cfg, registry), one);
+}
+
 // ---------------------------------------------------------------------
 // The closed-loop headline (the CI regression guard)
 // ---------------------------------------------------------------------
