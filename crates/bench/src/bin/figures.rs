@@ -385,7 +385,6 @@ fn campaign_cmd(resume: bool) -> ExperimentResult {
     );
     cfg.reps = REPS;
     cfg.noise_seed = Some(SEED);
-    cfg.snapshot_every = 16;
 
     let dir = std::path::Path::new("results/campaign");
     let outcome = run_campaign(&cfg, &workloads, dir, resume)?;

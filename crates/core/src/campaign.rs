@@ -4,16 +4,17 @@
 //! measurement per application × input × GPU. This module runs that work
 //! as a *supervised, resumable* unit:
 //!
-//! * **Journal + snapshot.** Every completed or failed work item is
-//!   appended to a JSONL journal ([`crate::persist::Journal`]) and fsynced
-//!   before the scheduler moves on; the journal is periodically compacted
-//!   into an atomic snapshot. Killing the process at any instant and
-//!   re-running with `resume = true` continues from the last committed
-//!   item and produces **bit-identical** results to an uninterrupted run.
-//!   That guarantee is by construction: each item's measurement is a pure
-//!   function of `(spec, workload, item index, seeds, slot health,
-//!   prior failures)` — never of wall-clock time or execution order — so
-//!   "resume" is simply "skip what the journal already committed".
+//! * **Journal.** Every completed or failed work item is committed to a
+//!   write-ahead JSONL journal ([`crate::persist::ReplayJournal`]) and
+//!   fsynced before the scheduler moves on. Killing the process at any
+//!   instant and re-running with `resume = true` continues from the last
+//!   committed item and produces **bit-identical** results to an
+//!   uninterrupted run. That guarantee is by construction: each item's
+//!   measurement is a pure function of `(spec, workload, item index,
+//!   seeds, slot health, prior failures)` — never of wall-clock time or
+//!   execution order — so resume is the same driver: a step whose record
+//!   is already committed takes its outcome from that record, and every
+//!   later step measures.
 //! * **Per-device circuit breakers.** Each simulated device slot is
 //!   wrapped in a closed → open → half-open breaker driven by permanent
 //!   `BackendError`s and watchdog deadline misses. A tripped device cools
@@ -33,7 +34,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fmt;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -50,24 +50,17 @@ use crate::characterize::{
     char_point, measure_attempts, replay_queue, Characterization, PointDiagnostics,
     SweepDiagnostics, SweepOptions, Workload,
 };
-use crate::persist::{atomic_write_str, heal_torn_tail, read_journal, Journal, PersistError};
+use crate::persist::{PersistError, ReplayError, ReplayJournal};
 use crate::telemetry::{SpanLevel, Telemetry};
 
 /// Journal file name inside a campaign directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
-/// Snapshot file name inside a campaign directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.json";
-/// On-disk format version stamped into headers and snapshots.
+/// On-disk format version stamped into journal headers.
 pub const JOURNAL_VERSION: u32 = 1;
 
 /// The journal file of a campaign directory.
 pub fn journal_path(dir: &Path) -> PathBuf {
     dir.join(JOURNAL_FILE)
-}
-
-/// The snapshot file of a campaign directory.
-pub fn snapshot_path(dir: &Path) -> PathBuf {
-    dir.join(SNAPSHOT_FILE)
 }
 
 // ---- Work items ----
@@ -173,9 +166,8 @@ impl Default for BreakerConfig {
 }
 
 /// A slot's breaker state. `HalfOpen` exists only between acquiring a
-/// cooled-down slot and applying its probe outcome, so it never appears
-/// in a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// cooled-down slot and applying its probe outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy; counting consecutive failures toward the threshold.
     Closed {
@@ -194,7 +186,7 @@ pub enum BreakerState {
 }
 
 /// Per-slot supervisor state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotState {
     /// Breaker position.
     pub breaker: BreakerState,
@@ -303,16 +295,14 @@ pub struct CampaignConfig {
     /// Watchdog deadline on one measurement attempt's busy time (s). An
     /// attempt exceeding it is discarded and counts as a breaker failure.
     pub watchdog_deadline_s: Option<f64>,
-    /// Compact the journal into a snapshot after this many appends of the
-    /// current process (0 = never compact).
-    pub snapshot_every: u64,
     /// Chaos hook: simulate a crash by aborting with
     /// [`CampaignError::InjectedCrash`] immediately after this many
-    /// journal appends of the current process. The aborted run is a
-    /// well-formed crash image: everything appended so far is committed.
+    /// journal appends of the current process, its header append
+    /// included. The aborted run is a well-formed crash image: everything
+    /// appended so far is committed.
     pub crash_after_appends: Option<u64>,
     /// Observability sink. `None` (the default) is fully disarmed. An
-    /// armed sink only *observes* — results, journal, and snapshots are
+    /// armed sink only *observes* — results and journal are
     /// bit-identical either way, and the sink is deliberately **excluded
     /// from the config fingerprint** so arming telemetry on a resume is
     /// always compatible. Counters reflect work measured by *this*
@@ -333,7 +323,6 @@ impl CampaignConfig {
             remeasure_limit: 2,
             breaker: BreakerConfig::default(),
             watchdog_deadline_s: None,
-            snapshot_every: 0,
             crash_after_appends: None,
             telemetry: None,
         }
@@ -346,8 +335,8 @@ impl CampaignConfig {
     /// Identity of the campaign's *results*: everything that shapes a
     /// measurement or the schedule, including each workload's recorded
     /// kernel trace — so a workload whose input or implementation changed
-    /// under an unchanged name is still a different campaign. Operational
-    /// knobs (`snapshot_every`, `crash_after_appends`) are excluded —
+    /// under an unchanged name is still a different campaign. The chaos
+    /// hook (`crash_after_appends`) and the telemetry sink are excluded —
     /// changing them between runs is resume-compatible.
     fn fingerprint(&self, workloads: &[&dyn Workload], traces: &[KernelTrace]) -> String {
         use fmt::Write as _;
@@ -405,8 +394,9 @@ pub enum FailureKind {
 
 /// One journal line. `seq` is the scheduler tick of the assignment; on
 /// replay each record is re-derived from the committed state and compared
-/// whole, so any divergence (foreign journal, edited file, gap) surfaces
-/// as corruption instead of silently skewing the resumed schedule.
+/// whole, so any divergence (foreign journal, edited file, gap, duplicate)
+/// surfaces as corruption instead of silently skewing the resumed
+/// schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JournalRecord {
     /// First line of every journal: format version + config fingerprint.
@@ -450,17 +440,33 @@ pub enum JournalRecord {
     },
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Snapshot {
-    version: u32,
-    fingerprint: String,
-    state: CampaignState,
+impl JournalRecord {
+    /// The step outcome a `Done` or `Failed` record commits.
+    fn outcome(&self) -> Option<ItemOutcome> {
+        match self {
+            JournalRecord::Header { .. } => None,
+            JournalRecord::Done {
+                time_s,
+                energy_j,
+                diag,
+                ..
+            } => Some(ItemOutcome::Success {
+                time_s: *time_s,
+                energy_j: *energy_j,
+                diag: *diag,
+            }),
+            JournalRecord::Failed { kind, error, .. } => Some(ItemOutcome::Failure {
+                kind: *kind,
+                error: error.clone(),
+            }),
+        }
+    }
 }
 
 // ---- Supervisor state ----
 
-/// A completed item held in state (and in snapshots).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A completed item held in state.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DoneItem {
     /// The completed item.
     pub item: ItemId,
@@ -475,7 +481,7 @@ pub struct DoneItem {
 }
 
 /// Campaign-level counters (journal-derived, so they survive resume).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Totals {
     backend_failures: u64,
     watchdog_misses: u64,
@@ -484,10 +490,9 @@ struct Totals {
     devices_evicted: u64,
 }
 
-/// The whole supervisor state. Fully serializable: a snapshot is exactly
-/// this struct, and replaying the journal tail through [`Self::step`]
-/// reconstructs it deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The whole supervisor state. Every step goes through [`Self::step`],
+/// so stepping through the journal's outcomes rebuilds it exactly.
+#[derive(Debug)]
 struct CampaignState {
     tick: u64,
     rr_cursor: usize,
@@ -568,9 +573,9 @@ impl CampaignState {
 
     /// Applies one assignment outcome: pops the scheduled item, advances
     /// the clock and cursor, updates the slot's breaker, and returns the
-    /// journal record describing exactly what happened. Used identically
-    /// by the live scheduler (record then append) and by journal replay
-    /// (re-derive then compare) — one transition function, two drivers.
+    /// journal record describing exactly what happened. A replayed step
+    /// and a measured one alike: the journal compares the record with the
+    /// committed one, or appends it.
     fn step(
         &mut self,
         cfg: &BreakerConfig,
@@ -637,7 +642,7 @@ impl CampaignState {
 /// the run; this type is for conditions the supervisor cannot absorb.
 #[derive(Debug)]
 pub enum CampaignError {
-    /// The journal or snapshot could not be read or written.
+    /// The journal could not be read or written.
     Persist(PersistError),
     /// A campaign already lives in this directory and `resume` is false.
     JournalExists {
@@ -651,7 +656,8 @@ pub enum CampaignError {
         /// Fingerprint found on disk.
         found: String,
     },
-    /// The journal or snapshot is internally inconsistent.
+    /// The journal is internally inconsistent, or diverges from the run
+    /// that resumes it.
     Corrupt {
         /// Offending file.
         path: PathBuf,
@@ -714,9 +720,14 @@ impl std::error::Error for CampaignError {
     }
 }
 
-impl From<PersistError> for CampaignError {
-    fn from(e: PersistError) -> Self {
-        CampaignError::Persist(e)
+impl From<ReplayError> for CampaignError {
+    fn from(e: ReplayError) -> Self {
+        match e {
+            ReplayError::Persist(e) => CampaignError::Persist(e),
+            ReplayError::Exists { path } => CampaignError::JournalExists { path },
+            ReplayError::Corrupt { path, message } => CampaignError::Corrupt { path, message },
+            ReplayError::InjectedCrash { appends } => CampaignError::InjectedCrash { appends },
+        }
     }
 }
 
@@ -762,11 +773,11 @@ pub struct CampaignOutcome {
 /// Runs (or resumes) a campaign in `dir`, journaling every step.
 ///
 /// With `resume = false` the directory must not already hold a campaign.
-/// With `resume = true` any committed progress in `dir` is loaded —
-/// snapshot first, then the journal tail — verified against the
-/// configuration fingerprint, and only the remaining items are measured;
-/// the result is bit-identical to an uninterrupted run. Resuming an
-/// empty directory is a fresh run.
+/// With `resume = true` a committed journal in `dir` is checked against
+/// the configuration fingerprint and replayed in order: each step it
+/// holds takes its outcome from its record, and only the remaining items
+/// are measured; the result is bit-identical to an uninterrupted run.
+/// Resuming an empty directory is a fresh run.
 pub fn run_campaign(
     cfg: &CampaignConfig,
     workloads: &[&dyn Workload],
@@ -792,67 +803,39 @@ pub fn run_campaign(
     let traces: Vec<KernelTrace> = workloads.iter().map(|w| w.record(&cfg.spec)).collect();
     let fingerprint = cfg.fingerprint(workloads, &traces);
     let jpath = journal_path(dir);
-    let spath = snapshot_path(dir);
+    let mut journal = ReplayJournal::open(&jpath, resume, cfg.crash_after_appends)?;
 
-    if !resume && (jpath.exists() || spath.exists()) {
-        return Err(CampaignError::JournalExists { path: jpath });
-    }
-
-    // Committed state: snapshot, then the journal tail on top of it.
-    let mut state = load_snapshot(&spath, &fingerprint)?
-        .unwrap_or_else(|| CampaignState::new(cfg, workloads.len()));
-    if state.failures.len() != cfg.n_items(workloads.len()) || state.slots.len() != cfg.slots.len()
-    {
-        return Err(CampaignError::Corrupt {
-            path: spath,
-            message: "snapshot shape does not match the configuration".into(),
-        });
-    }
-    let contents = read_journal::<JournalRecord>(&jpath)?;
-    if contents.torn_tail {
-        heal_torn_tail(&jpath)?;
-    }
-    if let Some(first) = contents.records.first() {
-        match first {
-            JournalRecord::Header {
-                version,
-                fingerprint: found,
-            } => {
-                if *version != JOURNAL_VERSION {
-                    return Err(CampaignError::Corrupt {
-                        path: jpath,
-                        message: format!(
-                            "journal version {version} (this build reads {JOURNAL_VERSION})"
-                        ),
-                    });
-                }
-                if *found != fingerprint {
-                    return Err(CampaignError::ConfigMismatch {
-                        expected: fingerprint,
-                        found: found.clone(),
-                    });
-                }
-            }
-            other => {
-                return Err(CampaignError::Corrupt {
-                    path: jpath,
-                    message: format!("journal does not start with a header: {other:?}"),
-                });
-            }
+    // Check the header before committing ours, so another configuration
+    // is a mismatch rather than a diverging record.
+    match journal.prior().first() {
+        Some(JournalRecord::Header { version, .. }) if *version != JOURNAL_VERSION => {
+            return Err(CampaignError::Corrupt {
+                path: jpath,
+                message: format!("journal version {version} (this build reads {JOURNAL_VERSION})"),
+            });
+        }
+        Some(JournalRecord::Header {
+            fingerprint: found, ..
+        }) if *found != fingerprint => {
+            return Err(CampaignError::ConfigMismatch {
+                expected: fingerprint,
+                found: found.clone(),
+            });
+        }
+        Some(JournalRecord::Header { .. }) | None => {}
+        Some(other) => {
+            return Err(CampaignError::Corrupt {
+                path: jpath,
+                message: format!("journal does not start with a header: {other:?}"),
+            });
         }
     }
-    for rec in contents.records.iter().skip(1) {
-        replay_record(&mut state, cfg, &jpath, rec)?;
-    }
+    journal.commit(JournalRecord::Header {
+        version: JOURNAL_VERSION,
+        fingerprint,
+    })?;
 
-    let mut journal = Journal::open(&jpath)?;
-    if contents.records.is_empty() {
-        journal.append(&JournalRecord::Header {
-            version: JOURNAL_VERSION,
-            fingerprint: fingerprint.clone(),
-        })?;
-    }
-
+    let mut state = CampaignState::new(cfg, workloads.len());
     // Share one pricing memo table across the whole campaign, exactly
     // like the plain sweep.
     let prices = Arc::new(PriceTable::new());
@@ -867,21 +850,23 @@ pub fn run_campaign(
                 ("slots", cfg.slots.len().to_string()),
                 ("workloads", workloads.len().to_string()),
                 ("freqs", cfg.freqs.len().to_string()),
-                ("pending", state.pending.len().to_string()),
             ],
         )
     });
 
-    let mut appends_this_run = 0u64;
     while let Some(item) = state.pending.first().copied() {
         let Some(slot) = state.acquire_slot(&cfg.breaker) else {
+            journal.finish()?;
             return Err(CampaignError::AllDevicesLost {
                 pending: state.pending.len(),
                 completed: state.done.len(),
             });
         };
-        let prior_failures = state.failures[item.flat(cfg.freqs.len())];
-        let item_span = tel.map(|t| {
+        // A step the journal already holds takes its outcome from its
+        // record; every later step measures, and only those are observed.
+        let recorded = journal.next_prior().and_then(JournalRecord::outcome);
+        let step_tel = tel.filter(|_| recorded.is_none());
+        let item_span = step_tel.map(|t| {
             t.registry().counter("campaign.assignments").inc();
             t.span(
                 SpanLevel::Point,
@@ -899,31 +884,26 @@ pub fn run_campaign(
                 ],
             )
         });
-        let outcome = measure_item(
-            cfg,
-            &traces[item.workload],
-            &prices,
-            item,
-            slot,
-            prior_failures,
-        );
+        let outcome = recorded.unwrap_or_else(|| {
+            let prior_failures = state.failures[item.flat(cfg.freqs.len())];
+            measure_item(
+                cfg,
+                &traces[item.workload],
+                &prices,
+                item,
+                slot,
+                prior_failures,
+            )
+        });
         let totals_before = state.totals;
         let rec = state.step(&cfg.breaker, cfg.freqs.len(), slot, &outcome);
-        if let Some(t) = tel {
+        if let Some(t) = step_tel {
             record_campaign_step(t, &outcome, totals_before, state.totals);
         }
         drop(item_span);
-        journal.append(&rec)?;
-        appends_this_run += 1;
-        if cfg.crash_after_appends == Some(appends_this_run) {
-            return Err(CampaignError::InjectedCrash {
-                appends: appends_this_run,
-            });
-        }
-        if cfg.snapshot_every > 0 && appends_this_run.is_multiple_of(cfg.snapshot_every) {
-            journal = compact(journal, &spath, &jpath, &fingerprint, &state)?;
-        }
+        journal.commit(rec)?;
     }
+    journal.finish()?;
     if let Some(t) = tel {
         t.record_pricing(prices.stats(), prices.len());
     }
@@ -1058,146 +1038,6 @@ fn measure_item(
             ),
         },
     }
-}
-
-/// Replays one committed journal record onto the state. Records whose
-/// `seq` precedes the state's tick are already folded into the snapshot
-/// (the crash window between snapshot rename and journal swap leaves
-/// them behind) and are skipped; everything else must re-derive exactly.
-fn replay_record(
-    state: &mut CampaignState,
-    cfg: &CampaignConfig,
-    jpath: &Path,
-    rec: &JournalRecord,
-) -> Result<(), CampaignError> {
-    let (seq, slot, outcome) = match rec {
-        JournalRecord::Header { .. } => {
-            return Err(CampaignError::Corrupt {
-                path: jpath.to_path_buf(),
-                message: "duplicate header mid-journal".into(),
-            })
-        }
-        JournalRecord::Done {
-            seq,
-            slot,
-            time_s,
-            energy_j,
-            diag,
-            ..
-        } => (
-            *seq,
-            *slot,
-            ItemOutcome::Success {
-                time_s: *time_s,
-                energy_j: *energy_j,
-                diag: *diag,
-            },
-        ),
-        JournalRecord::Failed {
-            seq,
-            slot,
-            kind,
-            error,
-            ..
-        } => (
-            *seq,
-            *slot,
-            ItemOutcome::Failure {
-                kind: *kind,
-                error: error.clone(),
-            },
-        ),
-    };
-    if seq < state.tick {
-        return Ok(()); // already in the snapshot
-    }
-    let acquired = state.acquire_slot(&cfg.breaker);
-    if acquired != Some(slot) {
-        return Err(CampaignError::Corrupt {
-            path: jpath.to_path_buf(),
-            message: format!(
-                "replay diverged at seq {seq}: journal assigned slot {slot}, \
-                 state derives {acquired:?}"
-            ),
-        });
-    }
-    let rebuilt = state.step(&cfg.breaker, cfg.freqs.len(), slot, &outcome);
-    if rebuilt != *rec {
-        return Err(CampaignError::Corrupt {
-            path: jpath.to_path_buf(),
-            message: format!("replay diverged at seq {seq}: {rec:?} != {rebuilt:?}"),
-        });
-    }
-    Ok(())
-}
-
-fn load_snapshot(spath: &Path, fingerprint: &str) -> Result<Option<CampaignState>, CampaignError> {
-    let text = match fs::read_to_string(spath) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(CampaignError::Persist(PersistError::Io {
-                path: spath.to_path_buf(),
-                source: e,
-            }))
-        }
-    };
-    let snap: Snapshot = serde_json::from_str(&text).map_err(|e| CampaignError::Corrupt {
-        path: spath.to_path_buf(),
-        message: e.to_string(),
-    })?;
-    if snap.version != JOURNAL_VERSION {
-        return Err(CampaignError::Corrupt {
-            path: spath.to_path_buf(),
-            message: format!(
-                "snapshot version {} (this build reads {JOURNAL_VERSION})",
-                snap.version
-            ),
-        });
-    }
-    if snap.fingerprint != fingerprint {
-        return Err(CampaignError::ConfigMismatch {
-            expected: fingerprint.to_string(),
-            found: snap.fingerprint,
-        });
-    }
-    Ok(Some(snap.state))
-}
-
-/// Compacts the journal: atomically write the snapshot, then atomically
-/// swap in a fresh header-only journal. A crash between the two renames
-/// leaves the old journal behind a newer snapshot; replay skips the
-/// already-folded records by `seq`, so the overlap is harmless. Takes
-/// the old journal handle by value and drops it before the swap —
-/// renaming over a path with an open handle fails on Windows — and
-/// returns the journal reopened on the fresh file.
-fn compact(
-    old: Journal,
-    spath: &Path,
-    jpath: &Path,
-    fingerprint: &str,
-    state: &CampaignState,
-) -> Result<Journal, CampaignError> {
-    drop(old);
-    let corrupt = |e: serde_json::Error| CampaignError::Corrupt {
-        path: spath.to_path_buf(),
-        message: format!("unserializable snapshot: {e}"),
-    };
-    let snap = Snapshot {
-        version: JOURNAL_VERSION,
-        fingerprint: fingerprint.to_string(),
-        state: state.clone(),
-    };
-    let json = serde_json::to_string_pretty(&snap).map_err(corrupt)?;
-    atomic_write_str(spath, &json)?;
-    let header = JournalRecord::Header {
-        version: JOURNAL_VERSION,
-        fingerprint: fingerprint.to_string(),
-    };
-    let mut line = serde_json::to_string(&header).map_err(corrupt)?;
-    line.push('\n');
-    atomic_write_str(jpath, &line)?;
-    Ok(Journal::open(jpath)?)
 }
 
 /// Folds the completed item set back into per-workload sweep results —

@@ -33,12 +33,11 @@
 //!   runtime loader reject corrupt or stale models with typed errors
 //!   instead of trusting arbitrary JSON;
 //! * [`campaign`] — crash-consistent multi-device characterization
-//!   campaigns: an fsynced journal with atomic snapshot compaction
-//!   (kill-anywhere resume, bit-identical results), per-device circuit
-//!   breakers with eviction and re-scheduling, and deterministic
-//!   watchdog deadlines;
+//!   campaigns: an fsynced write-ahead journal (kill-anywhere resume,
+//!   bit-identical results), per-device circuit breakers with eviction
+//!   and re-scheduling, and deterministic watchdog deadlines;
 //! * [`persist`] — the shared crash-consistency primitives: atomic
-//!   full-file replacement and the append-only JSONL journal;
+//!   full-file replacement and the write-ahead replay journal;
 //! * [`quarantine`] — the data-quality gate between sweep diagnostics
 //!   and training: degraded points are dropped with recorded provenance
 //!   instead of silently skewing the models;

@@ -1,24 +1,28 @@
 //! Crash-consistent persistence primitives.
 //!
-//! Two building blocks, shared by the campaign journal and every
-//! `results/` writer in the workspace:
+//! Two building blocks, shared by the crash-resumable subsystems (the
+//! characterization campaign and the governor's model lifecycle) and
+//! every `results/` writer in the workspace:
 //!
 //! * [`atomic_write`] — full-file replacement via write-temp + fsync +
 //!   rename. A reader (or a resumed process) sees either the old complete
 //!   file or the new complete file, never a torn intermediate.
-//! * [`Journal`] / [`read_journal`] — an append-only JSONL log where each
-//!   record is one line of JSON, fsynced before `append` returns. A crash
-//!   can tear at most the *trailing* line (an append that never committed);
-//!   [`read_journal`] drops such a tail and reports it, while a malformed
-//!   line anywhere else is surfaced as corruption instead of being
-//!   silently skipped. A record only counts as committed once its
-//!   trailing newline is durable — a final line without one is an
-//!   uncommitted tail even when it happens to parse. A writer resuming a
-//!   journal first cuts such a tail off with [`heal_torn_tail`].
+//! * [`ReplayJournal`] — the write-ahead journal of a deterministic run:
+//!   an append-only JSONL log, one record per line, each fsynced before
+//!   its commit returns. A resumed run re-derives its records in order;
+//!   while records of an earlier process remain, each commit must equal
+//!   the next one and consumes it without a write, and after that
+//!   commits append. A crash can tear at most the *trailing* line (an
+//!   append that never committed); [`read_journal`] drops such a tail and
+//!   reports it, while a malformed line anywhere else is surfaced as
+//!   corruption instead of being silently skipped. A record only counts
+//!   as committed once its trailing newline is durable — a final line
+//!   without one is an uncommitted tail even when it happens to parse.
+//!   Opening a journal to resume it cuts such a tail off.
 //!
 //! The serde/serde_json shims round-trip `f64` bit-exactly (shortest
-//! `Display` form, exact re-parse), which is what lets a resumed campaign
-//! reproduce an uninterrupted run bit for bit from its journal.
+//! `Display` form, exact re-parse), which is what lets a resumed run
+//! reproduce an uninterrupted one bit for bit from its journal.
 
 // Persistence code must degrade with typed errors, never panic: a full
 // disk or read-only results directory is an expected condition here.
@@ -138,7 +142,7 @@ pub fn atomic_write_str(path: &Path, text: &str) -> Result<(), PersistError> {
 /// crash. Records must be re-read with [`read_journal`], which tolerates
 /// a torn (uncommitted) trailing line.
 #[derive(Debug)]
-pub struct Journal {
+struct Journal {
     path: PathBuf,
     file: File,
 }
@@ -146,7 +150,7 @@ pub struct Journal {
 impl Journal {
     /// Opens `path` for appending, creating the file (and missing parent
     /// directories) if needed. Existing records are untouched.
-    pub fn open(path: &Path) -> Result<Journal, PersistError> {
+    fn open(path: &Path) -> Result<Journal, PersistError> {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
         }
@@ -165,7 +169,7 @@ impl Journal {
     /// The record and its terminating newline go down in one `write_all`:
     /// the newline is the commit mark, so it must never be able to land
     /// in a later syscall than the record it commits.
-    pub fn append<T: Serialize>(&mut self, record: &T) -> Result<(), PersistError> {
+    fn append<T: Serialize>(&mut self, record: &T) -> Result<(), PersistError> {
         let mut line = serde_json::to_string(record).map_err(|e| PersistError::Corrupt {
             path: self.path.clone(),
             line: 0,
@@ -177,18 +181,13 @@ impl Journal {
             .and_then(|()| self.file.sync_data())
             .map_err(|e| io_err(&self.path, e))
     }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// Truncates an uncommitted torn trailing line in place, so appends keep
 /// starting on a fresh line. Committed records are untouched: this only
 /// moves the file end back to the last committed newline (the newline is
 /// the commit mark, see [`Journal::append`]).
-pub fn heal_torn_tail(path: &Path) -> Result<(), PersistError> {
+fn heal_torn_tail(path: &Path) -> Result<(), PersistError> {
     let io = |e| io_err(path, e);
     let bytes = fs::read(path).map_err(io)?;
     let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1) as u64;
@@ -211,8 +210,8 @@ pub struct JournalContents<T> {
 
 /// Reads every committed record of a JSONL journal. A missing file is an
 /// empty journal. *Any* final line without a trailing newline is the
-/// remnant of an uncommitted append — [`Journal::append`] only returns
-/// once the newline is durable, so a newline-less tail was never acked,
+/// remnant of an uncommitted append — [`ReplayJournal::commit`] only
+/// returns once the newline is durable, so a newline-less tail was never acked,
 /// even if it parses (a crash can tear between writeback of the record
 /// bytes and the newline). Such a tail is dropped and reported via
 /// [`JournalContents::torn_tail`]; an unparsable committed line means
@@ -251,6 +250,165 @@ pub fn read_journal<T: Deserialize>(path: &Path) -> Result<JournalContents<T>, P
         }
     }
     Ok(JournalContents { records, torn_tail })
+}
+
+/// Why a [`ReplayJournal`] refused to open, commit or finish.
+#[derive(Debug)]
+pub enum ReplayError {
+    /// The journal could not be read or written.
+    Persist(PersistError),
+    /// A journal already exists and the run does not resume it.
+    Exists {
+        /// The existing journal.
+        path: PathBuf,
+    },
+    /// The committed records disagree with the run: one differs from the
+    /// record the run derived at its index, or some remain after the run
+    /// ended.
+    Corrupt {
+        /// The journal.
+        path: PathBuf,
+        /// What diverged.
+        message: String,
+    },
+    /// The crash hook fired right after this process's Nth append.
+    InjectedCrash {
+        /// Appends this process committed.
+        appends: u64,
+    },
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReplayError::Persist(e) => write!(f, "{e}"),
+            ReplayError::Exists { path } => write!(f, "{} already exists", path.display()),
+            ReplayError::Corrupt { path, message } => write!(f, "{}: {message}", path.display()),
+            ReplayError::InjectedCrash { appends } => {
+                write!(f, "injected crash after {appends} journal append(s)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ReplayError::Persist(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<PersistError> for ReplayError {
+    fn from(e: PersistError) -> Self {
+        ReplayError::Persist(e)
+    }
+}
+
+/// The write-ahead journal of a deterministic, crash-resumable run. The
+/// run commits every record it derives, in order. While records an
+/// earlier process committed remain, each commit must equal the next of
+/// them and consumes it without a write; after that, each commit appends
+/// one line and fsyncs it. A run that ends with prior records left over
+/// is refused by [`ReplayJournal::finish`].
+#[derive(Debug)]
+pub struct ReplayJournal<T> {
+    file: Journal,
+    /// Every committed record: the earlier processes', then this one's.
+    records: Vec<T>,
+    /// How many of `records` earlier processes committed.
+    prior: usize,
+    /// How many of `records` this run has committed so far.
+    cursor: usize,
+    crash_after_appends: Option<u64>,
+}
+
+impl<T: Serialize + Deserialize + PartialEq + fmt::Debug> ReplayJournal<T> {
+    /// Opens the journal at `path`, creating it (and missing parent
+    /// directories) if needed. Without `resume` an existing file is
+    /// refused; with it, its committed records are loaded for replay and
+    /// a torn tail is cut off. `crash_after_appends` is a chaos hook:
+    /// the commit that makes this process's Nth append returns
+    /// [`ReplayError::InjectedCrash`], with the record durable.
+    pub fn open(
+        path: &Path,
+        resume: bool,
+        crash_after_appends: Option<u64>,
+    ) -> Result<Self, ReplayError> {
+        if !resume && path.exists() {
+            return Err(ReplayError::Exists {
+                path: path.to_path_buf(),
+            });
+        }
+        let contents = read_journal::<T>(path)?;
+        if contents.torn_tail {
+            heal_torn_tail(path)?;
+        }
+        Ok(ReplayJournal {
+            file: Journal::open(path)?,
+            prior: contents.records.len(),
+            records: contents.records,
+            cursor: 0,
+            crash_after_appends,
+        })
+    }
+
+    /// The records earlier processes committed.
+    pub fn prior(&self) -> &[T] {
+        &self.records[..self.prior]
+    }
+
+    /// The prior record the next commit must equal, while one remains.
+    pub fn next_prior(&self) -> Option<&T> {
+        self.records.get(self.cursor)
+    }
+
+    /// Every record this run has committed, replayed or appended.
+    pub fn committed(&self) -> &[T] {
+        &self.records[..self.cursor]
+    }
+
+    /// Commits the run's next record: consumes the equal prior record,
+    /// or appends it durably once none remains.
+    pub fn commit(&mut self, record: T) -> Result<(), ReplayError> {
+        if let Some(prior) = self.records.get(self.cursor) {
+            if *prior != record {
+                return Err(self.corrupt(format!(
+                    "record {} diverges: on disk {prior:?}, replay produced {record:?}",
+                    self.cursor
+                )));
+            }
+            self.cursor += 1;
+            return Ok(());
+        }
+        self.file.append(&record)?;
+        self.records.push(record);
+        self.cursor += 1;
+        let appends = (self.records.len() - self.prior) as u64;
+        if self.crash_after_appends == Some(appends) {
+            return Err(ReplayError::InjectedCrash { appends });
+        }
+        Ok(())
+    }
+
+    /// Ends the run: every prior record must have been committed again.
+    pub fn finish(&self) -> Result<(), ReplayError> {
+        match self.next_prior() {
+            Some(first) => Err(self.corrupt(format!(
+                "journal holds {} records the replay never produced (first: {first:?})",
+                self.records.len() - self.cursor
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    fn corrupt(&self, message: String) -> ReplayError {
+        ReplayError::Corrupt {
+            path: self.file.path.clone(),
+            message,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -398,5 +556,121 @@ mod tests {
         assert_eq!(got.records.len(), 2);
         assert_eq!(got.records[0].seq, 0);
         assert_eq!(got.records[1].seq, 1);
+    }
+
+    fn rec(seq: u64) -> Rec {
+        Rec {
+            seq,
+            value: seq as f64 * 0.5,
+        }
+    }
+
+    /// A journal of `n` records committed by an earlier process.
+    fn prior_journal(name: &str, n: u64) -> PathBuf {
+        let path = scratch(name).join("j.jsonl");
+        let mut j = ReplayJournal::open(&path, false, None).unwrap();
+        for i in 0..n {
+            j.commit(rec(i)).unwrap();
+        }
+        j.finish().unwrap();
+        path
+    }
+
+    #[test]
+    fn a_replayed_commit_writes_nothing() {
+        let path = prior_journal("replay-silent", 3);
+        let before = fs::read(&path).unwrap();
+        let mut j = ReplayJournal::open(&path, true, Some(1)).unwrap();
+        assert_eq!(j.prior(), &[rec(0), rec(1), rec(2)]);
+        for i in 0..3 {
+            j.commit(rec(i)).unwrap();
+        }
+        j.finish().unwrap();
+        assert_eq!(j.committed(), &[rec(0), rec(1), rec(2)]);
+        assert_eq!(fs::read(&path).unwrap(), before, "replay must not write");
+    }
+
+    #[test]
+    fn a_commit_past_the_prefix_appends() {
+        let path = prior_journal("replay-append", 2);
+        let mut j = ReplayJournal::open(&path, true, None).unwrap();
+        for i in 0..4 {
+            assert_eq!(j.next_prior().is_some(), i < 2);
+            j.commit(rec(i)).unwrap();
+        }
+        j.finish().unwrap();
+        assert_eq!(j.committed().len(), 4);
+        let got = read_journal::<Rec>(&path).unwrap();
+        assert_eq!(got.records, (0..4).map(rec).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_diverging_commit_names_the_record_index() {
+        let path = prior_journal("replay-diverge", 3);
+        let mut j = ReplayJournal::open(&path, true, None).unwrap();
+        j.commit(rec(0)).unwrap();
+        match j.commit(rec(7)) {
+            Err(ReplayError::Corrupt { path: p, message }) => {
+                assert_eq!(p, path);
+                assert!(message.starts_with("record 1 diverges"), "{message}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn leftover_prior_records_fail_at_the_end() {
+        let path = prior_journal("replay-leftover", 3);
+        let mut j = ReplayJournal::open(&path, true, None).unwrap();
+        j.commit(rec(0)).unwrap();
+        match j.finish() {
+            Err(ReplayError::Corrupt { message, .. }) => {
+                assert!(message.contains("2 records"), "{message}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_crash_hook_counts_only_this_process_appends() {
+        let path = prior_journal("replay-crash", 2);
+        let mut j = ReplayJournal::open(&path, true, Some(2)).unwrap();
+        for i in 0..3 {
+            j.commit(rec(i)).unwrap();
+        }
+        match j.commit(rec(3)) {
+            Err(ReplayError::InjectedCrash { appends }) => assert_eq!(appends, 2),
+            other => panic!("expected InjectedCrash, got {other:?}"),
+        }
+        // The crashing append is durable.
+        assert_eq!(read_journal::<Rec>(&path).unwrap().records.len(), 4);
+    }
+
+    #[test]
+    fn opening_without_resume_refuses_an_existing_file() {
+        let path = prior_journal("replay-exists", 1);
+        match ReplayJournal::<Rec>::open(&path, false, None) {
+            Err(ReplayError::Exists { path: p }) => assert_eq!(p, path),
+            other => panic!("expected Exists, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_torn_tail_is_cut_on_open() {
+        let path = prior_journal("replay-torn", 2);
+        let committed = fs::read(&path).unwrap();
+        let mut bytes = committed.clone();
+        bytes.extend_from_slice(br#"{"seq":2,"value":1.0}"#);
+        fs::write(&path, &bytes).unwrap();
+
+        let mut j = ReplayJournal::open(&path, true, None).unwrap();
+        assert_eq!(j.prior().len(), 2);
+        assert_eq!(fs::read(&path).unwrap(), committed, "tail cut on open");
+        for i in 0..3 {
+            j.commit(rec(i)).unwrap();
+        }
+        let got = read_journal::<Rec>(&path).unwrap();
+        assert!(!got.torn_tail);
+        assert_eq!(got.records, (0..3).map(rec).collect::<Vec<_>>());
     }
 }

@@ -51,13 +51,14 @@
 //! ## Crash safety
 //!
 //! Every lifecycle transition with a durable side effect is journaled
-//! write-ahead to `lifecycle.jsonl` (the same newline-commit JSONL
-//! discipline as the campaign journal): *intent* record → idempotent side
-//! effect → *done* record. [`run_lifecycle`] is a deterministic replay of
-//! `(seed, config)`; on resume, the replay's would-be events are matched
-//! against the journal prefix — already-committed events are consumed
-//! without re-appending, side effects whose done-marker is on disk are
-//! skipped, and the run continues bit-identically from any boundary. The
+//! write-ahead to `lifecycle.jsonl`, on the same replay journal as the
+//! campaign's ([`energy_model::persist::ReplayJournal`]): *intent* record
+//! → idempotent side effect → *done* record. [`run_lifecycle`] is a
+//! deterministic replay of `(seed, config)`; on resume, the replay's
+//! would-be events are matched against the journal prefix —
+//! already-committed events are consumed without re-appending, side
+//! effects whose done-marker is on disk are skipped, and the run
+//! continues bit-identically from any boundary. The
 //! [`LifecycleConfig::crash_after_appends`] chaos knob kills the run
 //! immediately after the Nth new append commits, exactly like the
 //! campaign's knob.
@@ -84,7 +85,7 @@ use std::sync::Arc;
 use energy_model::artifact::fnv1a_64;
 use energy_model::campaign::{run_campaign, CampaignConfig, DeviceSlot};
 use energy_model::characterize::Workload;
-use energy_model::persist::{heal_torn_tail, read_journal, Journal, PersistError};
+use energy_model::persist::{PersistError, ReplayError, ReplayJournal};
 use energy_model::quarantine::{quarantine_results, QuarantinePolicy};
 use energy_model::telemetry::Telemetry;
 use energy_model::workflow::{experiment_frequencies, CharacterizedInput};
@@ -525,110 +526,14 @@ impl From<RegistryError> for LifecycleError {
     }
 }
 
-impl From<PersistError> for LifecycleError {
-    fn from(e: PersistError) -> Self {
-        LifecycleError::Persist(e)
-    }
-}
-
-/// The write-ahead journal plus the resume cursor over its prior
-/// records. `commit` either consumes the matching prior record (resume)
-/// or appends a new one; `needs_side_effect` answers whether the side
-/// effect guarded by a done-marker still has to run.
-struct LifecycleJournal {
-    journal: Journal,
-    prior: Vec<LifecycleEvent>,
-    cursor: usize,
-    seen: Vec<LifecycleEvent>,
-    appends: u64,
-    crash_after: Option<u64>,
-}
-
-impl LifecycleJournal {
-    fn open(
-        dir: &Path,
-        fingerprint: u64,
-        resume: bool,
-        crash_after: Option<u64>,
-    ) -> Result<Self, LifecycleError> {
-        let jpath = journal_path(dir);
-        let prior = if jpath.exists() {
-            if !resume {
-                return Err(LifecycleError::JournalExists { path: jpath });
-            }
-            let contents = read_journal::<LifecycleEvent>(&jpath)?;
-            if contents.torn_tail {
-                heal_torn_tail(&jpath)?;
-            }
-            contents.records
-        } else {
-            Vec::new()
-        };
-        let journal = Journal::open(&jpath)?;
-        let mut jr = LifecycleJournal {
-            journal,
-            prior,
-            cursor: 0,
-            seen: Vec::new(),
-            appends: 0,
-            crash_after,
-        };
-        jr.commit(LifecycleEvent::Header {
-            version: LIFECYCLE_JOURNAL_VERSION,
-            fingerprint,
-        })?;
-        Ok(jr)
-    }
-
-    /// The next not-yet-consumed prior record, if resuming.
-    fn prior_next(&self) -> Option<&LifecycleEvent> {
-        self.prior.get(self.cursor)
-    }
-
-    /// Whether the side effect guarded by done-marker `event` still has
-    /// to run: false only when the marker is already durable (next in the
-    /// prior journal).
-    fn needs_side_effect(&self, event: &LifecycleEvent) -> bool {
-        self.prior_next() != Some(event)
-    }
-
-    fn commit(&mut self, event: LifecycleEvent) -> Result<(), LifecycleError> {
-        if let Some(prior) = self.prior.get(self.cursor) {
-            if *prior == event {
-                self.cursor += 1;
-                self.seen.push(event);
-                return Ok(());
-            }
-            return Err(LifecycleError::Corrupt {
-                message: format!(
-                    "record {} diverges: on disk {prior:?}, replay produced {event:?}",
-                    self.cursor
-                ),
-            });
+impl From<ReplayError> for LifecycleError {
+    fn from(e: ReplayError) -> Self {
+        match e {
+            ReplayError::Persist(e) => LifecycleError::Persist(e),
+            ReplayError::Exists { path } => LifecycleError::JournalExists { path },
+            ReplayError::Corrupt { message, .. } => LifecycleError::Corrupt { message },
+            ReplayError::InjectedCrash { appends } => LifecycleError::InjectedCrash { appends },
         }
-        self.journal.append(&event)?;
-        self.seen.push(event);
-        self.appends += 1;
-        if self.crash_after == Some(self.appends) {
-            return Err(LifecycleError::InjectedCrash {
-                appends: self.appends,
-            });
-        }
-        Ok(())
-    }
-
-    /// Every consumed prior record must be accounted for by the replay.
-    fn finish(&self) -> Result<(), LifecycleError> {
-        if self.cursor < self.prior.len() {
-            return Err(LifecycleError::Corrupt {
-                message: format!(
-                    "journal holds {} records the replay never produced (first: {:?})",
-                    self.prior.len() - self.cursor,
-                    self.prior[self.cursor]
-                ),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -1059,7 +964,7 @@ struct LifecycleHook<'a> {
     cfg: &'a LifecycleConfig,
     registry: &'a ModelRegistry,
     dir: &'a Path,
-    jr: LifecycleJournal,
+    journal: ReplayJournal<LifecycleEvent>,
     tracker: ResidualTracker,
     states: BTreeMap<String, AppState>,
     notes: BTreeMap<u64, JobNote>,
@@ -1102,7 +1007,7 @@ impl LoopHook for LifecycleHook<'_> {
 
     fn loaded(&mut self, events: Vec<RegistryEvent>) -> Result<(), LifecycleError> {
         for event in events {
-            self.jr.commit(LifecycleEvent::Registry { event })?;
+            self.journal.commit(LifecycleEvent::Registry { event })?;
         }
         Ok(())
     }
@@ -1194,7 +1099,7 @@ impl LifecycleHook<'_> {
                 .detector(app)
                 .map(|d| (d.samples(), d.statistic()))
                 .unwrap_or((0, 0.0));
-            self.jr.commit(LifecycleEvent::DriftTripped {
+            self.journal.commit(LifecycleEvent::DriftTripped {
                 app: app.clone(),
                 seq,
                 at_job,
@@ -1204,7 +1109,7 @@ impl LifecycleHook<'_> {
             self.tracker.reset(app);
 
             if self.retrains >= cfg.max_retrains {
-                self.jr.commit(LifecycleEvent::RetrainFailed {
+                self.journal.commit(LifecycleEvent::RetrainFailed {
                     app: app.clone(),
                     seq,
                     reason: format!("retrain budget exhausted ({} used)", cfg.max_retrains),
@@ -1225,7 +1130,8 @@ impl LifecycleHook<'_> {
 
             match retrain_app(cfg, app, seq, &effective_spec, self.dir) {
                 Ok(outcome) => {
-                    let version = publish_canary(self.registry, &mut self.jr, app, seq, &outcome)?;
+                    let version =
+                        publish_canary(self.registry, &mut self.journal, app, seq, &outcome)?;
                     engine.install_model(&canary_key(app), outcome.model.clone());
                     if let Some(state) = self.states.get_mut(app) {
                         state.phase = Phase::Canary {
@@ -1237,7 +1143,7 @@ impl LifecycleHook<'_> {
                     }
                 }
                 Err(reason) => {
-                    self.jr.commit(LifecycleEvent::RetrainFailed {
+                    self.journal.commit(LifecycleEvent::RetrainFailed {
                         app: app.clone(),
                         seq,
                         reason,
@@ -1275,7 +1181,7 @@ impl LifecycleHook<'_> {
             let incumbent_mape = incumbent.mape();
             let promote = canary_mape <= incumbent_mape * cfg.promote_margin;
             if promote {
-                self.jr.commit(LifecycleEvent::PromoteIntent {
+                self.journal.commit(LifecycleEvent::PromoteIntent {
                     app: app.clone(),
                     version,
                     at_job,
@@ -1286,10 +1192,10 @@ impl LifecycleHook<'_> {
                     app: app.clone(),
                     version,
                 };
-                if self.jr.needs_side_effect(&done) {
+                if self.journal.next_prior() != Some(&done) {
                     self.registry.promote_version(app, version)?;
                 }
-                self.jr.commit(done)?;
+                self.journal.commit(done)?;
                 // Serving advance: the promoted model replaces the
                 // incumbent under the stable key (its memo goes with it),
                 // and the canary channel closes.
@@ -1297,7 +1203,7 @@ impl LifecycleHook<'_> {
                 engine.remove_model(&canary_key(app));
                 self.promotes += 1;
             } else {
-                self.jr.commit(LifecycleEvent::RollbackIntent {
+                self.journal.commit(LifecycleEvent::RollbackIntent {
                     app: app.clone(),
                     version,
                     at_job,
@@ -1308,10 +1214,10 @@ impl LifecycleHook<'_> {
                     app: app.clone(),
                     version,
                 };
-                if self.jr.needs_side_effect(&done) {
+                if self.journal.next_prior() != Some(&done) {
                     self.registry.rollback_version(app, version)?;
                 }
-                self.jr.commit(done)?;
+                self.journal.commit(done)?;
                 // The incumbent keeps serving untouched; only the canary
                 // channel (and its cached profiles) disappears.
                 engine.remove_model(&canary_key(app));
@@ -1339,7 +1245,11 @@ pub fn run_lifecycle(
     resume: bool,
 ) -> Result<LifecycleReport, LifecycleError> {
     let gov = &cfg.governor;
-    let jr = LifecycleJournal::open(dir, cfg.fingerprint(), resume, cfg.crash_after_appends)?;
+    let mut journal = ReplayJournal::open(&journal_path(dir), resume, cfg.crash_after_appends)?;
+    journal.commit(LifecycleEvent::Header {
+        version: LIFECYCLE_JOURNAL_VERSION,
+        fingerprint: cfg.fingerprint(),
+    })?;
 
     // WAL recovery before replay: a crash between the rollback's two
     // registry steps (retire rename, pointer clear) leaves a dangling
@@ -1347,9 +1257,10 @@ pub fn run_lifecycle(
     // done-marker now, so the replayed loads observe a
     // protocol-consistent registry (the done-marker itself is appended
     // when replay reaches it).
-    for (i, ev) in jr.prior.iter().enumerate() {
+    let prior = journal.prior();
+    for (i, ev) in prior.iter().enumerate() {
         if let LifecycleEvent::RollbackIntent { app, version, .. } = ev {
-            let done = jr.prior[i + 1..].iter().any(|e| {
+            let done = prior[i + 1..].iter().any(|e| {
                 matches!(
                     e,
                     LifecycleEvent::RolledBack { app: a, version: v } if a == app && v == version
@@ -1365,7 +1276,7 @@ pub fn run_lifecycle(
         cfg,
         registry,
         dir,
-        jr,
+        journal,
         tracker: ResidualTracker::new(cfg.drift),
         states: BTreeMap::new(),
         notes: BTreeMap::new(),
@@ -1377,7 +1288,7 @@ pub fn run_lifecycle(
     let mut plan = gov.plan();
     plan.twin = cfg.scenario.clone();
     let run = run_plan(&plan, registry, &mut hook)?;
-    hook.jr.finish()?;
+    hook.journal.finish()?;
 
     let mut degradation = run.degradation;
     degradation.lifecycle_fallbacks += hook.lifecycle_fallbacks;
@@ -1399,8 +1310,8 @@ pub fn run_lifecycle(
         })
         .collect();
     let events: Vec<LifecycleEvent> = hook
-        .jr
-        .seen
+        .journal
+        .committed()
         .iter()
         .filter(|e| !matches!(e, LifecycleEvent::Header { .. }))
         .cloned()
@@ -1451,17 +1362,19 @@ pub fn run_lifecycle(
 }
 
 /// The journaled write-ahead canary publish: intent → artifact →
-/// pointer, each step idempotent, each boundary resumable.
+/// pointer, each step idempotent, each boundary resumable. A side effect
+/// runs unless its done-marker is the next committed record (the same
+/// rule the verdicts follow).
 fn publish_canary(
     registry: &ModelRegistry,
-    jr: &mut LifecycleJournal,
+    journal: &mut ReplayJournal<LifecycleEvent>,
     app: &str,
     seq: u32,
     outcome: &RetrainOutcome,
 ) -> Result<u32, LifecycleError> {
     // On resume, the version allocated before the crash is authoritative
     // — re-deriving it after the artifact write would double-allocate.
-    let version = match jr.prior_next() {
+    let version = match journal.next_prior() {
         Some(LifecycleEvent::PublishIntent {
             app: a,
             seq: s,
@@ -1470,7 +1383,7 @@ fn publish_canary(
         }) if a == app && *s == seq => *version,
         _ => registry.next_version(app)?,
     };
-    jr.commit(LifecycleEvent::PublishIntent {
+    journal.commit(LifecycleEvent::PublishIntent {
         app: app.to_string(),
         seq,
         version,
@@ -1482,20 +1395,20 @@ fn publish_canary(
         seq,
         version,
     };
-    if jr.needs_side_effect(&written) {
+    if journal.next_prior() != Some(&written) {
         registry.publish_at(app, version, &outcome.model, outcome.fingerprint)?;
     }
-    jr.commit(written)?;
+    journal.commit(written)?;
 
     let opened = LifecycleEvent::CanaryOpened {
         app: app.to_string(),
         seq,
         version,
     };
-    if jr.needs_side_effect(&opened) {
+    if journal.next_prior() != Some(&opened) {
         registry.set_canary(app, version)?;
     }
-    jr.commit(opened)?;
+    journal.commit(opened)?;
     Ok(version)
 }
 

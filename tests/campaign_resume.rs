@@ -14,10 +14,12 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use cronos::Grid;
-use energy_model::campaign::{journal_path, snapshot_path, FailureKind, JournalRecord};
+use energy_model::campaign::{journal_path, FailureKind, JournalRecord};
 use energy_model::persist::read_journal;
+use energy_model::telemetry::{MetricValue, Telemetry};
 use energy_model::{
     characterize_with_options, run_campaign, BreakerConfig, CampaignConfig, CampaignError,
     CampaignOutcome, DeviceSlot, SweepOptions, Workload,
@@ -240,7 +242,53 @@ fn resume_from_a_torn_mid_append_crash_is_bit_identical() {
 }
 
 #[test]
-fn repeated_injected_crashes_with_compaction_converge_to_the_golden_run() {
+fn an_armed_resume_counts_only_the_steps_it_measures() {
+    let cronos = small_cronos();
+    let workloads: Vec<&dyn Workload> = vec![&cronos];
+    let mut cfg = base_config(
+        DeviceSpec::v100(),
+        vec![
+            DeviceSlot::healthy("gpu0"),
+            DeviceSlot::with_health("gpu1", flaky_plan(chaos_seed() ^ 0x5eed)),
+        ],
+    );
+
+    let golden_dir = scratch("telemetry-golden");
+    let golden = run_campaign(&cfg, &workloads, &golden_dir, false).expect("golden run");
+    let journal = fs::read_to_string(journal_path(&golden_dir)).unwrap();
+    let lines: Vec<&str> = journal.lines().collect();
+
+    for cut in [1, lines.len() / 2, lines.len()] {
+        let dir = scratch(&format!("telemetry-{cut}"));
+        let prefix: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
+        fs::write(journal_path(&dir), prefix).unwrap();
+        let tel = Telemetry::new();
+        cfg.telemetry = Some(Arc::clone(&tel));
+        let resumed = run_campaign(&cfg, &workloads, &dir, true).expect("armed resume");
+        assert_eq!(resumed, golden, "armed resume from {cut} records");
+
+        // One journal line per step after the header: the steps measured
+        // after the cut are the lines the cut left out.
+        let snap = tel.registry().snapshot();
+        let assignments = snap
+            .metrics
+            .iter()
+            .find(|(n, _)| n == "campaign.assignments")
+            .map_or(0, |(_, v)| match v {
+                MetricValue::Counter(c) => *c,
+                other => panic!("campaign.assignments is not a counter: {other:?}"),
+            });
+        assert_eq!(
+            assignments,
+            (lines.len() - cut) as u64,
+            "resume from {cut}/{} records",
+            lines.len()
+        );
+    }
+}
+
+#[test]
+fn repeated_injected_crashes_converge_to_the_golden_run() {
     let spec = DeviceSpec::v100();
     let cronos = small_cronos();
     let workloads: Vec<&dyn Workload> = vec![&cronos];
@@ -254,9 +302,8 @@ fn repeated_injected_crashes_with_compaction_converge_to_the_golden_run() {
 
     let golden = run_fresh(&cfg, &workloads, "crash-golden");
 
-    // Crash every 3 appends, compacting every 2: exercises the snapshot
-    // write, the journal swap, and resume-from-snapshot-plus-tail.
-    cfg.snapshot_every = 2;
+    // Crash every 3 appends (the first process's header among them):
+    // every resume replays a longer prefix, then appends past it.
     cfg.crash_after_appends = Some(3);
     let dir = scratch("crash-loop");
     let mut resumed = false;
@@ -271,10 +318,6 @@ fn repeated_injected_crashes_with_compaction_converge_to_the_golden_run() {
         }
     };
     assert!(resumed, "the crash hook must have fired at least once");
-    assert!(
-        snapshot_path(&dir).exists(),
-        "compaction must have written a snapshot"
-    );
     assert_eq!(
         outcome, golden,
         "crash-riddled run must match the golden run"
@@ -438,19 +481,51 @@ fn a_corrupted_mid_journal_record_is_rejected_not_skipped() {
     let cronos = small_cronos();
     let workloads: Vec<&dyn Workload> = vec![&cronos];
     let cfg = base_config(DeviceSpec::v100(), vec![DeviceSlot::healthy("gpu0")]);
-    let dir = scratch("corrupt");
-    run_campaign(&cfg, &workloads, &dir, false).expect("first run");
-    let journal = fs::read_to_string(journal_path(&dir)).unwrap();
-    let lines: Vec<&str> = journal.lines().collect();
-    let mut damaged: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
-    damaged[2] = "{\"Done\":garbage".to_string();
-    fs::write(
-        journal_path(&dir),
-        damaged.iter().map(|l| format!("{l}\n")).collect::<String>(),
-    )
-    .unwrap();
-    match run_campaign(&cfg, &workloads, &dir, true) {
+    let golden_dir = scratch("corrupt-golden");
+    run_campaign(&cfg, &workloads, &golden_dir, false).expect("first run");
+    let journal = fs::read_to_string(journal_path(&golden_dir)).unwrap();
+    let lines: Vec<String> = journal.lines().map(str::to_string).collect();
+
+    // Resumes a copy of the finished journal after `damage` edits it.
+    let resume_damaged = |name: &str, damage: &dyn Fn(&mut Vec<String>)| {
+        let mut damaged = lines.clone();
+        damage(&mut damaged);
+        let dir = scratch(name);
+        fs::write(
+            journal_path(&dir),
+            damaged.iter().map(|l| format!("{l}\n")).collect::<String>(),
+        )
+        .unwrap();
+        run_campaign(&cfg, &workloads, &dir, true)
+    };
+
+    // An unparsable committed line.
+    match resume_damaged("corrupt-garbage", &|j| {
+        j[2] = "{\"Done\":garbage".to_string()
+    }) {
         Err(CampaignError::Persist(_)) | Err(CampaignError::Corrupt { .. }) => {}
         other => panic!("expected corruption error, got {other:?}"),
+    }
+    // A committed line duplicated in place: the copy does not re-derive.
+    match resume_damaged("corrupt-duplicate", &|j| j.insert(3, j[2].clone())) {
+        Err(CampaignError::Corrupt { message, .. }) => {
+            assert!(message.starts_with("record 3 diverges"), "{message}");
+        }
+        other => panic!("expected Corrupt for a duplicated record, got {other:?}"),
+    }
+    // A forged `Done` past the end: no step is left to re-derive it.
+    let forged = |j: &mut Vec<String>| {
+        let mut extra: JournalRecord = serde_json::from_str(j.last().unwrap()).unwrap();
+        let JournalRecord::Done { seq, .. } = &mut extra else {
+            panic!("a healthy campaign ends on a Done record");
+        };
+        *seq += 1;
+        j.push(serde_json::to_string(&extra).unwrap());
+    };
+    match resume_damaged("corrupt-forged", &forged) {
+        Err(CampaignError::Corrupt { message, .. }) => {
+            assert!(message.contains("never produced"), "{message}");
+        }
+        other => panic!("expected Corrupt for a record past the end, got {other:?}"),
     }
 }

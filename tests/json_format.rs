@@ -1,11 +1,10 @@
 //! The JSON the workspace writes and accepts, pinned as literals.
 //!
-//! Every registry artifact, journal line, campaign snapshot and record is
-//! written and read by the `serde`/`serde_json` shims, so their output
-//! bytes are part of every digest the workspace pins, and what they
-//! accept or refuse is part of every loader's contract. Goldens elsewhere
-//! compare one build's output with itself; this file compares it with
-//! fixed strings.
+//! Every registry artifact, journal line and record is written and read
+//! by the `serde`/`serde_json` shims, so their output bytes are part of
+//! every digest the workspace pins, and what they accept or refuse is
+//! part of every loader's contract. Goldens elsewhere compare one build's
+//! output with itself; this file compares it with fixed strings.
 
 use std::collections::{BTreeMap, HashMap};
 
