@@ -24,7 +24,10 @@
 //!   healthy slots via the same `try_replay_on` path every sweep uses.
 //! * **Typed failure.** A full disk, foreign journal, or fully-evicted
 //!   fleet surfaces as a [`CampaignError`], never a panic — and the
-//!   journal survives, so a later resume can still finish the work.
+//!   journal survives. After a crash or a full disk a resume finishes the
+//!   work. A fully-evicted fleet cannot be resumed into success: the same
+//!   configuration replays the journaled evictions, and a repaired fleet
+//!   is another configuration, so it starts a new campaign directory.
 //!
 //! The quarantine stage that keeps degraded campaign points out of the
 //! training set lives in [`crate::quarantine`].
@@ -665,7 +668,10 @@ pub enum CampaignError {
         message: String,
     },
     /// Every device slot was evicted with work still pending. The journal
-    /// is intact: fix the fleet and resume.
+    /// is intact, but resuming it replays the same evictions; a repaired
+    /// fleet changes the config fingerprint (resuming into this directory
+    /// is a [`CampaignError::ConfigMismatch`]), so it starts a new campaign
+    /// directory.
     AllDevicesLost {
         /// Items still pending.
         pending: usize,

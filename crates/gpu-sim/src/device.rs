@@ -1,12 +1,16 @@
 //! The device execution engine.
 //!
-//! [`Device`] owns the mutable state of one simulated GPU: current clocks,
-//! cumulative energy counter, device clock, and the optional
-//! measurement-noise stream. Every measurement leaves the device as a
+//! [`Device`] owns the mutable state of one simulated GPU: memory clock,
+//! power cap, cumulative energy counter, device clock, and the optional
+//! measurement-noise stream. It keeps no configured core clock: every
+//! launch names its clock ([`Device::launch_at`]), and a launch at any
+//! clock other than the spec's `default_core_mhz` is a clock request the
+//! fault plan may reject. Every measurement leaves the device as a
 //! [`LaunchRecord`] or a counter reading, as it does through NVML or
 //! ROCm-SMI; the device keeps no per-launch log. The vendor-specific
-//! management layers ([`crate::nvml`], [`crate::rocm`]) and the portable
-//! `synergy` crate all drive this type.
+//! management layers ([`crate::nvml`], [`crate::rocm`],
+//! [`crate::level_zero`]) and the portable `synergy` crate all drive this
+//! type.
 
 use std::sync::Arc;
 
@@ -50,7 +54,6 @@ pub struct LaunchRecord {
 #[derive(Debug, Clone)]
 pub struct Device {
     spec: DeviceSpec,
-    core_mhz: f64,
     mem_mhz: f64,
     /// Operator power cap (W), `None` = TDP only. Enforced by
     /// [`resolve_power_cap`] on every launch.
@@ -71,11 +74,9 @@ impl Device {
     /// Creates a device at its default clocks, with noise disabled and no
     /// fault plan.
     pub fn new(spec: DeviceSpec) -> Self {
-        let core = spec.default_core_mhz;
         let mem = spec.mem_freqs.max();
         Device {
             spec,
-            core_mhz: core,
             mem_mhz: mem,
             power_cap_w: None,
             energy_counter_j: 0.0,
@@ -115,34 +116,17 @@ impl Device {
         &self.spec
     }
 
-    /// Current core clock (MHz).
-    pub fn core_mhz(&self) -> f64 {
-        self.core_mhz
-    }
-
     /// Current memory clock (MHz).
     pub fn mem_mhz(&self) -> f64 {
         self.mem_mhz
     }
 
-    /// Sets the core clock, snapping to the nearest supported frequency.
-    /// Returns the frequency actually applied — the same contract as
-    /// `nvmlDeviceSetApplicationsClocks`. Under an active fault plan the
-    /// request may be rejected, in which case the device keeps its
-    /// previous clock.
-    pub fn set_core_mhz(&mut self, mhz: f64) -> Result<f64, FaultError> {
-        let requested = self.spec.core_freqs.snap(mhz);
-        self.faults.on_set_frequency(requested)?;
-        self.core_mhz = requested;
-        Ok(self.core_mhz)
-    }
-
     /// Sets the memory clock, snapping to the nearest supported frequency.
-    /// Like [`Device::set_core_mhz`] this is a management request the fault
-    /// plan may reject — but only a request that *changes* the clock
-    /// consumes a management operation, so setting the clock the device is
-    /// already at is always a no-op success (matching drivers, which
-    /// short-circuit idempotent clock requests).
+    /// This is a management request the fault plan may reject, leaving the
+    /// previous clock in force — but only a request that *changes* the
+    /// clock consumes a management operation, so setting the clock the
+    /// device is already at is always a no-op success (real management
+    /// libraries short-circuit idempotent clock requests too).
     pub fn set_mem_mhz(&mut self, mhz: f64) -> Result<f64, FaultError> {
         let requested = self.spec.mem_freqs.snap(mhz);
         if requested != self.mem_mhz {
@@ -181,29 +165,21 @@ impl Device {
         Ok(self.power_cap_w)
     }
 
-    /// Restores the default clock configuration and clears any operator
-    /// power cap (`nvmlDeviceResetApplicationsClocks` analogue).
-    pub fn reset_clocks(&mut self) {
-        self.core_mhz = self.spec.default_core_mhz;
-        self.mem_mhz = self.spec.mem_freqs.max();
-        self.power_cap_w = None;
-    }
-
-    /// Executes a kernel at the current clocks, advancing the device clock
-    /// and energy counter, and returns the measured record. Fails only
-    /// when the fault plan injects a transient launch failure.
+    /// Executes a kernel at the default core clock, advancing the device
+    /// clock and energy counter, and returns the measured record. Fails
+    /// only when the fault plan injects a transient launch failure.
     pub fn launch(&mut self, kernel: &KernelProfile) -> Result<LaunchRecord, FaultError> {
-        self.launch_at(kernel, self.core_mhz)
+        self.launch_at(kernel, self.spec.default_core_mhz)
     }
 
-    /// Executes a kernel at an explicit core clock without changing the
-    /// device's configured clock (per-kernel frequency scaling, as SYnergy
-    /// does). The clock is snapped to a supported frequency.
+    /// Executes a kernel at an explicit core clock (per-kernel frequency
+    /// scaling, as SYnergy does). The clock is snapped to a supported
+    /// frequency.
     ///
-    /// Launching at a clock other than the configured one performs an
-    /// implicit application-clock request, which the fault plan may reject
-    /// ([`FaultError::FrequencyRejected`] — nothing runs, no counter
-    /// moves). The plan may also drop the launch
+    /// Launching at a clock other than the spec's `default_core_mhz`
+    /// performs an implicit application-clock request, which the fault plan
+    /// may reject ([`FaultError::FrequencyRejected`] — nothing runs, no
+    /// counter moves). The plan may also drop the launch
     /// ([`FaultError::LaunchFailed`]) or hold the effective clock below
     /// the requested one for a throttle window, in which case the launch
     /// succeeds with [`LaunchRecord::throttled`] set and `core_mhz` at the
@@ -214,7 +190,7 @@ impl Device {
         core_mhz: f64,
     ) -> Result<LaunchRecord, FaultError> {
         let requested = self.spec.core_freqs.snap(core_mhz);
-        if requested != self.core_mhz {
+        if requested != self.spec.default_core_mhz {
             self.faults.on_set_frequency(requested)?;
         }
         let granted = match self.faults.on_launch_attempt(&kernel.name)? {
@@ -435,29 +411,13 @@ mod tests {
     }
 
     #[test]
-    fn set_core_snaps() {
-        let mut d = Device::new(DeviceSpec::v100());
-        let applied = d.set_core_mhz(1000.0).unwrap();
-        assert!(d.spec().core_freqs.contains(applied));
-        assert_eq!(d.core_mhz(), applied);
-    }
-
-    #[test]
-    fn reset_restores_defaults() {
-        let mut d = Device::new(DeviceSpec::v100());
-        d.set_core_mhz(300.0).unwrap();
-        d.reset_clocks();
-        assert_eq!(d.core_mhz(), d.spec().default_core_mhz);
-    }
-
-    #[test]
     fn launch_at_does_not_change_configured_clock() {
         let mut d = Device::new(DeviceSpec::v100());
         let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
-        let configured = d.core_mhz();
+        let default = d.spec().default_core_mhz;
         let rec = d.launch_at(&k, 300.0).unwrap();
-        assert!(rec.core_mhz < configured);
-        assert_eq!(d.core_mhz(), configured);
+        assert!(rec.core_mhz < default);
+        assert_eq!(d.launch(&k).unwrap().core_mhz, default);
     }
 
     #[test]
@@ -604,19 +564,6 @@ mod tests {
     use crate::faults::{FaultError, FaultPlan, Schedule, ThrottleWindow};
 
     #[test]
-    fn rejected_set_frequency_keeps_previous_clock() {
-        let plan = FaultPlan::none().reject_set_frequency(Schedule::once(0));
-        let mut d = Device::with_faults(DeviceSpec::v100(), plan);
-        let before = d.core_mhz();
-        let err = d.set_core_mhz(800.0).unwrap_err();
-        assert!(matches!(err, FaultError::FrequencyRejected { .. }));
-        assert_eq!(d.core_mhz(), before, "device stays at previous clock");
-        // The next request (index 1) goes through.
-        let applied = d.set_core_mhz(800.0).unwrap();
-        assert_eq!(d.core_mhz(), applied);
-    }
-
-    #[test]
     fn launch_at_foreign_clock_consumes_a_set_frequency_op() {
         let plan = FaultPlan::none().reject_set_frequency(Schedule::once(0));
         let mut d = Device::with_faults(DeviceSpec::v100(), plan);
@@ -632,6 +579,9 @@ mod tests {
             before,
             "a rejected launch moves no counter"
         );
+        // The next request (op 1) goes through at the requested clock.
+        let rec = d.launch_at(&k, 600.0).unwrap();
+        assert!((rec.core_mhz - 600.0).abs() < 10.0);
     }
 
     #[test]
@@ -706,7 +656,7 @@ mod tests {
         assert!(capped.core_mhz < free.core_mhz);
         assert!(capped.time_s > free.time_s, "cap stretches the body");
         assert!(capped.avg_power_w <= 120.0 + 1e-9);
-        d.reset_clocks();
+        assert_eq!(d.set_power_cap_w(None).unwrap(), None);
         assert_eq!(d.power_cap_w(), None);
         let again = d.launch_at(&k, 1200.0).unwrap();
         assert_eq!(again.time_s.to_bits(), free.time_s.to_bits());

@@ -1,12 +1,15 @@
 //! Level-Zero-like (Intel oneAPI sysman) management API.
 //!
 //! Mirrors the subset of the Level Zero Sysman interface SYnergy's Intel
-//! backend uses: frequency-domain enumeration and range control
-//! (`zesFrequencySetRange`), the energy counter (`zesPowerGetEnergyCounter`,
-//! microjoules), and the power limit. Intel GPUs, like AMD ones, have no
-//! fixed default clock: the stock configuration is the full frequency range
-//! with a firmware governor choosing within it; pinning means collapsing
-//! the range to a single bin.
+//! backend uses: the memory frequency domain (`zesFrequencySetRange`), the
+//! energy counter (`zesPowerGetEnergyCounter`, microjoules), and the power
+//! limit. Intel GPUs, like AMD ones, have no fixed default clock: the
+//! stock configuration is the full frequency range with a firmware
+//! governor choosing within it, which we model as converging to the spec's
+//! `default_core_mhz`, so [`ZeDevice::launch`] runs there. The core domain
+//! has no call here: a launch at any other clock names it
+//! ([`Device::launch_at`]), and that request is what a fault plan may refuse
+//! with [`ZeError::NotAvailable`].
 
 use std::sync::Arc;
 
@@ -24,7 +27,7 @@ pub enum ZeError {
     InvalidIndex(usize),
     /// The device is not an Intel GPU (`ZE_RESULT_ERROR_UNSUPPORTED_FEATURE`).
     Unsupported(String),
-    /// An invalid frequency range was requested.
+    /// An invalid memory frequency range was requested.
     InvalidRange {
         /// Requested minimum (MHz).
         min_mhz: f64,
@@ -117,23 +120,17 @@ impl ZeDriver {
 #[derive(Debug, Clone)]
 pub struct ZeDevice {
     inner: Arc<Mutex<Device>>,
-    /// The active frequency range `[min, max]` (MHz). Stock = full range.
-    range: (f64, f64),
 }
 
 impl ZeDevice {
-    /// A standalone handle over a fresh Max 1100 at the stock range.
+    /// A standalone handle over a fresh Max 1100.
     pub fn max1100() -> Self {
         ZeDevice::from_shared(Arc::new(Mutex::new(Device::new(DeviceSpec::max1100()))))
     }
 
     /// Wraps a shared device (caller guarantees it is an Intel device).
     pub fn from_shared(inner: Arc<Mutex<Device>>) -> Self {
-        let range = {
-            let dev = inner.lock();
-            (dev.spec().min_core_mhz(), dev.spec().max_core_mhz())
-        };
-        ZeDevice { inner, range }
+        ZeDevice { inner }
     }
 
     /// The underlying shared device handle.
@@ -152,44 +149,6 @@ impl ZeDevice {
         self.inner.lock().spec().name.clone()
     }
 
-    /// `zesFrequencyGetAvailableClocks` — the supported core clocks.
-    pub fn available_clocks(&self) -> Vec<f64> {
-        self.inner.lock().spec().core_freqs.as_slice().to_vec()
-    }
-
-    /// `zesFrequencyGetRange` — the active `[min, max]` range (MHz).
-    pub fn frequency_range(&self) -> (f64, f64) {
-        self.range
-    }
-
-    /// `zesFrequencySetRange`: constrains the governor to `[min, max]`.
-    /// Pinning a clock is `set_frequency_range(f, f)`. Both endpoints snap
-    /// to supported clocks; returns the applied range.
-    pub fn set_frequency_range(
-        &mut self,
-        min_mhz: f64,
-        max_mhz: f64,
-    ) -> Result<(f64, f64), ZeError> {
-        if !(min_mhz.is_finite() && max_mhz.is_finite()) || min_mhz > max_mhz || min_mhz <= 0.0 {
-            return Err(ZeError::InvalidRange { min_mhz, max_mhz });
-        }
-        let dev = self.inner.lock();
-        let lo = dev.spec().core_freqs.snap(min_mhz);
-        let hi = dev.spec().core_freqs.snap(max_mhz);
-        drop(dev);
-        if lo > hi {
-            return Err(ZeError::InvalidRange { min_mhz, max_mhz });
-        }
-        self.range = (lo, hi);
-        Ok(self.range)
-    }
-
-    /// Restores the stock (full) range.
-    pub fn reset_frequency_range(&mut self) {
-        let dev = self.inner.lock();
-        self.range = (dev.spec().min_core_mhz(), dev.spec().max_core_mhz());
-    }
-
     /// `zesFrequencyGetAvailableClocks` on the memory domain — the
     /// supported memory clocks.
     pub fn available_memory_clocks(&self) -> Vec<f64> {
@@ -198,7 +157,8 @@ impl ZeDevice {
 
     /// `zesFrequencySetRange` on the memory domain, pinned form: sets the
     /// memory clock (snapping to a supported bin) and returns the applied
-    /// frequency.
+    /// frequency. On [`ZeError::NotAvailable`] the previous memory clock
+    /// stays in force.
     pub fn set_memory_frequency(&mut self, mem_mhz: f64) -> Result<f64, ZeError> {
         if !mem_mhz.is_finite() || mem_mhz <= 0.0 {
             return Err(ZeError::InvalidRange {
@@ -226,28 +186,16 @@ impl ZeDevice {
         self.inner.lock().power_cap_w()
     }
 
-    /// The frequency the firmware governor actually runs a loaded kernel
-    /// at: its preferred sustained clock, clamped into the active range.
-    pub fn governor_frequency(&self) -> f64 {
-        let dev = self.inner.lock();
-        dev.spec()
-            .default_core_mhz
-            .clamp(self.range.0, self.range.1)
-    }
-
     /// `zesPowerGetEnergyCounter` — cumulative energy in **microjoules**.
     pub fn energy_counter_uj(&self) -> u64 {
         (self.inner.lock().energy_counter_j() * 1e6).round() as u64
     }
 
-    /// Executes a kernel at the governor-selected clock within the active
-    /// range (the simulator stand-in for a SYCL launch on this device).
+    /// Executes a kernel at the firmware governor's sustained clock,
+    /// `default_core_mhz` (the simulator stand-in for a SYCL launch on this
+    /// device).
     pub fn launch(&self, kernel: &KernelProfile) -> Result<LaunchRecord, ZeError> {
-        let f = self.governor_frequency();
-        self.inner
-            .lock()
-            .launch_at(kernel, f)
-            .map_err(ZeError::from)
+        self.inner.lock().launch(kernel).map_err(ZeError::from)
     }
 }
 
@@ -274,42 +222,15 @@ mod tests {
     }
 
     #[test]
-    fn stock_range_is_full_table() {
-        let dev = ZeDevice::max1100();
-        let (lo, hi) = dev.frequency_range();
-        assert_eq!(lo, 300.0);
-        assert_eq!(hi, 1550.0);
-        assert_eq!(dev.governor_frequency(), 1450.0);
-    }
-
-    #[test]
-    fn range_pinning_snaps_and_governs() {
-        let mut dev = ZeDevice::max1100();
-        let (lo, hi) = dev.set_frequency_range(912.0, 912.0).unwrap();
-        assert_eq!(lo, hi);
-        assert!(dev.available_clocks().contains(&lo));
-        assert_eq!(dev.governor_frequency(), lo);
-        let rec = dev
-            .launch(&KernelProfile::compute_bound("k", 1 << 20, 200.0))
-            .unwrap();
-        assert_eq!(rec.core_mhz, lo);
-    }
-
-    #[test]
-    fn capping_the_range_caps_the_governor() {
-        let mut dev = ZeDevice::max1100();
-        dev.set_frequency_range(300.0, 1000.0).unwrap();
-        assert!(dev.governor_frequency() <= 1000.0);
-        dev.reset_frequency_range();
-        assert_eq!(dev.governor_frequency(), 1450.0);
-    }
-
-    #[test]
     fn invalid_ranges_rejected() {
         let mut dev = ZeDevice::max1100();
-        assert!(dev.set_frequency_range(1000.0, 500.0).is_err());
-        assert!(dev.set_frequency_range(f64::NAN, 1000.0).is_err());
-        assert!(dev.set_frequency_range(-5.0, 1000.0).is_err());
+        for bad in [f64::NAN, f64::INFINITY, -5.0, 0.0] {
+            assert!(matches!(
+                dev.set_memory_frequency(bad),
+                Err(ZeError::InvalidRange { .. })
+            ));
+        }
+        assert_eq!(dev.lock_device().mem_mhz(), 1565.0, "clock untouched");
     }
 
     #[test]
@@ -343,15 +264,18 @@ mod tests {
             DeviceSpec::max1100(),
             plan,
         ))));
-        // Pin to a non-default clock so the launch issues a clock request.
-        dev.set_frequency_range(912.0, 912.0).unwrap();
+        match dev.set_memory_frequency(1046.0) {
+            Err(ZeError::NotAvailable { requested_mhz }) => assert_eq!(requested_mhz, 1046.0),
+            other => panic!("expected NotAvailable, got {other:?}"),
+        }
+        assert_eq!(dev.lock_device().mem_mhz(), 1565.0, "the clock is kept");
+        // The rejection ran no launch, so launch index 0 succeeds and index
+        // 1 trips the scheduled launch failure; both fault classes were
+        // one-shot, so the retries succeed.
         let k = KernelProfile::compute_bound("k", 1 << 20, 200.0);
-        assert!(matches!(dev.launch(&k), Err(ZeError::NotAvailable { .. })));
-        // Launch index 0 completed? No — the rejected launch never ran, so
-        // the next attempt is still launch index 0; retry succeeds, and the
-        // following attempt trips the scheduled launch failure at index 1.
         assert!(dev.launch(&k).is_ok());
         assert!(matches!(dev.launch(&k), Err(ZeError::DeviceLost(_))));
         assert!(dev.launch(&k).is_ok());
+        assert_eq!(dev.set_memory_frequency(1046.0).unwrap(), 1046.0);
     }
 }

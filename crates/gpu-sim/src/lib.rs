@@ -21,9 +21,10 @@
 //!   energy-optimal frequency *input-dependent*, the paper's key observation.
 //!
 //! The programming interface mirrors the structure of the real stack:
-//! [`nvml`] is an NVML-like management API, [`rocm`] is a ROCm-SMI-like API
-//! (with the MI100's "auto" performance level), and [`device::Device`] is the
-//! execution engine both wrap.
+//! [`nvml`] is an NVML-like management API, [`rocm`] a ROCm-SMI-like one
+//! (the MI100 runs at its "auto" performance level), [`level_zero`] a
+//! Level-Zero-like one, and [`device::Device`] is the execution engine all
+//! three wrap. A core clock is chosen per launch ([`Device::launch_at`]).
 //!
 //! Everything is deterministic. Optional measurement noise flows through a
 //! seeded ChaCha RNG ([`noise`]); optional management-API faults (clock

@@ -1,10 +1,13 @@
 //! NVML-like management API.
 //!
 //! Mirrors the subset of the NVIDIA Management Library the paper's pipeline
-//! needs — supported-clock enumeration, application-clock control, the
-//! power limit, and the total-energy counter — with Rust naming and
-//! `Result` error handling instead of `nvmlReturn_t` codes. Units follow
-//! NVML: energy in millijoules, clocks in MHz.
+//! needs — memory-clock enumeration, the power limit, and the total-energy
+//! counter — with Rust naming and `Result` error handling instead of
+//! `nvmlReturn_t` codes. Units follow NVML: energy in millijoules, clocks
+//! in MHz. The core clock has no call here: each launch names its clock
+//! ([`Device::launch_at`]), and one at a clock other than the fixed default
+//! application clock is the application-clock request, which a fault plan
+//! may refuse with [`NvmlError::NoPermission`].
 
 use std::sync::Arc;
 
@@ -22,10 +25,8 @@ pub enum NvmlError {
     InvalidIndex(usize),
     /// The device is not an NVIDIA GPU (`NVML_ERROR_NOT_SUPPORTED`).
     NotSupported(String),
-    /// Requested memory clock is not supported.
-    InvalidMemoryClock(f64),
-    /// The driver refused the application-clock change
-    /// (`NVML_ERROR_NO_PERMISSION`); the device keeps its previous clocks.
+    /// NVML refused the application-clock or power-limit change
+    /// (`NVML_ERROR_NO_PERMISSION`); the device keeps its previous setting.
     NoPermission { requested_mhz: f64 },
     /// The device fell off the bus mid-operation
     /// (`NVML_ERROR_GPU_IS_LOST`); the launch did not execute.
@@ -42,9 +43,6 @@ impl std::fmt::Display for NvmlError {
             NvmlError::InvalidIndex(i) => write!(f, "invalid device index {i}"),
             NvmlError::NotSupported(name) => {
                 write!(f, "device '{name}' is not managed by NVML")
-            }
-            NvmlError::InvalidMemoryClock(mhz) => {
-                write!(f, "unsupported memory clock {mhz} MHz")
             }
             NvmlError::NoPermission { requested_mhz } => {
                 write!(
@@ -154,31 +152,6 @@ impl NvmlDevice {
         self.inner.lock().spec().mem_freqs.as_slice().to_vec()
     }
 
-    /// `nvmlDeviceGetSupportedGraphicsClocks(mem_mhz)`.
-    pub fn supported_graphics_clocks(&self, mem_mhz: f64) -> Result<Vec<f64>, NvmlError> {
-        let dev = self.inner.lock();
-        if !dev.spec().mem_freqs.contains(mem_mhz) {
-            return Err(NvmlError::InvalidMemoryClock(mem_mhz));
-        }
-        Ok(dev.spec().core_freqs.as_slice().to_vec())
-    }
-
-    /// `nvmlDeviceSetApplicationsClocks(mem, core)`. Returns the clocks
-    /// actually applied (snapped to supported values).
-    pub fn set_applications_clocks(
-        &self,
-        mem_mhz: f64,
-        core_mhz: f64,
-    ) -> Result<(f64, f64), NvmlError> {
-        let mut dev = self.inner.lock();
-        if !dev.spec().mem_freqs.contains(mem_mhz) {
-            return Err(NvmlError::InvalidMemoryClock(mem_mhz));
-        }
-        let m = dev.set_mem_mhz(mem_mhz)?;
-        let c = dev.set_core_mhz(core_mhz)?;
-        Ok((m, c))
-    }
-
     /// `nvmlDeviceSetPowerManagementLimit` — sets (or clears, with `None`)
     /// the operator power cap in watts. Returns the cap actually applied.
     pub fn set_power_management_limit_w(
@@ -197,28 +170,13 @@ impl NvmlDevice {
         self.inner.lock().power_cap_w()
     }
 
-    /// `nvmlDeviceResetApplicationsClocks`.
-    pub fn reset_applications_clocks(&self) {
-        self.inner.lock().reset_clocks();
-    }
-
-    /// `nvmlDeviceGetClockInfo(NVML_CLOCK_GRAPHICS)` — current core clock.
-    pub fn clock_info_graphics(&self) -> f64 {
-        self.inner.lock().core_mhz()
-    }
-
-    /// `nvmlDeviceGetClockInfo(NVML_CLOCK_MEM)` — current memory clock.
-    pub fn clock_info_memory(&self) -> f64 {
-        self.inner.lock().mem_mhz()
-    }
-
     /// `nvmlDeviceGetTotalEnergyConsumption` — cumulative energy in
     /// **millijoules**.
     pub fn total_energy_consumption_mj(&self) -> u64 {
         (self.inner.lock().energy_counter_j() * 1e3).round() as u64
     }
 
-    /// Executes a kernel at the configured application clocks. Not part of
+    /// Executes a kernel at the default application clock. Not part of
     /// NVML (which only manages), but the simulator's stand-in for the CUDA
     /// launch the managed device would perform.
     pub fn launch(&self, kernel: &KernelProfile) -> Result<LaunchRecord, NvmlError> {
@@ -260,9 +218,6 @@ mod tests {
         let dev = one_v100().device_by_index(0).unwrap();
         let mems = dev.supported_memory_clocks();
         assert_eq!(mems, vec![703.0, 810.0, 958.0, 1107.0]);
-        let clocks = dev.supported_graphics_clocks(1107.0).unwrap();
-        assert_eq!(clocks.len(), 196);
-        assert!(dev.supported_graphics_clocks(999.0).is_err());
     }
 
     #[test]
@@ -274,18 +229,8 @@ mod tests {
             Some(200.0)
         );
         assert_eq!(dev.power_management_limit_w(), Some(200.0));
-        dev.reset_applications_clocks();
-        assert_eq!(dev.power_management_limit_w(), None, "reset clears the cap");
-    }
-
-    #[test]
-    fn set_clocks_snaps_and_applies() {
-        let dev = one_v100().device_by_index(0).unwrap();
-        let (m, c) = dev.set_applications_clocks(1107.0, 1000.0).unwrap();
-        assert_eq!(m, 1107.0);
-        assert_eq!(dev.clock_info_graphics(), c);
-        dev.reset_applications_clocks();
-        assert!((dev.clock_info_graphics() - 1312.1).abs() < 1.0);
+        assert_eq!(dev.set_power_management_limit_w(None).unwrap(), None);
+        assert_eq!(dev.power_management_limit_w(), None, "None clears the cap");
     }
 
     #[test]
@@ -307,18 +252,18 @@ mod tests {
             DeviceSpec::v100(),
             plan,
         ))));
-        let before = dev.clock_info_graphics();
-        match dev.set_applications_clocks(1107.0, 900.0) {
-            Err(NvmlError::NoPermission { requested_mhz }) => {
-                assert!((requested_mhz - 900.0).abs() < 15.0)
-            }
+        match dev.set_power_management_limit_w(Some(150.0)) {
+            Err(NvmlError::NoPermission { requested_mhz }) => assert_eq!(requested_mhz, 150.0),
             other => panic!("expected NoPermission, got {other:?}"),
         }
-        assert_eq!(dev.clock_info_graphics(), before);
+        assert_eq!(dev.power_management_limit_w(), None, "the limit is kept");
         let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
         assert!(matches!(dev.launch(&k), Err(NvmlError::GpuLost(_))));
         // Both fault classes were one-shot: the retries succeed.
-        assert!(dev.set_applications_clocks(1107.0, 900.0).is_ok());
+        assert_eq!(
+            dev.set_power_management_limit_w(Some(150.0)).unwrap(),
+            Some(150.0)
+        );
         assert!(dev.launch(&k).is_ok());
     }
 }

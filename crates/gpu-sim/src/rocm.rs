@@ -1,14 +1,18 @@
 //! ROCm-SMI-like management API.
 //!
 //! Mirrors the subset of the ROCm System Management Interface the paper's
-//! pipeline needs. The crucial semantic difference from NVML (called out in
-//! §3.1 of the paper) is that AMD GPUs have **no default fixed clock**:
-//! the stock configuration is the *auto* performance level, a DVFS governor
-//! that picks clocks dynamically. The paper uses the auto level as the AMD
+//! pipeline needs: memory clocks, the power cap and the energy counter.
+//! The crucial semantic difference from NVML (called out in §3.1 of the
+//! paper) is that AMD GPUs have **no default fixed clock**: the stock
+//! configuration is the *auto* performance level, a DVFS governor that
+//! picks clocks dynamically. The paper uses the auto level as the AMD
 //! baseline for speedup/normalized-energy. We model the governor as
 //! converging, under sustained load, to the spec's `default_core_mhz`
 //! (near the top of the range, matching the paper's observation that auto
-//! sits close to the best achievable speedup).
+//! sits close to the best achievable speedup), so [`RocmDevice::launch`]
+//! runs there. The core clock has no call here: a launch at any other
+//! clock names it ([`Device::launch_at`]), and that request is what a fault
+//! plan may refuse with [`RsmiError::Busy`].
 
 use std::sync::Arc;
 
@@ -19,19 +23,6 @@ use crate::faults::FaultError;
 use crate::kernel::KernelProfile;
 use crate::spec::{DeviceSpec, Vendor};
 
-/// `rsmi_dev_perf_level_t` analogue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PerfLevel {
-    /// The DVFS governor chooses clocks (stock configuration).
-    Auto,
-    /// Pin to the lowest supported clock.
-    Low,
-    /// Pin to the highest supported clock.
-    High,
-    /// Clocks pinned by `set_clk_freq`.
-    Manual,
-}
-
 /// ROCm-SMI-style error codes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RsmiError {
@@ -39,7 +30,7 @@ pub enum RsmiError {
     InvalidIndex(usize),
     /// The device is not an AMD GPU.
     NotSupported(String),
-    /// Manual clock selection outside the supported range.
+    /// A clock request that is not a finite, positive frequency.
     InvalidFrequency(f64),
     /// The SMU rejected the request because the device was busy
     /// (`RSMI_STATUS_BUSY`); the previous clock configuration is kept.
@@ -115,10 +106,7 @@ impl RocmSmi {
             let name = handle.lock().spec().name.clone();
             return Err(RsmiError::NotSupported(name));
         }
-        Ok(RocmDevice {
-            inner: handle,
-            perf_level: PerfLevel::Auto,
-        })
+        Ok(RocmDevice { inner: handle })
     }
 }
 
@@ -126,24 +114,17 @@ impl RocmSmi {
 #[derive(Debug, Clone)]
 pub struct RocmDevice {
     inner: Arc<Mutex<Device>>,
-    perf_level: PerfLevel,
 }
 
 impl RocmDevice {
-    /// Creates a standalone handle over a fresh MI100 at the auto level.
+    /// Creates a standalone handle over a fresh MI100.
     pub fn mi100() -> Self {
-        RocmDevice {
-            inner: Arc::new(Mutex::new(Device::new(DeviceSpec::mi100()))),
-            perf_level: PerfLevel::Auto,
-        }
+        RocmDevice::from_shared(Arc::new(Mutex::new(Device::new(DeviceSpec::mi100()))))
     }
 
     /// Wraps a shared device (caller guarantees it is an AMD device).
     pub fn from_shared(inner: Arc<Mutex<Device>>) -> Self {
-        RocmDevice {
-            inner,
-            perf_level: PerfLevel::Auto,
-        }
+        RocmDevice { inner }
     }
 
     /// The underlying shared device handle.
@@ -162,50 +143,6 @@ impl RocmDevice {
         self.inner.lock().spec().name.clone()
     }
 
-    /// Current performance level.
-    pub fn perf_level(&self) -> PerfLevel {
-        self.perf_level
-    }
-
-    /// `rsmi_dev_perf_level_set`. Switching to `Low`/`High` pins the clock;
-    /// `Auto` hands control back to the governor. On [`RsmiError::Busy`]
-    /// the level (and the clock) stay unchanged.
-    pub fn set_perf_level(&mut self, level: PerfLevel) -> Result<(), RsmiError> {
-        {
-            let mut dev = self.inner.lock();
-            match level {
-                PerfLevel::Low => {
-                    let f = dev.spec().min_core_mhz();
-                    dev.set_core_mhz(f)?;
-                }
-                PerfLevel::High => {
-                    let f = dev.spec().max_core_mhz();
-                    dev.set_core_mhz(f)?;
-                }
-                PerfLevel::Auto | PerfLevel::Manual => {}
-            }
-        }
-        self.perf_level = level;
-        Ok(())
-    }
-
-    /// `rsmi_dev_gpu_clk_freq_get(RSMI_CLK_TYPE_SYS)` — supported core
-    /// frequencies.
-    pub fn supported_core_clocks(&self) -> Vec<f64> {
-        self.inner.lock().spec().core_freqs.as_slice().to_vec()
-    }
-
-    /// `rsmi_dev_gpu_clk_freq_set` analogue: pins the core clock (switching
-    /// to the `Manual` level) and returns the frequency actually applied.
-    pub fn set_clk_freq(&mut self, core_mhz: f64) -> Result<f64, RsmiError> {
-        if !core_mhz.is_finite() || core_mhz <= 0.0 {
-            return Err(RsmiError::InvalidFrequency(core_mhz));
-        }
-        let applied = self.inner.lock().set_core_mhz(core_mhz)?;
-        self.perf_level = PerfLevel::Manual;
-        Ok(applied)
-    }
-
     /// `rsmi_dev_gpu_clk_freq_get(RSMI_CLK_TYPE_MEM)` — supported memory
     /// frequencies.
     pub fn supported_mem_clocks(&self) -> Vec<f64> {
@@ -213,8 +150,8 @@ impl RocmDevice {
     }
 
     /// `rsmi_dev_gpu_clk_freq_set(RSMI_CLK_TYPE_MEM)` analogue: pins the
-    /// memory clock and returns the frequency actually applied. Does not
-    /// disturb the core performance level.
+    /// memory clock and returns the frequency actually applied. On
+    /// [`RsmiError::Busy`] the previous memory clock stays in force.
     pub fn set_mem_clk_freq(&mut self, mem_mhz: f64) -> Result<f64, RsmiError> {
         if !mem_mhz.is_finite() || mem_mhz <= 0.0 {
             return Err(RsmiError::InvalidFrequency(mem_mhz));
@@ -240,36 +177,16 @@ impl RocmDevice {
         self.inner.lock().power_cap_w()
     }
 
-    /// Current core clock (MHz). Under `Auto`, reports the frequency the
-    /// governor would run a loaded kernel at.
-    pub fn current_clk_freq(&self) -> f64 {
-        let dev = self.inner.lock();
-        match self.perf_level {
-            PerfLevel::Auto => dev.spec().default_core_mhz,
-            _ => dev.core_mhz(),
-        }
-    }
-
     /// Cumulative energy counter in **microjoules**
     /// (`rsmi_dev_energy_count_get`).
     pub fn energy_count_uj(&self) -> u64 {
         (self.inner.lock().energy_counter_j() * 1e6).round() as u64
     }
 
-    /// Executes a kernel under the current performance level. Under `Auto`
-    /// the governor picks the clock for the launch (sustained-load
-    /// convergence frequency); under `Low`/`High`/`Manual` the pinned clock
-    /// is used.
+    /// Executes a kernel at the auto governor's clock, its sustained-load
+    /// convergence frequency `default_core_mhz`.
     pub fn launch(&self, kernel: &KernelProfile) -> Result<LaunchRecord, RsmiError> {
-        let mut dev = self.inner.lock();
-        let res = match self.perf_level {
-            PerfLevel::Auto => {
-                let f = dev.spec().default_core_mhz;
-                dev.launch_at(kernel, f)
-            }
-            _ => dev.launch(kernel),
-        };
-        res.map_err(RsmiError::from)
+        self.inner.lock().launch(kernel).map_err(RsmiError::from)
     }
 }
 
@@ -297,33 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn default_level_is_auto() {
-        let dev = RocmDevice::mi100();
-        assert_eq!(dev.perf_level(), PerfLevel::Auto);
-        // Under auto the reported clock is the governor's convergence point.
-        assert_eq!(dev.current_clk_freq(), 1450.0);
-    }
-
-    #[test]
-    fn manual_pin_snaps() {
-        let mut dev = RocmDevice::mi100();
-        let applied = dev.set_clk_freq(777.0).unwrap();
-        assert_eq!(dev.perf_level(), PerfLevel::Manual);
-        assert_eq!(dev.current_clk_freq(), applied);
-        assert!(dev.set_clk_freq(f64::NAN).is_err());
-        assert!(dev.set_clk_freq(-3.0).is_err());
-    }
-
-    #[test]
-    fn low_high_pin_extremes() {
-        let mut dev = RocmDevice::mi100();
-        dev.set_perf_level(PerfLevel::Low).unwrap();
-        assert_eq!(dev.current_clk_freq(), 300.0);
-        dev.set_perf_level(PerfLevel::High).unwrap();
-        assert_eq!(dev.current_clk_freq(), 1500.0);
-    }
-
-    #[test]
     fn auto_launch_uses_governor_frequency() {
         let dev = RocmDevice::mi100();
         let k = KernelProfile::compute_bound("k", 10_000_000, 100.0);
@@ -334,11 +224,11 @@ mod tests {
     #[test]
     fn auto_beats_low_on_speed() {
         let k = KernelProfile::compute_bound("k", 50_000_000, 200.0);
-        let auto_dev = RocmDevice::mi100();
-        let t_auto = auto_dev.launch(&k).unwrap().time_s;
-        let mut low_dev = RocmDevice::mi100();
-        low_dev.set_perf_level(PerfLevel::Low).unwrap();
-        let t_low = low_dev.launch(&k).unwrap().time_s;
+        let dev = RocmDevice::mi100();
+        let t_auto = dev.launch(&k).unwrap().time_s;
+        let mut raw = dev.lock_device();
+        let low = raw.spec().min_core_mhz();
+        let t_low = raw.launch_at(&k, low).unwrap().time_s;
         assert!(t_auto < t_low);
     }
 
@@ -348,7 +238,6 @@ mod tests {
         assert_eq!(dev.supported_mem_clocks(), vec![800.0, 1000.0, 1200.0]);
         let applied = dev.set_mem_clk_freq(950.0).unwrap();
         assert_eq!(applied, 1000.0, "snaps to the supported table");
-        assert_eq!(dev.perf_level(), PerfLevel::Auto, "core level untouched");
         assert!(dev.set_mem_clk_freq(f64::NAN).is_err());
         assert_eq!(dev.set_power_cap_w(Some(220.0)).unwrap(), Some(220.0));
         assert_eq!(dev.power_cap_w(), Some(220.0));
@@ -365,22 +254,21 @@ mod tests {
     }
 
     #[test]
-    fn busy_keeps_perf_level_and_clock() {
+    fn busy_keeps_the_previous_memory_clock() {
         use crate::faults::{FaultPlan, Schedule};
         let plan = FaultPlan::none().reject_set_frequency(Schedule::once(0));
         let mut dev = RocmDevice::from_shared(Arc::new(Mutex::new(Device::with_faults(
             DeviceSpec::mi100(),
             plan,
         ))));
-        let clk_before = dev.lock_device().core_mhz();
-        match dev.set_perf_level(PerfLevel::Low) {
-            Err(RsmiError::Busy { .. }) => {}
+        let before = dev.lock_device().mem_mhz();
+        match dev.set_mem_clk_freq(800.0) {
+            Err(RsmiError::Busy { requested_mhz }) => assert_eq!(requested_mhz, 800.0),
             other => panic!("expected Busy, got {other:?}"),
         }
-        assert_eq!(dev.perf_level(), PerfLevel::Auto, "level unchanged on Busy");
-        assert_eq!(dev.lock_device().core_mhz(), clk_before);
-        // Retry goes through and the level sticks.
-        dev.set_perf_level(PerfLevel::Low).unwrap();
-        assert_eq!(dev.perf_level(), PerfLevel::Low);
+        assert_eq!(dev.lock_device().mem_mhz(), before, "kept on Busy");
+        // Retry goes through and the clock sticks.
+        assert_eq!(dev.set_mem_clk_freq(800.0).unwrap(), 800.0);
+        assert_eq!(dev.lock_device().mem_mhz(), 800.0);
     }
 }

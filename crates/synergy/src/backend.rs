@@ -1,11 +1,13 @@
 //! Vendor backend dispatch.
 //!
 //! SYnergy hides NVML / ROCm-SMI / Level Zero behind one interface; this
-//! module does the same over the simulated vendor layers. The essential
-//! vendor asymmetry the paper leans on is preserved: NVIDIA devices have a
-//! *fixed default clock* while AMD devices default to an *auto* governor, so
-//! [`Backend::default_config`] returns a [`DefaultConfig`] rather than a
-//! number.
+//! module does the same over the simulated vendor layers. A core clock is
+//! chosen only per launch: [`Backend::launch`] takes the clock the
+//! frequency policy asks for, and a launch with none runs at the vendor
+//! default configuration — NVIDIA's fixed default application clock, the
+//! AMD auto performance level, the Intel firmware governor over the full
+//! range. All three run at the spec's `default_core_mhz`, the one clock
+//! that needs no clock request and so cannot be rejected.
 
 use gpu_sim::device::LaunchRecord;
 use gpu_sim::faults::FaultError;
@@ -13,21 +15,11 @@ use gpu_sim::kernel::KernelProfile;
 use gpu_sim::level_zero::{ZeDevice, ZeError};
 use gpu_sim::link::TransferRecord;
 use gpu_sim::nvml::{NvmlDevice, NvmlError};
-use gpu_sim::rocm::{PerfLevel, RocmDevice, RsmiError};
+use gpu_sim::rocm::{RocmDevice, RsmiError};
 use gpu_sim::Vendor;
 
 use crate::energy::Measurement;
 use crate::replay::FusedReplay;
-
-/// What "default frequency configuration" means on this device — the
-/// baseline every speedup/normalized-energy figure in the paper divides by.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DefaultConfig {
-    /// A fixed default core clock in MHz (NVIDIA application clocks).
-    FixedMhz(f64),
-    /// The vendor's automatic DVFS governor (AMD performance level "auto").
-    Auto,
-}
 
 /// A vendor-neutral management/execution error — the common shape of
 /// `NVML_ERROR_*`, `RSMI_STATUS_*`, and `ZE_RESULT_ERROR_*` codes that the
@@ -134,10 +126,6 @@ pub trait Backend: Send {
     fn device_name(&self) -> String;
     /// Device vendor.
     fn vendor(&self) -> Vendor;
-    /// All core frequencies the device supports, ascending (MHz).
-    fn supported_core_frequencies(&self) -> Vec<f64>;
-    /// The device's default configuration.
-    fn default_config(&self) -> DefaultConfig;
     /// Cumulative device energy counter (J). This is the *raw* counter — it
     /// can rewind when the device resets it; [`crate::metrics`] has the
     /// wrap-healing accumulator.
@@ -151,9 +139,6 @@ pub trait Backend: Send {
         kernel: &KernelProfile,
         freq_mhz: Option<f64>,
     ) -> Result<LaunchRecord, BackendError>;
-    /// Applies a clock configuration without launching anything; `None`
-    /// restores the vendor default. Returns the effective clock (MHz).
-    fn set_frequency(&mut self, freq_mhz: Option<f64>) -> Result<f64, BackendError>;
     /// All memory frequencies the device supports, ascending (MHz). A
     /// backend without a controllable memory domain reports an empty list —
     /// lattice sweeps then collapse to the core axis.
@@ -162,8 +147,8 @@ pub trait Backend: Send {
     }
     /// Applies a memory clock; `None` restores the vendor default (the top
     /// supported memory clock). Returns the effective memory clock (MHz).
-    /// Like [`Backend::set_frequency`] this is a management request the
-    /// driver may reject, leaving the previous memory clock active.
+    /// This is a management request the vendor layer may reject, leaving the
+    /// previous memory clock active.
     fn set_memory_frequency(&mut self, mem_mhz: Option<f64>) -> Result<f64, BackendError> {
         let _ = mem_mhz;
         Err(BackendError::Management(
@@ -210,8 +195,7 @@ pub trait Backend: Send {
     /// Returns `None`, having run nothing, when a fault can fire or the
     /// backend has no fused path (the default); the queue then replays
     /// segment by segment with its retry machinery. The vendor backends
-    /// resolve the default clock before they lock the device and share
-    /// [`FusedReplay`]'s launch loop after that.
+    /// lock the device and hand it to [`FusedReplay`]'s launch loop.
     fn replay_trace(&mut self, replay: FusedReplay<'_>) -> Option<Measurement> {
         let _ = replay;
         None
@@ -240,23 +224,6 @@ impl Backend for NvmlBackend {
         Vendor::Nvidia
     }
 
-    fn supported_core_frequencies(&self) -> Vec<f64> {
-        // The mem table is ascending; the graphics-clock query wants any
-        // supported memory clock, so use the top (default) one.
-        let mem = *self
-            .device
-            .supported_memory_clocks()
-            .last()
-            .expect("non-empty memory clock table");
-        self.device
-            .supported_graphics_clocks(mem)
-            .expect("own memory clock is supported")
-    }
-
-    fn default_config(&self) -> DefaultConfig {
-        DefaultConfig::FixedMhz(self.device.lock_device().spec().default_core_mhz)
-    }
-
     fn energy_counter_j(&self) -> f64 {
         self.device.total_energy_consumption_mj() as f64 * 1e-3
     }
@@ -269,24 +236,6 @@ impl Backend for NvmlBackend {
         let mut dev = self.device.lock_device();
         let f = freq_mhz.unwrap_or(dev.spec().default_core_mhz);
         dev.launch_at(kernel, f).map_err(BackendError::from)
-    }
-
-    fn set_frequency(&mut self, freq_mhz: Option<f64>) -> Result<f64, BackendError> {
-        match freq_mhz {
-            Some(f) => {
-                // Keep the memory clock where it is: applications clocks
-                // set both domains, and a mem-clock change here would
-                // clobber a lattice point's memory setting (the idempotent
-                // mem request consumes no management op).
-                let mem = self.device.clock_info_memory();
-                let (_, c) = self.device.set_applications_clocks(mem, f)?;
-                Ok(c)
-            }
-            None => {
-                self.device.reset_applications_clocks();
-                Ok(self.device.clock_info_graphics())
-            }
-        }
     }
 
     fn supported_memory_frequencies(&self) -> Vec<f64> {
@@ -329,9 +278,7 @@ impl Backend for NvmlBackend {
     }
 
     fn replay_trace(&mut self, replay: FusedReplay<'_>) -> Option<Measurement> {
-        let mut dev = self.device.lock_device();
-        let default_mhz = Some(dev.spec().default_core_mhz);
-        replay.run(&mut dev, default_mhz)
+        replay.run(&mut self.device.lock_device())
     }
 }
 
@@ -357,14 +304,6 @@ impl Backend for RocmBackend {
         Vendor::Amd
     }
 
-    fn supported_core_frequencies(&self) -> Vec<f64> {
-        self.device.supported_core_clocks()
-    }
-
-    fn default_config(&self) -> DefaultConfig {
-        DefaultConfig::Auto
-    }
-
     fn energy_counter_j(&self) -> f64 {
         self.device.energy_count_uj() as f64 * 1e-6
     }
@@ -382,16 +321,6 @@ impl Backend for RocmBackend {
                 .map_err(BackendError::from),
             // Default on AMD = the auto governor decides.
             None => self.device.launch(kernel).map_err(BackendError::from),
-        }
-    }
-
-    fn set_frequency(&mut self, freq_mhz: Option<f64>) -> Result<f64, BackendError> {
-        match freq_mhz {
-            Some(f) => Ok(self.device.set_clk_freq(f)?),
-            None => {
-                self.device.set_perf_level(PerfLevel::Auto)?;
-                Ok(self.device.current_clk_freq())
-            }
         }
     }
 
@@ -430,11 +359,7 @@ impl Backend for RocmBackend {
     }
 
     fn replay_trace(&mut self, replay: FusedReplay<'_>) -> Option<Measurement> {
-        // `current_clk_freq` locks the device itself, so it runs first.
-        let default_mhz = replay
-            .needs_default_clock()
-            .then(|| self.device.current_clk_freq());
-        replay.run(&mut self.device.lock_device(), default_mhz)
+        replay.run(&mut self.device.lock_device())
     }
 }
 
@@ -460,15 +385,6 @@ impl Backend for LevelZeroBackend {
         Vendor::Intel
     }
 
-    fn supported_core_frequencies(&self) -> Vec<f64> {
-        self.device.available_clocks()
-    }
-
-    fn default_config(&self) -> DefaultConfig {
-        // Intel, like AMD, defaults to a governor (full frequency range).
-        DefaultConfig::Auto
-    }
-
     fn energy_counter_j(&self) -> f64 {
         self.device.energy_counter_uj() as f64 * 1e-6
     }
@@ -479,26 +395,13 @@ impl Backend for LevelZeroBackend {
         freq_mhz: Option<f64>,
     ) -> Result<LaunchRecord, BackendError> {
         match freq_mhz {
-            // Per-kernel pinning = collapse the range around the request.
             Some(f) => self
                 .device
                 .lock_device()
                 .launch_at(kernel, f)
                 .map_err(BackendError::from),
+            // Default on Intel = the firmware governor decides.
             None => self.device.launch(kernel).map_err(BackendError::from),
-        }
-    }
-
-    fn set_frequency(&mut self, freq_mhz: Option<f64>) -> Result<f64, BackendError> {
-        match freq_mhz {
-            Some(f) => {
-                let (lo, _) = self.device.set_frequency_range(f, f)?;
-                Ok(lo)
-            }
-            None => {
-                self.device.reset_frequency_range();
-                Ok(self.device.governor_frequency())
-            }
         }
     }
 
@@ -537,11 +440,7 @@ impl Backend for LevelZeroBackend {
     }
 
     fn replay_trace(&mut self, replay: FusedReplay<'_>) -> Option<Measurement> {
-        // `governor_frequency` locks the device itself, so it runs first.
-        let default_mhz = replay
-            .needs_default_clock()
-            .then(|| self.device.governor_frequency());
-        replay.run(&mut self.device.lock_device(), default_mhz)
+        replay.run(&mut self.device.lock_device())
     }
 }
 
@@ -550,30 +449,41 @@ mod tests {
     use super::*;
     use gpu_sim::{Device, DeviceSpec};
 
+    /// A launch with no requested clock on `a` is, record for record, a
+    /// launch at the spec's `default_core_mhz` on its twin `b`.
+    fn assert_default_launch_is_the_default_clock(
+        mut a: impl Backend,
+        mut b: impl Backend,
+        spec: DeviceSpec,
+    ) {
+        let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
+        let default = a.launch(&k, None).unwrap();
+        assert_eq!(default.core_mhz, spec.default_core_mhz);
+        assert_eq!(default, b.launch(&k, Some(spec.default_core_mhz)).unwrap());
+    }
+
     #[test]
     fn nvml_backend_reports_fixed_default() {
         let b = NvmlBackend::new(NvmlDevice::v100());
         assert_eq!(b.vendor(), Vendor::Nvidia);
-        match b.default_config() {
-            DefaultConfig::FixedMhz(f) => assert!((f - 1312.1).abs() < 1.0),
-            other => panic!("expected fixed default, got {other:?}"),
-        }
-        assert_eq!(b.supported_core_frequencies().len(), 196);
+        let twin = NvmlBackend::new(NvmlDevice::v100());
+        assert_default_launch_is_the_default_clock(b, twin, DeviceSpec::v100());
     }
 
     #[test]
     fn rocm_backend_reports_auto_default() {
         let b = RocmBackend::new(RocmDevice::mi100());
         assert_eq!(b.vendor(), Vendor::Amd);
-        assert_eq!(b.default_config(), DefaultConfig::Auto);
+        let twin = RocmBackend::new(RocmDevice::mi100());
+        assert_default_launch_is_the_default_clock(b, twin, DeviceSpec::mi100());
     }
 
     #[test]
     fn level_zero_backend_reports_auto_default() {
         let b = LevelZeroBackend::new(ZeDevice::max1100());
         assert_eq!(b.vendor(), Vendor::Intel);
-        assert_eq!(b.default_config(), DefaultConfig::Auto);
-        assert_eq!(b.supported_core_frequencies().len(), 26);
+        let twin = LevelZeroBackend::new(ZeDevice::max1100());
+        assert_default_launch_is_the_default_clock(b, twin, DeviceSpec::max1100());
     }
 
     #[test]
@@ -644,13 +554,14 @@ mod tests {
     fn nvml_core_set_preserves_memory_clock() {
         let mut b = NvmlBackend::new(NvmlDevice::v100());
         b.set_memory_frequency(Some(810.0)).unwrap();
-        b.set_frequency(Some(900.0)).unwrap();
         let k = KernelProfile::compute_bound("k", 1_000_000, 100.0);
-        let rec = b.launch(&k, None).unwrap();
-        assert_eq!(
-            rec.mem_mhz, 810.0,
-            "core-set path must not clobber mem clock"
-        );
+        for freq in [Some(900.0), None] {
+            let rec = b.launch(&k, freq).unwrap();
+            assert_eq!(
+                rec.mem_mhz, 810.0,
+                "a core clock request must not clobber the mem clock"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! The pieces:
 //!
-//! * [`backend`] — the vendor dispatch trait and the NVML/ROCm adapters;
+//! * [`backend`] — the vendor dispatch trait and the NVML/ROCm-SMI/Level
+//!   Zero adapters;
 //! * [`queue`] — a profiled submission queue with per-kernel frequency
 //!   policies (the SYCL `queue` analogue the applications submit to);
 //! * [`energy`] — scoped energy/time measurement around arbitrary work;
@@ -39,7 +40,7 @@ pub mod queue;
 pub mod replay;
 pub mod scaling;
 
-pub use backend::{Backend, BackendError, DefaultConfig};
+pub use backend::{Backend, BackendError};
 pub use metrics::{DegradationMetrics, EnergyCounterHealer};
 pub use queue::{ProfiledEvent, RetryPolicy, SubmitError, SynergyQueue};
 pub use replay::{KernelTrace, TraceSegment};

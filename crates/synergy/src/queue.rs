@@ -13,9 +13,7 @@ use gpu_sim::nvml::NvmlDevice;
 use gpu_sim::rocm::RocmDevice;
 use gpu_sim::{DeviceSpec, Vendor};
 
-use crate::backend::{
-    Backend, BackendError, DefaultConfig, LevelZeroBackend, NvmlBackend, RocmBackend,
-};
+use crate::backend::{Backend, BackendError, LevelZeroBackend, NvmlBackend, RocmBackend};
 use crate::energy::Measurement;
 use crate::metrics::{DegradationMetrics, EnergyCounterHealer};
 use crate::replay::{FusedReplay, KernelSlot, KernelTrace};
@@ -298,11 +296,6 @@ impl SynergyQueue {
     /// Device vendor.
     pub fn vendor(&self) -> Vendor {
         self.backend.vendor()
-    }
-
-    /// The device's default frequency configuration.
-    pub fn default_config(&self) -> DefaultConfig {
-        self.backend.default_config()
     }
 
     /// Supported memory frequencies, ascending (MHz). Empty when the
@@ -771,7 +764,6 @@ mod tests {
     fn vendor_dispatch() {
         let q = SynergyQueue::for_spec(DeviceSpec::mi100());
         assert_eq!(q.vendor(), Vendor::Amd);
-        assert_eq!(q.default_config(), DefaultConfig::Auto);
         let q2 = SynergyQueue::for_spec(DeviceSpec::v100());
         assert_eq!(q2.vendor(), Vendor::Nvidia);
     }
@@ -786,7 +778,6 @@ mod tests {
     fn intel_queue_round_trips() {
         let mut q = SynergyQueue::for_spec(DeviceSpec::max1100());
         assert_eq!(q.vendor(), Vendor::Intel);
-        assert_eq!(q.default_config(), DefaultConfig::Auto);
         let k = KernelProfile::compute_bound("k", 1 << 20, 200.0);
         let ev = q.submit(&k);
         assert_eq!(ev.core_mhz, 1450.0);

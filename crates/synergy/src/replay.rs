@@ -9,9 +9,10 @@
 //! **replays** that sequence.
 //!
 //! On a device whose fault plan is inert, a replay is one device call
-//! ([`Backend::replay_trace`]): the backend resolves each distinct kernel's
-//! clock, takes the device lock once, looks each distinct kernel's price up
-//! once and runs every launch through the device's priced-launch loop.
+//! ([`Backend::replay_trace`]): the backend takes the device lock once, and
+//! the replay looks each distinct kernel's price up once, at its policy
+//! clock or the device's default one, and runs every launch through the
+//! device's priced-launch loop.
 //! Under an armed fault plan, or on a backend without that path, the trace
 //! goes segment by segment, one [`Backend::launch`] per launch, through the
 //! queue's retry and fallback machinery.
@@ -29,7 +30,7 @@ use gpu_sim::{DeviceSpec, Vendor};
 
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{Backend, BackendError, DefaultConfig};
+use crate::backend::{Backend, BackendError};
 use crate::energy::Measurement;
 use crate::queue::{SubmitError, SynergyQueue};
 use crate::scaling::FrequencyPolicy;
@@ -235,21 +236,15 @@ impl<'a> FusedReplay<'a> {
         }
     }
 
-    /// Whether some kernel runs at the device default configuration, whose
-    /// clock the backend then resolves before it locks the device.
-    pub(crate) fn needs_default_clock(&self) -> bool {
-        self.kernels.iter().any(|k| k.requested_mhz.is_none())
-    }
-
     /// Runs the replay on `dev` if its fault plan is inert: prices each
-    /// distinct kernel once, at its requested clock or at `default_mhz`
-    /// (`Some` whenever [`FusedReplay::needs_default_clock`]), and runs
-    /// every launch through
+    /// distinct kernel once, at its requested clock or at the device's
+    /// `default_core_mhz`, and runs every launch through
     /// [`gpu_sim::device::InertDevice::launch_priced`] in submission order.
     /// The totals advance launch by launch, and the returned measurement
     /// sums the segments' batch sums, as the per-segment path accumulates
     /// both. Returns `None`, having run nothing, when a fault can fire.
-    pub(crate) fn run(self, dev: &mut Device, default_mhz: Option<f64>) -> Option<Measurement> {
+    pub(crate) fn run(self, dev: &mut Device) -> Option<Measurement> {
+        let default_mhz = dev.spec().default_core_mhz;
         let mut dev = dev.inert()?;
         let FusedReplay {
             trace,
@@ -265,9 +260,7 @@ impl<'a> FusedReplay<'a> {
                 let slot = &mut kernels[seg.kernel_index];
                 let requested_mhz = slot.requested_mhz;
                 let price = *slot.price.get_or_insert_with(|| {
-                    let mhz = requested_mhz
-                        .or(default_mhz)
-                        .expect("the default clock is resolved whenever a kernel runs at it");
+                    let mhz = requested_mhz.unwrap_or(default_mhz);
                     dev.price(&trace.kernels[seg.kernel_index], mhz)
                 });
                 let mut batch = Measurement {
@@ -327,17 +320,6 @@ impl Backend for RecordingBackend {
         self.spec.vendor
     }
 
-    fn supported_core_frequencies(&self) -> Vec<f64> {
-        self.spec.core_freqs.iter().collect()
-    }
-
-    fn default_config(&self) -> DefaultConfig {
-        match self.spec.vendor {
-            Vendor::Nvidia => DefaultConfig::FixedMhz(self.spec.default_core_mhz),
-            Vendor::Amd | Vendor::Intel => DefaultConfig::Auto,
-        }
-    }
-
     fn energy_counter_j(&self) -> f64 {
         0.0
     }
@@ -360,11 +342,6 @@ impl Backend for RecordingBackend {
             throttled: false,
             fault_throttled: false,
         })
-    }
-
-    fn set_frequency(&mut self, freq_mhz: Option<f64>) -> Result<f64, BackendError> {
-        // The recorder executes nothing; report the clock that would apply.
-        Ok(freq_mhz.unwrap_or(self.spec.default_core_mhz))
     }
 
     fn supported_memory_frequencies(&self) -> Vec<f64> {

@@ -6,7 +6,7 @@ use gpu_sim::device::LaunchRecord;
 use gpu_sim::kernel::KernelProfile;
 use gpu_sim::{Device, DeviceSpec, FaultPlan, Schedule, ThrottleWindow, Vendor};
 use proptest::prelude::*;
-use synergy::backend::{Backend, BackendError, DefaultConfig};
+use synergy::backend::{Backend, BackendError};
 use synergy::metrics::EnergyCounterHealer;
 use synergy::queue::{RetryPolicy, SynergyQueue};
 use synergy::{FrequencyPolicy, KernelTrace, TraceSegment};
@@ -24,12 +24,6 @@ impl Backend for AlwaysFailing {
     fn vendor(&self) -> Vendor {
         Vendor::Nvidia
     }
-    fn supported_core_frequencies(&self) -> Vec<f64> {
-        vec![1000.0]
-    }
-    fn default_config(&self) -> DefaultConfig {
-        DefaultConfig::FixedMhz(1000.0)
-    }
     fn energy_counter_j(&self) -> f64 {
         0.0
     }
@@ -42,9 +36,6 @@ impl Backend for AlwaysFailing {
         Err(BackendError::LaunchFailed {
             kernel: kernel.name.clone(),
         })
-    }
-    fn set_frequency(&mut self, freq_mhz: Option<f64>) -> Result<f64, BackendError> {
-        Ok(freq_mhz.unwrap_or(1000.0))
     }
 }
 

@@ -385,20 +385,37 @@ fn an_all_dead_fleet_fails_typed_with_the_journal_intact() {
         vec![DeviceSlot::with_health("gpu0", dead)],
     );
     let dir = scratch("all-dead");
-    match run_campaign(&cfg, &workloads, &dir, false) {
+    let lost = match run_campaign(&cfg, &workloads, &dir, false) {
         Err(CampaignError::AllDevicesLost { pending, completed }) => {
             assert!(pending > 0);
             assert_eq!(completed, 0);
+            (pending, completed)
         }
         other => panic!("expected AllDevicesLost, got {other:?}"),
-    }
-    // Every failed attempt is journaled: the work is not lost, a repaired
-    // fleet could resume it.
+    };
+    // Every failed attempt is journaled, so the failure is auditable.
     let recs = read_journal::<JournalRecord>(&journal_path(&dir)).unwrap();
     assert!(recs
         .records
         .iter()
         .any(|r| matches!(r, JournalRecord::Failed { evicted: true, .. })));
+
+    // Resuming cannot finish the work. The same config replays the
+    // journaled evictions and loses the fleet again, at the same point.
+    match run_campaign(&cfg, &workloads, &dir, true) {
+        Err(CampaignError::AllDevicesLost { pending, completed }) => {
+            assert_eq!((pending, completed), lost);
+        }
+        other => panic!("expected AllDevicesLost again, got {other:?}"),
+    }
+    // A repaired fleet is another configuration (slot health is part of
+    // the fingerprint): it starts a new campaign directory.
+    let mut repaired = cfg.clone();
+    repaired.slots = vec![DeviceSlot::healthy("gpu0")];
+    match run_campaign(&repaired, &workloads, &dir, true) {
+        Err(CampaignError::ConfigMismatch { .. }) => {}
+        other => panic!("expected ConfigMismatch, got {other:?}"),
+    }
 }
 
 #[test]

@@ -93,6 +93,61 @@ fn persistent_rejection_falls_back_to_default_clock() {
     assert_eq!(d.default_clock_fallbacks, 1);
 }
 
+/// The vendor default is the one core clock that needs no clock request.
+/// On every vendor, under a plan that rejects every request, default
+/// submissions run untouched, while a fixed non-default clock is rejected
+/// at that clock and then falls back to the default one.
+#[test]
+fn the_default_clock_needs_no_request_on_every_vendor() {
+    for spec in [
+        DeviceSpec::v100(),
+        DeviceSpec::mi100(),
+        DeviceSpec::max1100(),
+    ] {
+        let plan = FaultPlan::seeded(3).reject_set_frequency(Schedule::Prob(1.0));
+        let name = spec.name.clone();
+        let default_mhz = spec.default_core_mhz;
+        let fixed_mhz = spec.core_freqs.snap(900.0);
+        let mut q = SynergyQueue::for_device(Device::with_faults(spec, plan));
+        let k = kernel();
+
+        for _ in 0..3 {
+            let ev = q
+                .try_submit(&k)
+                .expect("a default submission is never rejected");
+            assert_eq!(ev.core_mhz, default_mhz, "{name}");
+        }
+        assert_eq!(q.degradation().frequency_rejections, 0, "{name}");
+
+        q.set_policy(synergy::FrequencyPolicy::Fixed(900.0));
+        q.set_retry_policy(RetryPolicy::none());
+        let err = q
+            .try_submit(&k)
+            .expect_err("every clock request is rejected");
+        assert_eq!(
+            err.last_error,
+            BackendError::FrequencyRejected {
+                requested_mhz: fixed_mhz
+            },
+            "{name}"
+        );
+
+        q.set_retry_policy(RetryPolicy::default());
+        let ev = q
+            .try_submit(&k)
+            .expect("fallback to the default clock must succeed");
+        assert_eq!(ev.core_mhz, default_mhz, "{name}");
+        let d = q.degradation();
+        assert_eq!(
+            d.frequency_rejections,
+            1 + u64::from(RetryPolicy::default().max_retries) + 1,
+            "{name}: one rejection without retries, then every retry"
+        );
+        assert_eq!(d.default_clock_fallbacks, 1, "{name}");
+        assert_eq!(q.submission_count(), 4, "{name}");
+    }
+}
+
 #[test]
 fn rejection_without_fallback_is_a_typed_error() {
     let plan = FaultPlan::seeded(2).reject_set_frequency(Schedule::Prob(1.0));
