@@ -33,8 +33,9 @@
 //!   runtime loader reject corrupt or stale models with typed errors
 //!   instead of trusting arbitrary JSON;
 //! * [`campaign`] — crash-consistent multi-device characterization
-//!   campaigns: an fsynced write-ahead journal (kill-anywhere resume,
-//!   bit-identical results), per-device circuit breakers with eviction
+//!   campaigns: a write-ahead journal synced at each workload's end
+//!   (kill-anywhere resume, bit-identical results, and a power loss
+//!   costs only re-measurement), per-device circuit breakers with eviction
 //!   and re-scheduling, and deterministic watchdog deadlines;
 //! * [`persist`] — the shared crash-consistency primitives: atomic
 //!   full-file replacement and the write-ahead replay journal;
