@@ -264,18 +264,11 @@ impl DomainSpecificModel {
 mod tests {
     use super::*;
     use crate::ds_model::DsSample;
-    use std::path::PathBuf;
+    use crate::persist::tests::ScratchDir;
     use std::sync::Arc;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "energy-model-artifact-{}-{}",
-            std::process::id(),
-            name
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn scratch(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("energy-model-artifact-{name}"))
     }
 
     fn tiny_model() -> DomainSpecificModel {

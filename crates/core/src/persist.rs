@@ -480,18 +480,41 @@ impl<T: Serialize + Deserialize + PartialEq + fmt::Debug> ReplayJournal<T> {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "energy-model-persist-{}-{}",
-            std::process::id(),
-            name
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    /// An empty directory under the temp dir, named by its label and the
+    /// process id. Dropping it removes it unless the thread is panicking:
+    /// a passing test leaves nothing behind, a failing one its files.
+    pub(crate) struct ScratchDir(PathBuf);
+
+    impl ScratchDir {
+        pub(crate) fn new(label: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("{label}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            ScratchDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for ScratchDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+
+    fn scratch(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("energy-model-persist-{name}"))
     }
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -608,13 +631,13 @@ mod tests {
     }
 
     /// A journal of records `0..n`, then `tail` as raw bytes.
-    fn journal_with_tail(name: &str, n: u64, tail: &[u8]) -> (PathBuf, Vec<u8>) {
-        let path = prior_journal(name, n);
+    fn journal_with_tail(name: &str, n: u64, tail: &[u8]) -> (ScratchDir, PathBuf, Vec<u8>) {
+        let (dir, path) = prior_journal(name, n);
         let committed = fs::read(&path).unwrap();
         let mut bytes = committed.clone();
         bytes.extend_from_slice(tail);
         fs::write(&path, &bytes).unwrap();
-        (path, committed)
+        (dir, path, committed)
     }
 
     /// Reads `path` expecting records `0..n` and a torn tail, then opens
@@ -639,7 +662,7 @@ mod tests {
     fn a_nul_run_without_a_newline_is_a_torn_tail() {
         // A power loss after the last sync: the file kept its length, but
         // the block past the synced records came back zero-filled.
-        let (path, committed) = journal_with_tail("nul-run", 2, &[0; 4096]);
+        let (_dir, path, committed) = journal_with_tail("nul-run", 2, &[0; 4096]);
         assert_tail_dropped_and_cut(&path, 2, &committed);
     }
 
@@ -652,7 +675,7 @@ mod tests {
         let mut tail = br#"{"seq":2,"val"#.to_vec();
         tail.extend_from_slice(&[0; 4096]);
         tail.extend_from_slice(b"{\"seq\":3,\"value\":1.5}\n{\"seq\":4,\"va");
-        let (path, committed) = journal_with_tail("nul-then-record", 2, &tail);
+        let (_dir, path, committed) = journal_with_tail("nul-then-record", 2, &tail);
         assert_tail_dropped_and_cut(&path, 2, &committed);
     }
 
@@ -665,7 +688,8 @@ mod tests {
         let note = Note {
             reason: "campaign: /data/résumé → disk full".into(),
         };
-        let path = scratch("torn-utf8").join("j.jsonl");
+        let dir = scratch("torn-utf8");
+        let path = dir.join("j.jsonl");
         {
             let mut j = Journal::open(&path).unwrap();
             j.append(&note).unwrap();
@@ -718,20 +742,22 @@ mod tests {
         }
     }
 
-    /// A journal of `n` records committed by an earlier process.
-    fn prior_journal(name: &str, n: u64) -> PathBuf {
-        let path = scratch(name).join("j.jsonl");
+    /// A journal of `n` records committed by an earlier process, and the
+    /// directory holding it.
+    fn prior_journal(name: &str, n: u64) -> (ScratchDir, PathBuf) {
+        let dir = scratch(name);
+        let path = dir.join("j.jsonl");
         let mut j = ReplayJournal::open(&path, false, None).unwrap();
         for i in 0..n {
             j.commit(rec(i)).unwrap();
         }
         j.finish().unwrap();
-        path
+        (dir, path)
     }
 
     #[test]
     fn a_replayed_commit_writes_nothing() {
-        let path = prior_journal("replay-silent", 3);
+        let (_dir, path) = prior_journal("replay-silent", 3);
         let before = fs::read(&path).unwrap();
         let mut j = ReplayJournal::open(&path, true, Some(1)).unwrap();
         assert_eq!(j.prior(), &[rec(0), rec(1), rec(2)]);
@@ -745,7 +771,7 @@ mod tests {
 
     #[test]
     fn a_commit_past_the_prefix_appends() {
-        let path = prior_journal("replay-append", 2);
+        let (_dir, path) = prior_journal("replay-append", 2);
         let mut j = ReplayJournal::open(&path, true, None).unwrap();
         for i in 0..4 {
             assert_eq!(j.next_prior().is_some(), i < 2);
@@ -759,7 +785,7 @@ mod tests {
 
     #[test]
     fn a_diverging_commit_names_the_record_index() {
-        let path = prior_journal("replay-diverge", 3);
+        let (_dir, path) = prior_journal("replay-diverge", 3);
         let mut j = ReplayJournal::open(&path, true, None).unwrap();
         j.commit(rec(0)).unwrap();
         match j.commit(rec(7)) {
@@ -773,7 +799,7 @@ mod tests {
 
     #[test]
     fn leftover_prior_records_fail_at_the_end() {
-        let path = prior_journal("replay-leftover", 3);
+        let (_dir, path) = prior_journal("replay-leftover", 3);
         let mut j = ReplayJournal::open(&path, true, None).unwrap();
         j.commit(rec(0)).unwrap();
         match j.finish() {
@@ -786,7 +812,7 @@ mod tests {
 
     #[test]
     fn the_crash_hook_counts_only_this_process_appends() {
-        let path = prior_journal("replay-crash", 2);
+        let (_dir, path) = prior_journal("replay-crash", 2);
         let mut j = ReplayJournal::open(&path, true, Some(2)).unwrap();
         for i in 0..3 {
             j.commit(rec(i)).unwrap();
@@ -802,7 +828,8 @@ mod tests {
 
     #[test]
     fn opening_creates_missing_directories() {
-        let path = scratch("replay-mkdirs").join("a/b/j.jsonl");
+        let dir = scratch("replay-mkdirs");
+        let path = dir.join("a/b/j.jsonl");
         let mut j = ReplayJournal::open(&path, false, None).unwrap();
         j.commit(rec(0)).unwrap();
         j.finish().unwrap();
@@ -811,7 +838,7 @@ mod tests {
 
     #[test]
     fn opening_without_resume_refuses_an_existing_file() {
-        let path = prior_journal("replay-exists", 1);
+        let (_dir, path) = prior_journal("replay-exists", 1);
         match ReplayJournal::<Rec>::open(&path, false, None) {
             Err(ReplayError::Exists { path: p }) => assert_eq!(p, path),
             other => panic!("expected Exists, got {other:?}"),
@@ -820,7 +847,7 @@ mod tests {
 
     #[test]
     fn a_torn_tail_is_cut_on_open() {
-        let path = prior_journal("replay-torn", 2);
+        let (_dir, path) = prior_journal("replay-torn", 2);
         let committed = fs::read(&path).unwrap();
         let mut bytes = committed.clone();
         bytes.extend_from_slice(br#"{"seq":2,"value":1.0}"#);

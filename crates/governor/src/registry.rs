@@ -640,12 +640,32 @@ mod tests {
 
     const FINGERPRINT: u64 = 0x5EED;
 
-    /// An empty registry in a directory of its own.
-    fn scratch(name: &str) -> ModelRegistry {
+    /// An empty registry in a directory of its own. Dropping it removes
+    /// the directory unless the thread is panicking: a passing test leaves
+    /// nothing behind, a failing one its files.
+    struct Scratch(ModelRegistry);
+
+    impl std::ops::Deref for Scratch {
+        type Target = ModelRegistry;
+
+        fn deref(&self) -> &ModelRegistry {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = fs::remove_dir_all(self.0.root());
+            }
+        }
+    }
+
+    fn scratch(name: &str) -> Scratch {
         let dir =
             std::env::temp_dir().join(format!("governor-registry-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        ModelRegistry::open(&dir)
+        Scratch(ModelRegistry::open(&dir))
     }
 
     #[test]

@@ -17,16 +17,20 @@
 //!   `AffinityDegraded` fallback. The `affinity_fallbacks` counter
 //!   reconciles with the journal, event for event.
 
-use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use energy_model::BreakerConfig;
 use governor::{
     run_fleet, train_and_publish_fleet, FallbackReason, FleetConfig, FleetDevice, FleetEvent,
-    ModelRegistry, Placement, Policy, StealPolicy,
+    Placement, Policy, StealPolicy,
 };
 use gpu_sim::{DeviceSpec, FaultPlan, Schedule};
 use proptest::prelude::*;
+
+// The workspace's scratch-directory helpers for integration tests.
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+use common::{ScratchDir, ScratchRegistry, Template};
 
 /// The class left without artifacts in the shared registry.
 const BARE_CLASS: &str = "AMD MI100";
@@ -47,20 +51,20 @@ fn base_cfg() -> FleetConfig {
     cfg
 }
 
-/// Shared registry holding *only* the V100 artifacts: train a V100-only
-/// fleet's models once, leaving the MI100 class deliberately bare.
-fn v100_only_registry() -> &'static ModelRegistry {
-    static SHARED: OnceLock<ModelRegistry> = OnceLock::new();
-    SHARED.get_or_init(|| {
-        let dir: PathBuf =
-            std::env::temp_dir().join(format!("fleet-prop-registry-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let registry = ModelRegistry::open(&dir);
-        let mut v100_only = base_cfg();
-        v100_only.devices.truncate(2);
-        train_and_publish_fleet(&v100_only, &registry).expect("train and publish V100 artifacts");
-        registry
-    })
+/// A registry holding *only* the V100 artifacts, in a scratch directory
+/// of the calling case's own: a V100-only fleet's models are trained
+/// once, leaving the MI100 class deliberately bare.
+fn v100_only_registry() -> ScratchRegistry {
+    static MODELS: OnceLock<Template> = OnceLock::new();
+    let models = MODELS.get_or_init(|| {
+        Template::publish(ScratchDir::new("fleet-prop-trained-models"), |registry| {
+            let mut v100_only = base_cfg();
+            v100_only.devices.truncate(2);
+            train_and_publish_fleet(&v100_only, registry)
+                .expect("train and publish V100 artifacts");
+        })
+    });
+    models.copy_to(ScratchDir::numbered("fleet-prop-registry"))
 }
 
 /// One generated fleet scenario.
@@ -143,7 +147,7 @@ proptest! {
     #[test]
     fn job_conservation_across_interleavings(s in arb_scenario()) {
         let cfg = scenario_cfg(&s);
-        let report = run_fleet(&cfg, v100_only_registry());
+        let report = run_fleet(&cfg, &v100_only_registry());
 
         prop_assert_eq!(report.decisions.len(), cfg.n_jobs);
         let mut ids: Vec<u64> =
@@ -172,7 +176,7 @@ proptest! {
     #[test]
     fn steal_safety_enforces_device_affinity(s in arb_scenario()) {
         let cfg = scenario_cfg(&s);
-        let report = run_fleet(&cfg, v100_only_registry());
+        let report = run_fleet(&cfg, &v100_only_registry());
 
         for d in &report.decisions {
             if d.class == BARE_CLASS {

@@ -8,9 +8,10 @@
 //!
 //! Each factor sums twelve `f64` uniforms, 24 ChaCha8 keystream words, so
 //! a noisy launch's (time, energy) factor pair draws 48 words. A pair
-//! costs 110–160 ns on one thread of a shared 2-vCPU Xeon VM, nearly all
-//! of a noisy launch's host time; the keystream comes four blocks per
-//! refill, computed in SSE2 lanes (`rand_chacha` shim).
+//! costs about 80 ns on one thread of a shared 2-vCPU Xeon VM with AVX2,
+//! most of a noisy launch's host time; the keystream comes eight blocks
+//! per refill, computed in AVX2 lanes where the CPU has AVX2
+//! (`rand_chacha` shim).
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -5,12 +5,19 @@
 //! constants, 8 rounds); output words are emitted in block order, so a
 //! given seed always yields the same stream on every platform.
 //!
-//! A refill computes four consecutive blocks. On x86_64 it runs them
-//! lane-parallel in SSE2 registers (state word `i` of the four blocks in
-//! the four lanes of one vector), which is this crate's one `unsafe`
-//! block; elsewhere it runs the scalar block function four times. The
-//! scalar function is the oracle the SSE2 refill is tested against, word
-//! for word.
+//! A refill computes eight consecutive blocks, on one of three paths:
+//! on x86_64 with AVX2 (detected at run time) they run lane-parallel in
+//! AVX2 registers, state word `i` of the eight blocks in the eight lanes
+//! of one vector; on x86_64 without AVX2, two four-block runs in SSE2
+//! lanes fill the buffer; elsewhere the scalar block function runs eight
+//! times. The buffer, [`ChaCha8Rng::word_pos`] and the keystream are the
+//! same on every path. The calls into the AVX2 and SSE2 functions are
+//! this crate's two `unsafe` blocks. The scalar function is the oracle
+//! both are tested against, word for word.
+//!
+//! A generator's first refill, at block 0, computes that block alone
+//! with the scalar function, so a short-lived generator that reads a few
+//! words pays for one block, not eight.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -21,7 +28,7 @@ const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]
 /// Words in one ChaCha block.
 const BLOCK_WORDS: usize = 16;
 /// Blocks computed per refill.
-const BUF_BLOCKS: u64 = 4;
+const BUF_BLOCKS: u64 = 8;
 /// Words in the refill buffer.
 const BUF_WORDS: usize = BLOCK_WORDS * BUF_BLOCKS as usize;
 
@@ -34,13 +41,13 @@ pub struct ChaCha8Rng {
     /// 64-bit block counter (words 12-13 of the state) of the next
     /// refill's first block.
     counter: u64,
-    /// Keystream blocks `counter - 4 .. counter`, in block order.
+    /// Keystream blocks `counter - 8 .. counter`, in block order; after
+    /// the one-block first refill only the last block holds keystream.
     buffer: [u32; BUF_WORDS],
     /// Next unread word in `buffer`; `BUF_WORDS` forces a refill.
     index: usize,
 }
 
-#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "sse2"))))]
 #[inline(always)]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     state[a] = state[a].wrapping_add(state[b]);
@@ -54,7 +61,6 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 }
 
 /// Keystream block number `counter`, one block at a time.
-#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "sse2"))))]
 fn block(key: &[u32; 8], counter: u64) -> [u32; BLOCK_WORDS] {
     let mut state = [0u32; BLOCK_WORDS];
     state[..4].copy_from_slice(&CONSTANTS);
@@ -81,19 +87,28 @@ fn block(key: &[u32; 8], counter: u64) -> [u32; BLOCK_WORDS] {
     working
 }
 
-/// Blocks `counter .. counter + 4` into `out`, calling [`block`] for each.
+/// Blocks `counter .. counter + 8` into `out`, calling [`block`] for each.
 #[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "sse2"))))]
-fn four_blocks_scalar(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+fn eight_blocks_scalar(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
     for (b, words) in (0..BUF_BLOCKS).zip(out.chunks_exact_mut(BLOCK_WORDS)) {
         words.copy_from_slice(&block(key, counter.wrapping_add(b)));
     }
 }
 
-/// The refill in SSE2 lanes: lane `b` of every vector belongs to block
-/// `counter + b`.
+/// Each lane's block counter, computed in 64 bits and then split into
+/// its low (state word 12) and high (word 13) halves, so a carry into
+/// word 13 happens per block as the block function does.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+fn lane_counters<const N: usize>(counter: u64) -> ([i32; N], [i32; N]) {
+    let c: [u64; N] = std::array::from_fn(|b| counter.wrapping_add(b as u64));
+    (c.map(|c| c as i32), c.map(|c| (c >> 32) as i32))
+}
+
+/// The four-block refill in SSE2 lanes: lane `b` of every vector belongs
+/// to block `counter + b`.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 mod sse2 {
-    use super::{BLOCK_WORDS, BUF_WORDS, CONSTANTS, ROUNDS};
+    use super::{lane_counters, BLOCK_WORDS, CONSTANTS, ROUNDS};
     use std::arch::x86_64::*;
 
     /// Rotates every lane left by 16: swaps its two 16-bit halves.
@@ -136,21 +151,14 @@ mod sse2 {
 
     /// Blocks `counter .. counter + 4` into `out`, in block order.
     #[target_feature(enable = "sse2")]
-    pub(super) fn four_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+    pub(super) fn four_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; 4 * BLOCK_WORDS]) {
         let mut input = [_mm_setzero_si128(); BLOCK_WORDS];
         for (lanes, &word) in input.iter_mut().zip(CONSTANTS.iter().chain(key)) {
             *lanes = _mm_set1_epi32(word as i32);
         }
-        // Each lane's counter is computed in 64 bits, then split, so a
-        // carry into word 13 happens per block as the block function does.
-        let c = [0, 1, 2, 3].map(|b| counter.wrapping_add(b));
-        input[12] = _mm_setr_epi32(c[0] as i32, c[1] as i32, c[2] as i32, c[3] as i32);
-        input[13] = _mm_setr_epi32(
-            (c[0] >> 32) as i32,
-            (c[1] >> 32) as i32,
-            (c[2] >> 32) as i32,
-            (c[3] >> 32) as i32,
-        );
+        let (lo, hi) = lane_counters::<4>(counter);
+        input[12] = _mm_setr_epi32(lo[0], lo[1], lo[2], lo[3]);
+        input[13] = _mm_setr_epi32(hi[0], hi[1], hi[2], hi[3]);
 
         let mut x = input;
         for _ in 0..ROUNDS / 2 {
@@ -189,25 +197,185 @@ mod sse2 {
     }
 }
 
-/// Blocks `counter .. counter + 4` into `out`, in block order.
+/// The eight-block refill in AVX2 lanes: lane `b` of every vector belongs
+/// to block `counter + b`.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-fn four_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
-    // SAFETY: `sse2::four_blocks` requires the SSE2 target feature, and
-    // this call is compiled only when the build enables it (the `cfg`
-    // above), so every CPU this binary runs on has it.
-    unsafe { sse2::four_blocks(key, counter, out) }
+mod avx2 {
+    use super::{lane_counters, BLOCK_WORDS, BUF_WORDS, CONSTANTS, ROUNDS};
+    use std::arch::x86_64::*;
+
+    /// Rotates every lane left by 16 with one byte shuffle.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn rotl16(v: __m256i) -> __m256i {
+        let bytes = _mm256_setr_epi8(
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, //
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+        );
+        _mm256_shuffle_epi8(v, bytes)
+    }
+
+    /// Rotates every lane left by 8 with one byte shuffle.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn rotl8(v: __m256i) -> __m256i {
+        let bytes = _mm256_setr_epi8(
+            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14, //
+            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+        );
+        _mm256_shuffle_epi8(v, bytes)
+    }
+
+    /// Rotates every lane left by `L`; `R` is `32 - L`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn rotl<const L: i32, const R: i32>(v: __m256i) -> __m256i {
+        _mm256_or_si256(_mm256_slli_epi32::<L>(v), _mm256_srli_epi32::<R>(v))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn quarter_round(x: &mut [__m256i; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = rotl16(_mm256_xor_si256(x[d], x[a]));
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        x[b] = rotl::<12, 20>(_mm256_xor_si256(x[b], x[c]));
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = rotl8(_mm256_xor_si256(x[d], x[a]));
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        x[b] = rotl::<7, 25>(_mm256_xor_si256(x[b], x[c]));
+    }
+
+    /// Writes the eight lanes of `v` to `out[..8]`, lane 0 first, with
+    /// safe 64-bit extracts in place of `_mm256_storeu_si256`, which takes
+    /// a raw pointer.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store(v: __m256i, out: &mut [u32]) {
+        let q = [
+            _mm256_extract_epi64::<0>(v) as u64,
+            _mm256_extract_epi64::<1>(v) as u64,
+            _mm256_extract_epi64::<2>(v) as u64,
+            _mm256_extract_epi64::<3>(v) as u64,
+        ];
+        for (pair, q) in out[..8].chunks_exact_mut(2).zip(q) {
+            pair.copy_from_slice(&[q as u32, (q >> 32) as u32]);
+        }
+    }
+
+    /// Blocks `counter .. counter + 8` into `out`, in block order.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn eight_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        let mut input = [_mm256_setzero_si256(); BLOCK_WORDS];
+        for (lanes, &word) in input.iter_mut().zip(CONSTANTS.iter().chain(key)) {
+            *lanes = _mm256_set1_epi32(word as i32);
+        }
+        let (lo, hi) = lane_counters::<8>(counter);
+        input[12] = _mm256_setr_epi32(lo[0], lo[1], lo[2], lo[3], lo[4], lo[5], lo[6], lo[7]);
+        input[13] = _mm256_setr_epi32(hi[0], hi[1], hi[2], hi[3], hi[4], hi[5], hi[6], hi[7]);
+
+        let mut x = input;
+        for _ in 0..ROUNDS / 2 {
+            // Column round.
+            quarter_round(&mut x, 0, 4, 8, 12);
+            quarter_round(&mut x, 1, 5, 9, 13);
+            quarter_round(&mut x, 2, 6, 10, 14);
+            quarter_round(&mut x, 3, 7, 11, 15);
+            // Diagonal round.
+            quarter_round(&mut x, 0, 5, 10, 15);
+            quarter_round(&mut x, 1, 6, 11, 12);
+            quarter_round(&mut x, 2, 7, 8, 13);
+            quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        for (word, lanes) in x.iter_mut().zip(input) {
+            *word = _mm256_add_epi32(*word, lanes);
+        }
+
+        // Transpose each run of eight state words from lanes to blocks:
+        // 32- and 64-bit unpacks gather four words of a block in one
+        // 128-bit half (blocks 0-3 low, 4-7 high), then a half swap joins
+        // the two runs of four.
+        for w in (0..BLOCK_WORDS).step_by(8) {
+            let v = &x[w..w + 8];
+            let t = [
+                _mm256_unpacklo_epi32(v[0], v[1]),
+                _mm256_unpackhi_epi32(v[0], v[1]),
+                _mm256_unpacklo_epi32(v[2], v[3]),
+                _mm256_unpackhi_epi32(v[2], v[3]),
+                _mm256_unpacklo_epi32(v[4], v[5]),
+                _mm256_unpackhi_epi32(v[4], v[5]),
+                _mm256_unpacklo_epi32(v[6], v[7]),
+                _mm256_unpackhi_epi32(v[6], v[7]),
+            ];
+            // `u[b]` holds words `w .. w + 4` of blocks `b` and `b + 4`;
+            // `u[4 + b]` holds words `w + 4 .. w + 8` of the same blocks.
+            let u = [
+                _mm256_unpacklo_epi64(t[0], t[2]),
+                _mm256_unpackhi_epi64(t[0], t[2]),
+                _mm256_unpacklo_epi64(t[1], t[3]),
+                _mm256_unpackhi_epi64(t[1], t[3]),
+                _mm256_unpacklo_epi64(t[4], t[6]),
+                _mm256_unpackhi_epi64(t[4], t[6]),
+                _mm256_unpacklo_epi64(t[5], t[7]),
+                _mm256_unpackhi_epi64(t[5], t[7]),
+            ];
+            for b in 0..4 {
+                let low = _mm256_permute2x128_si256::<0x20>(u[b], u[4 + b]);
+                let high = _mm256_permute2x128_si256::<0x31>(u[b], u[4 + b]);
+                store(low, &mut out[b * BLOCK_WORDS + w..]);
+                store(high, &mut out[(b + 4) * BLOCK_WORDS + w..]);
+            }
+        }
+    }
+}
+
+/// Blocks `counter .. counter + 8` into `out` as two SSE2 four-block
+/// runs: the refill on x86_64 CPUs without AVX2.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+fn eight_blocks_sse2(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+    let (halves, _) = out.as_chunks_mut::<{ BUF_WORDS / 2 }>();
+    for (half, words) in (0..2u64).zip(halves) {
+        // SAFETY: `sse2::four_blocks` requires the SSE2 target feature, and
+        // this call is compiled only when the build enables it (the `cfg`
+        // above), so every CPU this binary runs on has it.
+        unsafe { sse2::four_blocks(key, counter.wrapping_add(4 * half), words) }
+    }
+}
+
+/// Blocks `counter .. counter + 8` into `out`, in block order: in AVX2
+/// lanes when this CPU has AVX2, else in SSE2 lanes.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+fn eight_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `avx2::eight_blocks` requires the AVX2 target feature,
+        // and the run-time `is_x86_feature_detected!("avx2")` check above
+        // found it on the CPU this runs on.
+        unsafe { avx2::eight_blocks(key, counter, out) }
+    } else {
+        eight_blocks_sse2(key, counter, out);
+    }
 }
 
 #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
-use four_blocks_scalar as four_blocks;
+use eight_blocks_scalar as eight_blocks;
 
 impl ChaCha8Rng {
     /// Out of line, so the `#[inline]` draws stay small in their callers.
     #[inline(never)]
     fn refill(&mut self) {
-        four_blocks(&self.key, self.counter, &mut self.buffer);
-        self.counter = self.counter.wrapping_add(BUF_BLOCKS);
-        self.index = 0;
+        if self.counter == 0 {
+            // A fresh generator (or one whose counter wrapped): block 0
+            // alone, into the buffer's last block, so `word_pos` and the
+            // next refill (at block 1) read as after any other refill.
+            let last = BUF_WORDS - BLOCK_WORDS;
+            self.buffer[last..].copy_from_slice(&block(&self.key, 0));
+            self.counter = 1;
+            self.index = last;
+        } else {
+            eight_blocks(&self.key, self.counter, &mut self.buffer);
+            self.counter = self.counter.wrapping_add(BUF_BLOCKS);
+            self.index = 0;
+        }
     }
 
     /// Keystream words consumed so far (modulo 2^68, the keystream's
@@ -428,23 +596,23 @@ mod tests {
         assert_eq!(rng.word_pos(), 1);
         rng.next_u64();
         assert_eq!(rng.word_pos(), 3);
-        // To the last word of the first buffer, then a `u64` straddling
-        // the second refill.
-        for _ in 0..30 {
+        // To the last word of block 0, which the first refill computes
+        // alone, then a `u64` straddling the eight-block refill after it.
+        for _ in 0..6 {
             rng.next_u64();
         }
-        assert_eq!(rng.word_pos(), 63);
+        assert_eq!(rng.word_pos(), 15);
         rng.next_u64();
-        assert_eq!(rng.word_pos(), 65);
+        assert_eq!(rng.word_pos(), 17);
         let clone = rng.clone();
-        assert_eq!(clone.word_pos(), 65);
-        for _ in 0..63 {
+        assert_eq!(clone.word_pos(), 17);
+        for _ in 0..127 {
             rng.next_u32();
         }
-        assert_eq!(rng.word_pos(), 128);
+        assert_eq!(rng.word_pos(), 144);
         rng.next_u32();
-        assert_eq!(rng.word_pos(), 129);
-        assert_eq!(clone.word_pos(), 65, "a clone keeps its own position");
+        assert_eq!(rng.word_pos(), 145);
+        assert_eq!(clone.word_pos(), 17, "a clone keeps its own position");
     }
 
     /// The reference stream: consecutive blocks from the scalar [`block`],
@@ -530,8 +698,8 @@ mod tests {
         [0; 8].map(|_| splitmix(state) as u32)
     }
 
-    /// Random counters, and counters whose four blocks carry from word 12
-    /// into word 13 or wrap past `u64::MAX`, at every lane.
+    /// Random counters, and counters whose eight blocks carry from word
+    /// 12 into word 13 or wrap past `u64::MAX`, at every lane.
     fn oracle_counters(state: &mut u64) -> Vec<u64> {
         let mut counters = vec![0, splitmix(state), splitmix(state) >> 32];
         for back in 1..=BUF_BLOCKS {
@@ -543,38 +711,51 @@ mod tests {
     }
 
     #[test]
-    fn four_block_refill_matches_the_block_function() {
+    fn every_refill_path_matches_the_block_function() {
         let mut state = 0x5EED;
         for _ in 0..16 {
             let key = random_key(&mut state);
             for counter in oracle_counters(&mut state) {
-                let mut lanes = [0; BUF_WORDS];
-                let mut scalar = [0; BUF_WORDS];
-                four_blocks(&key, counter, &mut lanes);
-                four_blocks_scalar(&key, counter, &mut scalar);
-                assert_eq!(lanes, scalar, "key {key:08x?}, counter {counter:#x}");
+                let at = format!("key {key:08x?}, counter {counter:#x}");
+                let mut want = [0; BUF_WORDS];
+                eight_blocks_scalar(&key, counter, &mut want);
+                // The refill as dispatched: in AVX2 lanes when this CPU
+                // reports AVX2, else in SSE2 lanes, else the scalar block.
+                let mut got = [0; BUF_WORDS];
+                eight_blocks(&key, counter, &mut got);
+                assert_eq!(got, want, "{at}");
+                // The SSE2 fallback, on every x86_64 CPU.
+                #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+                {
+                    let mut sse2 = [0; BUF_WORDS];
+                    eight_blocks_sse2(&key, counter, &mut sse2);
+                    assert_eq!(sse2, want, "SSE2, {at}");
+                }
             }
         }
     }
+
+    /// Read patterns that put `u64`s and partial `fill_bytes` words at
+    /// odd and even word offsets.
+    const PATTERNS: [&[Read]; 5] = [
+        &[Read::U32],
+        &[Read::U64],
+        &[Read::Bytes(7)],
+        &[Read::U64, Read::U32, Read::U64, Read::Bytes(5)],
+        &PATTERN,
+    ];
 
     #[test]
     fn reads_at_every_buffer_offset_match_the_oracle() {
         // Past two refills after the offset, so reads cross refills at
         // every alignment.
         const READ_WORDS: usize = 2 * BUF_WORDS + 3;
-        let patterns: [&[Read]; 5] = [
-            &[Read::U32],
-            &[Read::U64],
-            &[Read::Bytes(7)],
-            &[Read::U64, Read::U32, Read::U64, Read::Bytes(5)],
-            &PATTERN,
-        ];
         let mut state = 0xF00D;
         for _ in 0..4 {
             let key = random_key(&mut state);
             for counter in oracle_counters(&mut state) {
                 for offset in 0..=BUF_WORDS {
-                    for pattern in patterns {
+                    for pattern in PATTERNS {
                         let (mut rng, mut oracle) = pair_at(key, counter);
                         for _ in 0..offset {
                             assert_eq!(rng.next_u32(), oracle.next_u32());
@@ -587,6 +768,56 @@ mod tests {
                         let got = read_words(&mut clone, pattern, READ_WORDS);
                         assert_eq!(got, want, "clone at {at}");
                         assert_eq!(clone.word_pos(), oracle.word_pos(), "clone at {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A generator started at block `start` and its oracle, read word by
+    /// word up to the generator's next refill at block 0.
+    fn pair_before_block_zero(key: [u32; 8], start: u64) -> (ChaCha8Rng, Oracle) {
+        let (mut rng, mut oracle) = pair_at(key, start);
+        while rng.counter != 0 || rng.index < BUF_WORDS {
+            assert_eq!(rng.next_u32(), oracle.next_u32());
+        }
+        (rng, oracle)
+    }
+
+    #[test]
+    fn the_first_refill_computes_block_zero_alone() {
+        // Past block 0 and the eight-block refill after it.
+        const READ_WORDS: usize = BLOCK_WORDS + BUF_WORDS + 3;
+        let mut state = 0xF125;
+        for _ in 0..4 {
+            let key = random_key(&mut state);
+            // A fresh generator, and one whose counter wraps to 0 after
+            // the keystream's last eight blocks.
+            for start in [0, BUF_BLOCKS.wrapping_neg()] {
+                let (mut rng, mut oracle) = pair_before_block_zero(key, start);
+                for word in 0..READ_WORDS {
+                    let at = format!("start {start:#x}, word {word}");
+                    assert_eq!(rng.word_pos(), oracle.word_pos(), "{at}");
+                    assert_eq!(rng.next_u32(), oracle.next_u32(), "{at}");
+                    // Blocks computed since block 0: that block alone,
+                    // then eight per refill.
+                    let refills = ((word + BUF_WORDS - BLOCK_WORDS) / BUF_WORDS) as u64;
+                    assert_eq!(rng.counter, 1 + BUF_BLOCKS * refills, "{at}");
+                }
+                assert_eq!(rng.word_pos(), oracle.word_pos(), "start {start:#x}");
+
+                // Every pattern across the boundary between the two
+                // refills, from odd and even words.
+                for skip in 0..3 {
+                    for pattern in PATTERNS {
+                        let (mut rng, mut oracle) = pair_before_block_zero(key, start);
+                        for _ in 0..skip {
+                            assert_eq!(rng.next_u32(), oracle.next_u32());
+                        }
+                        let want = read_words(&mut oracle, pattern, READ_WORDS);
+                        let at = format!("start {start:#x}, skip {skip}");
+                        assert_eq!(read_words(&mut rng, pattern, READ_WORDS), want, "{at}");
+                        assert_eq!(rng.word_pos(), oracle.word_pos(), "{at}");
                     }
                 }
             }

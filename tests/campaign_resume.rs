@@ -13,7 +13,6 @@
 //! seeds via `CAMPAIGN_CHAOS_SEED` (see `.github/workflows/ci.yml`).
 
 use std::fs;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use cronos::Grid;
@@ -27,6 +26,9 @@ use energy_model::{
 };
 use gpu_sim::{DeviceSpec, FaultPlan, Schedule, ThrottleWindow};
 
+mod common;
+use common::ScratchDir;
+
 /// Fault seed for the chaos matrix: CI re-runs the whole file under
 /// several seeds; locally it defaults to the one the golden values in
 /// no test depend on numerically (every assertion is self-relative).
@@ -37,16 +39,8 @@ fn chaos_seed() -> u64 {
         .unwrap_or(20230521)
 }
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "energy-model-campaign-{}-{}-{}",
-        std::process::id(),
-        name,
-        chaos_seed()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch(name: &str) -> ScratchDir {
+    ScratchDir::create(&format!("energy-model-campaign-{name}-{}", chaos_seed()))
 }
 
 fn small_cronos() -> cronos::GpuCronos {

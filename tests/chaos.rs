@@ -31,6 +31,9 @@ use parking_lot::Mutex;
 use synergy::backend::NvmlBackend;
 use synergy::{BackendError, RetryPolicy, SynergyQueue};
 
+mod common;
+use common::ScratchDir;
+
 fn kernel() -> KernelProfile {
     KernelProfile::compute_bound("chaos", 1 << 20, 200.0)
 }
@@ -406,12 +409,7 @@ fn campaign_under_chaos_completes_and_quarantine_accounts_for_every_point() {
     cfg.reps = 2;
     cfg.noise_seed = Some(7);
 
-    let dir = std::env::temp_dir().join(format!(
-        "energy-model-chaos-campaign-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::create("energy-model-chaos-campaign");
     let wl = small_cronos();
     let workloads: Vec<&dyn energy_model::characterize::Workload> = vec![&wl];
     let outcome =
@@ -438,6 +436,4 @@ fn campaign_under_chaos_completes_and_quarantine_accounts_for_every_point() {
     for q in &report.dropped {
         assert!(!q.reasons.is_empty(), "quarantine must state its reasons");
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

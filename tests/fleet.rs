@@ -24,10 +24,10 @@
 //!   exactly with the journal.
 //!
 //! The expensive fixture (per-class trained models) is built once per
-//! test binary behind a lazy lock. `FLEET_CHAOS_SEED` reruns the chaos
+//! test binary behind a lazy lock; each test reads a copy of it in a
+//! scratch directory of its own. `FLEET_CHAOS_SEED` reruns the chaos
 //! tests under a different fault seed (the CI matrix sets it).
 
-use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use energy_model::telemetry::Telemetry;
@@ -38,27 +38,28 @@ use governor::{
 };
 use gpu_sim::{DeviceSpec, FaultPlan, Schedule};
 
-/// One shared registry holding the pinned single-device artifacts
-/// (`cronos`, `ligen`) *and* the per-class fleet artifacts
-/// (`cronos--nvidia-v100`, `ligen--amd-mi100`, …): training dominates the
-/// suite's cost, so pay it once.
-fn shared_registry() -> &'static ModelRegistry {
-    static SHARED: OnceLock<ModelRegistry> = OnceLock::new();
-    SHARED.get_or_init(|| {
-        let dir = test_dir("shared-registry");
-        let registry = ModelRegistry::open(&dir);
-        train_and_publish(&GovernorConfig::pinned(Policy::DefaultClock), &registry)
-            .expect("train and publish single-device models");
-        train_and_publish_fleet(&FleetConfig::pinned(), &registry)
-            .expect("train and publish per-class fleet models");
-        registry
-    })
+mod common;
+use common::{ScratchDir, ScratchRegistry, Template};
+
+/// A registry holding the pinned single-device artifacts (`cronos`,
+/// `ligen`) *and* the per-class fleet artifacts (`cronos--nvidia-v100`,
+/// `ligen--amd-mi100`, …), in a scratch directory of the calling test's
+/// own: training dominates the suite's cost, so it runs once.
+fn shared_registry() -> ScratchRegistry {
+    static MODELS: OnceLock<Template> = OnceLock::new();
+    let models = MODELS.get_or_init(|| {
+        Template::publish(test_dir("trained-models"), |registry| {
+            train_and_publish(&GovernorConfig::pinned(Policy::DefaultClock), registry)
+                .expect("train and publish single-device models");
+            train_and_publish_fleet(&FleetConfig::pinned(), registry)
+                .expect("train and publish per-class fleet models");
+        })
+    });
+    models.copy_to(ScratchDir::numbered("fleet-e2e-shared-registry"))
 }
 
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fleet-e2e-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn test_dir(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("fleet-e2e-{name}"))
 }
 
 /// Fault seed for the chaos tests; CI sweeps it through a small matrix.
@@ -128,7 +129,7 @@ fn assert_differential(fleet_cfg: &FleetConfig, registry: &ModelRegistry) {
 
 #[test]
 fn single_v100_fleet_is_bit_identical_to_governor_for_every_policy() {
-    let registry = shared_registry();
+    let registry = &shared_registry();
     for policy in Policy::all() {
         assert_differential(&quick_single(policy), registry);
     }
@@ -136,7 +137,7 @@ fn single_v100_fleet_is_bit_identical_to_governor_for_every_policy() {
 
 #[test]
 fn single_v100_fleet_matches_governor_on_the_full_pinned_stream() {
-    let registry = shared_registry();
+    let registry = &shared_registry();
     assert_differential(
         &FleetConfig::single(DeviceSpec::v100(), Policy::MinEnergyUnderDeadline),
         registry,
@@ -145,7 +146,7 @@ fn single_v100_fleet_matches_governor_on_the_full_pinned_stream() {
 
 #[test]
 fn single_v100_differential_holds_under_device_faults() {
-    let registry = shared_registry();
+    let registry = &shared_registry();
     let mut cfg = quick_single(Policy::MinEnergyUnderDeadline);
     // Purpose-0 splitting keeps device 0 on the parent seed, so the
     // single-device fleet replays the un-split plan bit-for-bit.
@@ -159,7 +160,7 @@ fn single_v100_differential_holds_under_device_faults() {
 
 #[test]
 fn fleet_runs_replay_bit_identically() {
-    let registry = shared_registry();
+    let registry = &shared_registry();
     let cfg = FleetConfig::pinned();
     let a = run_fleet(&cfg, registry);
     let b = run_fleet(&cfg, registry);
@@ -170,7 +171,7 @@ fn fleet_runs_replay_bit_identically() {
 
 #[test]
 fn armed_telemetry_leaves_fleet_results_bit_identical() {
-    let registry = shared_registry();
+    let registry = &shared_registry();
     let inert = run_fleet(&FleetConfig::pinned(), registry);
 
     let telemetry = Telemetry::new();
@@ -193,7 +194,7 @@ fn armed_telemetry_leaves_fleet_results_bit_identical() {
 
 #[test]
 fn pinned_fleet_beats_round_robin_and_single_device_min_energy() {
-    let registry = shared_registry();
+    let registry = &shared_registry();
     let fleet = run_fleet(&FleetConfig::pinned(), registry);
     let round_robin = run_fleet(&FleetConfig::pinned_round_robin(), registry);
     let single = run_governor(
@@ -246,7 +247,7 @@ fn pinned_fleet_beats_round_robin_and_single_device_min_energy() {
 
 #[test]
 fn empty_registry_falls_back_as_model_missing_not_affinity() {
-    let empty = ModelRegistry::open(&test_dir("empty-registry"));
+    let empty = ScratchRegistry::open(test_dir("empty-registry"));
     for cfg in [
         FleetConfig::single(DeviceSpec::v100(), Policy::MinEnergyUnderDeadline),
         FleetConfig::pinned(),
@@ -275,7 +276,7 @@ fn empty_registry_falls_back_as_model_missing_not_affinity() {
 /// Evicts `n_faulty` of the pinned fleet's four devices via per-device
 /// fault overrides and checks the survivors complete every job.
 fn run_eviction_chaos(n_faulty: usize, steal: StealPolicy) {
-    let registry = shared_registry();
+    let registry = &shared_registry();
     let mut cfg = FleetConfig::pinned();
     cfg.steal = steal;
     // One failure trips; one trip evicts: the n_faulty always-failing
@@ -374,7 +375,7 @@ fn three_evictions_last_survivor_completes_the_set() {
 
 #[test]
 fn all_devices_evicted_fails_jobs_without_wedging() {
-    let registry = shared_registry();
+    let registry = &shared_registry();
     let mut cfg = FleetConfig::pinned();
     cfg.n_jobs = 12;
     cfg.breaker = BreakerConfig {
@@ -402,7 +403,7 @@ fn all_devices_evicted_fails_jobs_without_wedging() {
 
 #[test]
 fn cooling_device_queue_is_stolen_by_idle_peers() {
-    let registry = shared_registry();
+    let registry = &shared_registry();
     let mut cfg = FleetConfig::pinned();
     // Two V100s only; device 0 fails every launch but its breaker never
     // evicts — it trips, cools for a long window, probes, and trips
@@ -439,7 +440,7 @@ fn cooling_device_queue_is_stolen_by_idle_peers() {
 
 #[test]
 fn within_class_stealing_moves_work_and_preserves_the_job_set() {
-    let registry = shared_registry();
+    let registry = &shared_registry();
     let cfg = FleetConfig::pinned();
     let report = run_fleet(&cfg, registry);
 

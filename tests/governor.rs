@@ -14,10 +14,11 @@
 //!   miss rate (the number `figures govern` records in
 //!   `results/governor/summary.json`).
 //!
-//! The expensive fixtures (trained models, published registry) are built
-//! once per test binary behind a lazy lock.
+//! The expensive fixture (the trained models) is built once per test
+//! binary behind a lazy lock; each test reads a copy of it in a scratch
+//! directory of its own.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use energy_model::telemetry::Telemetry;
@@ -28,24 +29,29 @@ use governor::{
 };
 use gpu_sim::{FaultPlan, Schedule};
 
-/// One pinned-config registry shared by every test in this binary:
-/// training the two models is by far the dominant cost, so pay it once.
-fn shared_registry() -> &'static (ModelRegistry, u64) {
-    static SHARED: OnceLock<(ModelRegistry, u64)> = OnceLock::new();
-    SHARED.get_or_init(|| {
-        let dir = test_dir("shared-registry");
-        let registry = ModelRegistry::open(&dir);
-        let fingerprint =
-            train_and_publish(&GovernorConfig::pinned(Policy::DefaultClock), &registry)
-                .expect("train and publish pinned models");
-        (registry, fingerprint)
-    })
+mod common;
+use common::{ScratchDir, ScratchRegistry, Template};
+
+/// A registry holding the pinned-config models, in a scratch directory of
+/// the calling test's own, and their training fingerprint: training the
+/// two models is by far the dominant cost, so it runs once.
+fn shared_registry() -> (ScratchRegistry, u64) {
+    static MODELS: OnceLock<(Template, u64)> = OnceLock::new();
+    let (models, fingerprint) = MODELS.get_or_init(|| {
+        let mut fingerprint = 0;
+        let models = Template::publish(test_dir("trained-models"), |registry| {
+            fingerprint =
+                train_and_publish(&GovernorConfig::pinned(Policy::DefaultClock), registry)
+                    .expect("train and publish pinned models");
+        });
+        (models, fingerprint)
+    });
+    let dir = ScratchDir::numbered("governor-e2e-shared-registry");
+    (models.copy_to(dir), *fingerprint)
 }
 
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("governor-e2e-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn test_dir(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("governor-e2e-{name}"))
 }
 
 fn pinned(policy: Policy) -> GovernorConfig {
@@ -67,7 +73,7 @@ fn quick(policy: Policy) -> GovernorConfig {
 
 #[test]
 fn registry_round_trip_is_lossless() {
-    let (registry, fingerprint) = shared_registry();
+    let (registry, fingerprint) = &shared_registry();
     let (model, artifact, version) = registry
         .load_expecting("ligen", None, *fingerprint)
         .expect("load published model");
@@ -89,7 +95,7 @@ fn registry_round_trip_is_lossless() {
 
 #[test]
 fn registry_rejects_corruption_version_skew_and_staleness() {
-    let (registry, fingerprint) = shared_registry();
+    let (registry, fingerprint) = &shared_registry();
 
     // Stale fingerprint → typed Fingerprint error.
     let err = registry
@@ -169,7 +175,7 @@ fn registry_rejects_corruption_version_skew_and_staleness() {
 
 #[test]
 fn publishing_allocates_monotone_versions() {
-    let (registry, fingerprint) = shared_registry();
+    let (registry, fingerprint) = &shared_registry();
     let (model, _, v1) = registry.load("cronos", None).expect("load v1");
     let scratch = test_dir("versions-registry");
     let fresh = ModelRegistry::open(&scratch);
@@ -235,7 +241,7 @@ fn reseal_with_backward_child(path: &Path) {
 
 #[test]
 fn a_corrupt_newest_version_serves_the_newest_healthy_one() {
-    let (registry, fingerprint) = shared_registry();
+    let (registry, fingerprint) = &shared_registry();
     for (label, corrupt) in [
         ("rotted", rot_payload as fn(&Path)),
         ("three-column", reseal_as_three_columns),
@@ -243,7 +249,7 @@ fn a_corrupt_newest_version_serves_the_newest_healthy_one() {
     ] {
         // A scratch registry holding each published model twice, with the
         // newer copy corrupted on disk.
-        let scratch = ModelRegistry::open(&test_dir(&format!("corrupt-newest-registry-{label}")));
+        let scratch = ScratchRegistry::open(test_dir(&format!("corrupt-newest-registry-{label}")));
         for app in ["cronos", "ligen"] {
             let (model, _, _) = registry.load(app, None).expect("load published model");
             assert_eq!(scratch.publish(app, &model, *fingerprint).expect("v1"), 1);
@@ -282,8 +288,8 @@ fn a_corrupt_newest_version_serves_the_newest_healthy_one() {
 fn a_deeply_nested_newest_version_is_skipped_not_a_crash() {
     // A 100 KB newest version of 100 000 `[`: the reader's nesting limit
     // refuses it as malformed instead of recursing off the stack.
-    let (registry, fingerprint) = shared_registry();
-    let scratch = ModelRegistry::open(&test_dir("deep-newest-registry"));
+    let (registry, fingerprint) = &shared_registry();
+    let scratch = ScratchRegistry::open(test_dir("deep-newest-registry"));
     let (model, _, _) = registry.load("cronos", None).expect("load published model");
     assert_eq!(
         scratch.publish("cronos", &model, *fingerprint).expect("v1"),
@@ -309,7 +315,7 @@ fn a_deeply_nested_newest_version_is_skipped_not_a_crash() {
 
 #[test]
 fn inert_runs_are_bit_identical_across_replays() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
     for policy in Policy::all() {
         let cfg = quick(policy);
         let a = run_governor(&cfg, registry);
@@ -320,7 +326,7 @@ fn inert_runs_are_bit_identical_across_replays() {
 
 #[test]
 fn different_seeds_give_different_streams() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
     let a = run_governor(&quick(Policy::MinEnergyUnderDeadline), registry);
     let mut cfg = quick(Policy::MinEnergyUnderDeadline);
     cfg.seed ^= 0xABCD;
@@ -330,7 +336,7 @@ fn different_seeds_give_different_streams() {
 
 #[test]
 fn armed_telemetry_leaves_results_bit_identical() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
     let inert = run_governor(&quick(Policy::MinEnergyUnderDeadline), registry);
 
     let telemetry = Telemetry::new();
@@ -357,7 +363,7 @@ fn armed_telemetry_leaves_results_bit_identical() {
 
 #[test]
 fn set_frequency_faults_degrade_without_deadlock() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
     let mut cfg = quick(Policy::MinEnergyUnderDeadline);
     cfg.device_faults = FaultPlan::seeded(7).reject_set_frequency(Schedule::Prob(0.3));
     let report = run_governor(&cfg, registry);
@@ -384,7 +390,7 @@ fn set_frequency_faults_degrade_without_deadlock() {
 
 #[test]
 fn rejected_clocks_ride_the_retry_path_to_default() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
     let mut cfg = quick(Policy::MinEnergyUnderDeadline);
     // Reject every set-frequency call: each governed job's clock request
     // exhausts its retries and falls back to the default clock.
@@ -401,7 +407,7 @@ fn rejected_clocks_ride_the_retry_path_to_default() {
 
 #[test]
 fn all_model_loads_failing_converges_to_default_clock_baseline() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
 
     let baseline = run_governor(&quick(Policy::DefaultClock), registry);
 
@@ -432,7 +438,7 @@ fn all_model_loads_failing_converges_to_default_clock_baseline() {
 
 #[test]
 fn stale_fingerprint_faults_fall_back_and_recover() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
     let mut cfg = quick(Policy::MinEnergyUnderDeadline);
     // The first few load attempts see a stale artifact; later attempts
     // succeed, so the governor recovers mid-stream.
@@ -457,7 +463,7 @@ fn stale_fingerprint_faults_fall_back_and_recover() {
 
 #[test]
 fn admission_overflow_sheds_load_visibly() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
     let mut cfg = quick(Policy::MinEnergyUnderDeadline);
     cfg.queue_capacity = 1; // bursts of 2–3 must overflow
     let report = run_governor(&cfg, registry);
@@ -477,7 +483,7 @@ fn admission_overflow_sheds_load_visibly() {
 
 #[test]
 fn a_zero_max_batch_runs_like_a_batch_of_one() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
     let mut cfg = quick(Policy::MinEnergyUnderDeadline);
     cfg.max_batch = 1;
     let one = run_governor(&cfg, registry);
@@ -491,7 +497,7 @@ fn a_zero_max_batch_runs_like_a_batch_of_one() {
 
 #[test]
 fn pinned_stream_saves_ten_percent_energy_at_no_worse_miss_rate() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
     let baseline = run_governor(&pinned(Policy::DefaultClock), registry);
     let governed = run_governor(&pinned(Policy::MinEnergyUnderDeadline), registry);
 
@@ -523,7 +529,7 @@ fn pinned_stream_saves_ten_percent_energy_at_no_worse_miss_rate() {
 
 #[test]
 fn launch_failures_fail_their_jobs_without_retry_on_the_pinned_stream() {
-    let (registry, _) = shared_registry();
+    let (registry, _) = &shared_registry();
     let mut cfg = pinned(Policy::MinEnergyUnderDeadline);
     cfg.device_faults = FaultPlan::seeded(7).fail_launches(Schedule::Prob(0.6));
     let report = run_governor(&cfg, registry);

@@ -18,8 +18,6 @@
 //!   last sync point, and leaves the registry as bit-identical as the
 //!   journal.
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use energy_model::artifact::fnv1a_64;
@@ -27,14 +25,15 @@ use energy_model::telemetry::Telemetry;
 use governor::{
     efficiency_drift, lifecycle, run_governor, run_lifecycle, train_and_publish, DriftConfig,
     DriftScenario, EngineConfig, ForcedTrip, GovernorConfig, LifecycleConfig, LifecycleEvent,
-    ModelRegistry, Policy, PredictionEngine, PredictionRequest, RegistryEvent, ServedChannel,
+    Policy, PredictionEngine, PredictionRequest, RegistryEvent, ServedChannel,
 };
 use gpu_sim::{FaultPlan, Schedule};
 
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lifecycle-e2e-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+mod common;
+use common::{tree_bytes, ScratchDir, ScratchRegistry, Template};
+
+fn test_dir(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("lifecycle-e2e-{name}"))
 }
 
 /// The chaos test re-runs under any seed via `LIFECYCLE_CHAOS_SEED`;
@@ -48,34 +47,18 @@ fn chaos_seed() -> u64 {
 
 /// Train the pinned models once per binary, then give each test its own
 /// writable copy of the published registry (canary publishes mutate it).
-fn template_registry() -> &'static PathBuf {
-    static TEMPLATE: OnceLock<PathBuf> = OnceLock::new();
+fn template_registry() -> &'static Template {
+    static TEMPLATE: OnceLock<Template> = OnceLock::new();
     TEMPLATE.get_or_init(|| {
-        let dir = test_dir("registry-template");
-        let registry = ModelRegistry::open(&dir);
-        train_and_publish(&GovernorConfig::pinned(Policy::DefaultClock), &registry)
-            .expect("train and publish pinned models");
-        dir
+        Template::publish(test_dir("registry-template"), |registry| {
+            train_and_publish(&GovernorConfig::pinned(Policy::DefaultClock), registry)
+                .expect("train and publish pinned models");
+        })
     })
 }
 
-fn copy_tree(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).expect("create registry copy dir");
-    for entry in std::fs::read_dir(src).expect("read template registry") {
-        let entry = entry.expect("registry entry");
-        let target = dst.join(entry.file_name());
-        if entry.file_type().expect("file type").is_dir() {
-            copy_tree(&entry.path(), &target);
-        } else {
-            std::fs::copy(entry.path(), &target).expect("copy registry file");
-        }
-    }
-}
-
-fn fresh_registry(name: &str) -> ModelRegistry {
-    let dir = test_dir(name);
-    copy_tree(template_registry(), &dir);
-    ModelRegistry::open(&dir)
+fn fresh_registry(name: &str) -> ScratchRegistry {
+    template_registry().copy_to(test_dir(name))
 }
 
 /// The pinned drift scenario: efficiency drift lands a third of the way
@@ -198,13 +181,9 @@ fn drift_is_detected_retrained_canaried_and_promoted() {
     // drifted stream, adapting must pay off strictly.
     let mut stale = cfg.clone();
     stale.drift = DriftConfig::disabled();
-    let stale_report = run_lifecycle(
-        &stale,
-        &registry_for_baseline(),
-        &test_dir("e2e-stale"),
-        false,
-    )
-    .expect("stale baseline run");
+    let stale_dir = test_dir("e2e-stale");
+    let stale_report = run_lifecycle(&stale, &registry_for_baseline(), &stale_dir, false)
+        .expect("stale baseline run");
     assert_eq!(stale_report.retrains, 0);
     assert!(
         report.total_energy_j < stale_report.total_energy_j,
@@ -227,19 +206,14 @@ fn drift_is_detected_retrained_canaried_and_promoted() {
         .expect("promote at_job");
     let (post_mape, post_n) = mape_after(&report, &promoted_app, promote_at);
 
-    let scratch_dir = test_dir("e2e-scratch-registry");
-    let scratch_registry = ModelRegistry::open(&scratch_dir);
+    let scratch_registry = ScratchRegistry::open(test_dir("e2e-scratch-registry"));
     let mut scratch = LifecycleConfig::pinned(Policy::MinEnergyUnderDeadline);
     scratch.governor.spec = efficiency_drift(&scratch.governor.spec);
     scratch.drift = DriftConfig::disabled();
     train_and_publish(&scratch.governor, &scratch_registry).expect("from-scratch retrain");
-    let scratch_report = run_lifecycle(
-        &scratch,
-        &scratch_registry,
-        &test_dir("e2e-scratch-run"),
-        false,
-    )
-    .expect("from-scratch run");
+    let scratch_dir = test_dir("e2e-scratch-run");
+    let scratch_report =
+        run_lifecycle(&scratch, &scratch_registry, &scratch_dir, false).expect("from-scratch run");
     let (scratch_mape, scratch_n) = mape_after(&scratch_report, &promoted_app, promote_at);
     assert!(
         post_mape <= scratch_mape.max(1e-9) * 1.25,
@@ -250,7 +224,7 @@ fn drift_is_detected_retrained_canaried_and_promoted() {
 
 /// The stale-baseline registry: a second pristine copy so the e2e run's
 /// canary publishes can't leak into the baseline.
-fn registry_for_baseline() -> ModelRegistry {
+fn registry_for_baseline() -> ScratchRegistry {
     fresh_registry("e2e-baseline")
 }
 
@@ -332,7 +306,7 @@ fn worse_canary_rolls_back_automatically_with_zero_dropped_requests() {
 
 #[test]
 fn inert_lifecycle_is_bit_identical_to_the_governor() {
-    let registry = ModelRegistry::open(template_registry());
+    let registry = fresh_registry("inert");
     // Clean devices, and devices failing most launches: a failed job is
     // recorded once, in both loops alike.
     let fault_plans = [
@@ -379,10 +353,11 @@ fn inert_lifecycle_is_bit_identical_to_the_governor() {
 
 #[test]
 fn armed_telemetry_leaves_the_lifecycle_bit_identical() {
+    let quiet_dir = test_dir("telemetry-quiet-run");
     let quiet = run_lifecycle(
         &drifted(Policy::MinEnergyUnderDeadline),
         &fresh_registry("telemetry-quiet"),
-        &test_dir("telemetry-quiet-run"),
+        &quiet_dir,
         false,
     )
     .expect("quiet run");
@@ -390,13 +365,9 @@ fn armed_telemetry_leaves_the_lifecycle_bit_identical() {
     let telemetry = Telemetry::new();
     let mut cfg = drifted(Policy::MinEnergyUnderDeadline);
     cfg.governor.telemetry = Some(Arc::clone(&telemetry));
-    let armed = run_lifecycle(
-        &cfg,
-        &fresh_registry("telemetry-armed"),
-        &test_dir("telemetry-armed-run"),
-        false,
-    )
-    .expect("armed run");
+    let armed_dir = test_dir("telemetry-armed-run");
+    let armed = run_lifecycle(&cfg, &fresh_registry("telemetry-armed"), &armed_dir, false)
+        .expect("armed run");
 
     // The report carries no telemetry handle, so PartialEq covers every
     // measured and derived field.
@@ -459,14 +430,10 @@ fn publisher_crash_at_every_journal_boundary_resumes_bit_identically() {
 
     // Training fingerprints bind the stream seed, so the chaos seed gets
     // its own trained template registry (copied fresh per crash point).
-    let template = test_dir(&format!("chaos-template-{seed}"));
-    train_and_publish(&cfg.governor, &ModelRegistry::open(&template))
-        .expect("train chaos-seed models");
-    let chaos_registry = |name: &str| {
-        let dir = test_dir(name);
-        copy_tree(&template, &dir);
-        ModelRegistry::open(&dir)
-    };
+    let template = Template::publish(test_dir(&format!("chaos-template-{seed}")), |registry| {
+        train_and_publish(&cfg.governor, registry).expect("train chaos-seed models");
+    });
+    let chaos_registry = |name: &str| template.copy_to(test_dir(name));
 
     let ref_dir = test_dir(&format!("chaos-ref-{seed}"));
     let reference = run_lifecycle(
@@ -510,39 +477,16 @@ fn publisher_crash_at_every_journal_boundary_resumes_bit_identically() {
     }
 }
 
-/// Every file under `root`, by its path below `root`, with its bytes.
-fn tree_bytes(root: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
-    let mut files = BTreeMap::new();
-    let mut dirs = vec![root.to_path_buf()];
-    while let Some(dir) = dirs.pop() {
-        for entry in std::fs::read_dir(&dir).expect("read registry dir") {
-            let path = entry.expect("registry entry").path();
-            if path.is_dir() {
-                dirs.push(path);
-            } else {
-                let bytes = std::fs::read(&path).expect("read registry file");
-                let name = path.strip_prefix(root).expect("under the root");
-                files.insert(name.to_path_buf(), bytes);
-            }
-        }
-    }
-    files
-}
-
 #[test]
 fn a_power_loss_after_any_append_resumes_bit_identically() {
     let seed = chaos_seed();
     let mut cfg = drifted(Policy::MinEnergyUnderDeadline);
     cfg.governor.seed = seed;
 
-    let template = test_dir(&format!("power-template-{seed}"));
-    train_and_publish(&cfg.governor, &ModelRegistry::open(&template))
-        .expect("train chaos-seed models");
-    let power_registry = |name: &str| {
-        let dir = test_dir(name);
-        copy_tree(&template, &dir);
-        ModelRegistry::open(&dir)
-    };
+    let template = Template::publish(test_dir(&format!("power-template-{seed}")), |registry| {
+        train_and_publish(&cfg.governor, registry).expect("train chaos-seed models");
+    });
+    let power_registry = |name: &str| template.copy_to(test_dir(name));
 
     let ref_registry = power_registry(&format!("power-ref-reg-{seed}"));
     let ref_dir = test_dir(&format!("power-ref-{seed}"));
@@ -606,9 +550,6 @@ fn a_power_loss_after_any_append_resumes_bit_identically() {
             tree_bytes(registry.root()) == ref_files,
             "registry after a power loss at append {k} diverged"
         );
-        // Each crash point copies the registry; leave no copy behind.
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(registry.root());
     }
     assert!(
         cut_to_an_intent,
@@ -622,7 +563,7 @@ fn a_power_loss_after_any_append_resumes_bit_identically() {
 
 #[test]
 fn promote_and_rollback_drop_the_memo_with_its_model() {
-    let registry = ModelRegistry::open(template_registry());
+    let registry = fresh_registry("memo");
     let (ligen, _, _) = registry.load("ligen", None).expect("ligen model");
     let (cronos, _, _) = registry.load("cronos", None).expect("cronos model");
 

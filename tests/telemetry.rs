@@ -13,7 +13,6 @@
 //!    begin/end span pairs.
 
 use std::fs;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use cronos::Grid;
@@ -23,15 +22,11 @@ use energy_model::{
 };
 use gpu_sim::{DeviceSpec, FaultPlan, Schedule, ThrottleWindow};
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "energy-model-telemetry-{}-{}",
-        std::process::id(),
-        name
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+mod common;
+use common::ScratchDir;
+
+fn scratch(name: &str) -> ScratchDir {
+    ScratchDir::create(&format!("energy-model-telemetry-{name}"))
 }
 
 fn small_cronos() -> cronos::GpuCronos {
